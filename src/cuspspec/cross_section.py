@@ -145,10 +145,8 @@ def hormander_residual(
     constant = unit_ball_volume(d) / TWO_PI**d * x.volume()
     worst = 0.0
     for mu in np.geomspace(1.0, mu_max, grid):
+        # side='left' returns the number of values strictly below mu
         count = int(np.searchsorted(spectrum, mu, side="left"))
-        # searchsorted('left') counts values < mu except exact ties; nudge ties out
-        while count < spectrum.size and spectrum[count] < mu:
-            count += 1
         residual = abs(count - constant * mu ** (d / 2.0))
         worst = max(worst, residual / max(1.0, mu ** ((d - 1) / 2.0)))
     return worst

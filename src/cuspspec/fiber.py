@@ -15,7 +15,11 @@ spectral level lambda is done by shooting the Prufer angle
 
 from the boundary condition at alpha to a point safely inside the
 classically forbidden region; the winding floor(theta/pi) is the count.
-A three-point finite-difference matrix provides an independent oracle.
+Eigenvalues are listed by matched shooting: the mismatch F(lambda) between
+the forward shoot and a backward shoot of the decaying solution, taken at
+the potential minimum, is smooth and increasing, N(lambda) = ceil(F/pi), and
+each eigenvalue is a root of F = k pi.  A three-point finite-difference
+matrix provides an independent oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class ContinuousSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class PruferSettings:
-    """Tolerances of the shooting/bisection machinery.
+    """Tolerances of the shooting and root-finding machinery.
 
     t_margin is the decay budget (in WKB units, i.e. units of the integral
     of sqrt(V - lambda)) added past the turning point before the tail-size
@@ -180,7 +184,10 @@ def _interior_min(f: FiberPotential) -> float:
     if f.delta == 1.0:
         return f.alpha
     p, sc, c2 = f.power, 1.0 - f.delta, f.const_coeff
-    t_star = (2.0 * c2 / (f.mu * p * sc**p)) ** (1.0 / (p + 2.0))
+    # (2 c2 / (mu p sc^p))^(1/(p+2)) in log space: sc^p underflows as delta -> 1
+    t_star = math.exp(
+        (math.log(2.0 * c2) - math.log(f.mu * p) - p * math.log(sc)) / (p + 2.0)
+    )
     return max(t_star, f.alpha)
 
 
@@ -244,9 +251,9 @@ def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# Prufer shooting.  The angle ODE is integrated by an adaptive embedded
-# Dormand-Prince 5(4) pair; the potential is inlined in the two branch forms
-# so the loop can be jit-compiled.
+# Prufer shooting.  The angle ODE is integrated from t0 to t1, forward or
+# backward, by an adaptive embedded Dormand-Prince 5(4) pair; the potential
+# is inlined in the two branch forms so the loop can be jit-compiled.
 
 
 @njit(cache=True)
@@ -281,8 +288,10 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
     e6 = 11.0 / 84.0 - 187.0 / 2100.0
     e7 = -1.0 / 40.0
 
-    if t1 <= t0:
+    if t1 == t0:
         return theta0
+    # the step h carries the direction: +1 integrates forward, -1 backward
+    dirn = 1.0 if t1 > t0 else -1.0
 
     t = t0
     th = theta0
@@ -293,10 +302,11 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
     else:
         v = mu * (sc * t) ** pw + c_pot / (t * t)
     k1 = c * c + (lam - v) * s * s
-    h = min(t1 - t0, 0.1 / math.sqrt(abs(lam - v) + 1.0))
-    h_min = 1e-12 * (1.0 + abs(t1) - min(0.0, t0))
-    while t < t1:
-        if t + h > t1:
+    h = dirn * min(dirn * (t1 - t0), 0.1 / math.sqrt(abs(lam - v) + 1.0))
+    h_min = 1e-12 * (1.0 + abs(max(t0, t1)) - min(0.0, t0, t1))
+    t_stop = dirn * t1
+    while dirn * t < t_stop:
+        if dirn * (t + h) > t_stop:
             h = t1 - t
         tt = t + 0.2 * h
         th2 = th + h * a21 * k1
@@ -349,7 +359,7 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
         k7 = c * c + (lam - v) * s * s
         err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
         ratio = err / (atol + rtol * abs(th_new))
-        if ratio <= 1.0 or h <= h_min:
+        if ratio <= 1.0 or dirn * h <= h_min:
             t = t + h
             th = th_new
             k1 = k7
@@ -358,7 +368,9 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
             fac = 5.0
         elif fac < 0.2:
             fac = 0.2
-        h = max(h * fac, h_min)
+        h = h * fac
+        if dirn * h < h_min:
+            h = dirn * h_min
     return th
 
 
@@ -384,14 +396,18 @@ def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> 
     return m
 
 
-def _shoot_count(f: FiberPotential, lam: float, theta0: float, s: PruferSettings) -> int:
+def _shoot_end(f: FiberPotential, lam: float, s: PruferSettings) -> float:
+    """Where the shoot at lam stops: past the turning point by the decay budget."""
     t_turn = turning_point(f, lam)
     start = f.alpha if (t_turn is None or t_turn == math.inf) else t_turn
     budget = s.t_margin + 0.5 * math.log(1.0 / (s.angle_tol * 1e-3))
-    t_end = start + _tail_extent(f, start, lam, budget)
+    return start + _tail_extent(f, start, lam, budget)
+
+
+def _shoot_count(f: FiberPotential, lam: float, theta0: float, s: PruferSettings) -> int:
     kind, mu, c_pot, pw, sc = _branch_params(f)
     theta = _prufer_theta(
-        kind, mu, c_pot, pw, sc, lam, f.alpha, t_end, theta0, ODE_RTOL, ODE_ATOL
+        kind, mu, c_pot, pw, sc, lam, f.alpha, _shoot_end(f, lam, s), theta0, ODE_RTOL, ODE_ATOL
     )
     return int(math.floor(theta / math.pi))
 
@@ -405,8 +421,11 @@ def fiber_count(
     """Number of eigenvalues strictly below lam (Prufer winding count).
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
-    asking for a count there raises ContinuousSpectrumError.
+    asking for a count there raises ContinuousSpectrumError.  A non-finite
+    lam raises ValueError.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"spectral level must be finite, got {lam}")
     beta = _resolve_beta(f, bc)
     if f.mu == 0.0:
         if lam > f.ess_inf:
@@ -432,48 +451,81 @@ def fiber_count(
     return _shoot_count(f, lam, theta0, settings)
 
 
+def _mismatch(
+    f: FiberPotential, lam: float, theta0: float, t_match: float, t_end: float
+) -> float:
+    """F(lam) = theta_L(t_match) - theta_R(t_match) of two-sided shooting.
+
+    theta_L is shot forward from the boundary angle theta0 at alpha; theta_R
+    is shot backward from t_end, in the forbidden region of lam, starting on
+    the decaying solution u'/u = -sqrt(V - lam).  F increases with lam, and
+    N(lam) = ceil(F / pi): eigenvalue k is the root of F = k pi.
+    """
+    kind, mu, c_pot, pw, sc = _branch_params(f)
+    theta_l = _prufer_theta(
+        kind, mu, c_pot, pw, sc, lam, f.alpha, t_match, theta0, ODE_RTOL, ODE_ATOL
+    )
+    kappa = math.sqrt(max(potential_eval(f, t_end) - lam, 0.0))
+    theta_r = _prufer_theta(
+        kind, mu, c_pot, pw, sc, lam, t_end, t_match, math.atan2(1.0, -kappa), ODE_RTOL, ODE_ATOL
+    )
+    return theta_l - theta_r
+
+
 def fiber_eigenvalues(
     f: FiberPotential,
     lam_max: float,
     bc: BoundaryCondition = DIRICHLET,
     settings: PruferSettings = DEFAULT_SETTINGS,
 ) -> list[float]:
-    """All eigenvalues below lam_max, bisected to settings.rel_tol.
+    """All eigenvalues below lam_max, by matched shooting to settings.rel_tol.
 
-    Eigenvalues of these fibers are simple, so each one is the unique jump
-    point of the monotone counting function.
+    The mismatch F of _mismatch is matched at the potential minimum and
+    shot backward from the end point of the shoot at lam_max, so every
+    lam <= lam_max shares it.  F is smooth and increasing, and eigenvalue k
+    is the root of F = k pi, found by brentq inside a bracket read off the F
+    values already computed; each F value is kept for the later roots.  The
+    total comes from fiber_count(lam_max).  A top root that cannot be
+    bracketed below lam_max, or that falls within rel_tol of it, is a tie
+    with the cutoff and is dropped.
     """
     if f.mu <= 0.0:
         raise ValueError("fiber_eigenvalues needs a confining fiber (mu > 0)")
-    cache: dict[float, int] = {}
-
-    def count(lam: float) -> int:
-        if lam not in cache:
-            cache[lam] = fiber_count(f, lam, bc, settings)
-        return cache[lam]
-
-    total = count(lam_max)
+    total = fiber_count(f, lam_max, bc, settings)
     if total == 0:
         return []
     beta = _resolve_beta(f, bc)
+    theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
+    t_match = _interior_min(f)
     lo = potential_min(f)
+    # below the potential minimum the end point is placed from t_match
+    t_end = _shoot_end(f, max(lam_max, lo), settings)
+    cache: dict[float, float] = {}
+
+    def mismatch(lam: float) -> float:
+        if lam not in cache:
+            cache[lam] = _mismatch(f, lam, theta0, t_match, t_end)
+        return cache[lam]
+
     if bc.kind == "robin" and beta > 0.0:
         lo -= 2.0 * beta * beta + 1.0
-    while count(lo) > 0:
+    while mismatch(lo) > 0.0:
         lo -= 2.0 * (abs(lo) + 1.0)
+    mismatch(lam_max)
+    tol = settings.rel_tol
     values = []
-    left_floor = lo
     for k in range(total):
-        left, right = left_floor, lam_max
-        while right - left > settings.rel_tol * max(1.0, abs(right)):
-            mid = 0.5 * (left + right)
-            if count(mid) >= k + 1:
-                right = mid
-            else:
-                left = mid
-        values.append(0.5 * (left + right))
-        left_floor = left
-    cut = lam_max - settings.rel_tol * max(1.0, abs(lam_max))
+        target = k * math.pi
+        lams = sorted(cache)
+        # F increases with lam, so the first sample above the target and the
+        # one before it bracket the root; F(lo) <= 0 keeps i >= 1
+        i = next((i for i, lam in enumerate(lams) if cache[lam] > target), None)
+        if i is None:
+            break
+        values.append(
+            brentq(lambda lam: mismatch(lam) - target, lams[i - 1], lams[i], xtol=tol, rtol=tol)
+        )
+    cut = lam_max - tol * max(1.0, abs(lam_max))
     return [v for v in values if v < cut]
 
 

@@ -279,7 +279,12 @@ def fit_remainder_samples(
     lams: Sequence[float], residuals: Sequence[float]
 ) -> FitReport:
     """Regress log|residual| on log(lam), with and without a ln(lam) factor,
-    and report the model with the smaller residual sum of squares."""
+    and report the model with the smaller residual sum of squares.
+
+    log_correction is that RSS comparison and nothing more: over one decade
+    ln ln lam barely moves, so it cannot separate c sqrt(lam) from
+    c sqrt(lam) ln lam.
+    """
     lams = np.asarray(lams, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     if lams.size < 8:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspspec import fiber
 from cuspspec import (
     BoundaryCondition,
     ContinuousSpectrumError,
@@ -112,6 +113,22 @@ class TestCounting:
                 F_REF, lam, settings=doubled
             )
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_raises(self, lam):
+        flat = FiberPotential.from_cusp(2, 1.0, 1.0, 0.0)
+        for f in (F_REF, flat):
+            with pytest.raises(ValueError, match="finite"):
+                fiber_count(f, lam)
+
+    @pytest.mark.parametrize(
+        "mu,lam,expected", [(0.25, 20.0, 2), (0.25, 60.0, 6), (1.0, 20.0, 1), (1.0, 60.0, 4)]
+    )
+    def test_delta_near_one(self, mu, lam, expected):
+        # the growth power 2 delta/(1 - delta) = 1998 underflows a direct
+        # evaluation of the potential minimum
+        f = FiberPotential.from_cusp(2, 0.999, 1.0, mu)
+        assert fiber_count(f, lam) == expected == len(fd_oracle(f, lam, grid=1 << 13))
+
     def test_robin_dirichlet_limit(self):
         # under u'(alpha) + beta u(alpha) = 0, beta -> -infinity is the
         # Dirichlet limit; beta -> +infinity develops a boundary bound state
@@ -177,6 +194,11 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             fiber_eigenvalues(flat, 0.2)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_raises(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            fiber_eigenvalues(F_REF, lam)
+
 
 class TestEdgeFibers:
     # regimes that stress the shooting machinery: tiny mu (scaled-field
@@ -201,6 +223,90 @@ class TestEdgeFibers:
         nd = fiber_count(f, lam)
         nr = fiber_count(f, lam, ROBIN)
         assert nd <= nr <= nd + 1
+
+
+def count_bisection(f, lam_max, bc, rel_tol=1e-10):
+    """Reference listing: bisect the integer count fiber_count down to
+    rel_tol at each of its jumps below lam_max."""
+    total = fiber_count(f, lam_max, bc)
+    lo = potential_min(f) - 10.0
+    while fiber_count(f, lo, bc) > 0:
+        lo -= 2.0 * (abs(lo) + 1.0)
+    values = []
+    for k in range(total):
+        left, right = lo, lam_max
+        while right - left > rel_tol * max(1.0, abs(right)):
+            mid = 0.5 * (left + right)
+            if fiber_count(f, mid, bc) > k:
+                right = mid
+            else:
+                left = mid
+        values.append(0.5 * (left + right))
+        lo = left
+    return values
+
+
+def close(value, reference, rel_tol=1e-9):
+    # relative on the scale max(1, |lam|) that PruferSettings.rel_tol uses
+    return abs(value - reference) <= rel_tol * max(1.0, abs(reference))
+
+
+class TestMatchedShooting:
+    CASES = (
+        (F_REF, 60.0),
+        (FiberPotential.from_cusp(2, 0.75, 1.0, 1.0), 40.0),
+    )
+
+    @pytest.mark.parametrize("f,lam", CASES)
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
+    def test_matches_count_bisection(self, f, lam, bc):
+        values = fiber_eigenvalues(f, lam, bc)
+        reference = count_bisection(f, lam, bc)
+        assert len(values) == len(reference) > 2
+        for v, r in zip(values, reference):
+            assert close(v, r)
+
+    @pytest.mark.parametrize("f,lam", TestEdgeFibers.CASES)
+    def test_count_jumps_at_listed_values(self, f, lam):
+        # a count bisection lands within eps of v_k exactly when the count
+        # steps from k to k + 1 inside (v_k - eps, v_k + eps], so two counts
+        # per eigenvalue stand in for the full reference listing
+        for bc in (BoundaryCondition.dirichlet(), ROBIN):
+            values = fiber_eigenvalues(f, lam, bc)
+            assert len(values) == fiber_count(f, lam, bc)
+            for k, v in enumerate(values):
+                eps = 1e-9 * max(1.0, abs(v))
+                assert fiber_count(f, v - eps, bc) == k
+                assert fiber_count(f, v + eps, bc) == k + 1
+
+    @pytest.mark.parametrize("f,lam_max", CASES)
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
+    def test_ceil_mismatch_is_count(self, f, lam_max, bc):
+        beta = fiber._resolve_beta(f, bc)
+        theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
+        t_match = fiber._interior_min(f)
+        t_end = fiber._shoot_end(f, lam_max, PruferSettings())
+        counts = set()
+        for lam in np.linspace(potential_min(f) - 1.0, lam_max, 17):
+            mismatch = fiber._mismatch(f, float(lam), theta0, t_match, t_end)
+            count = fiber_count(f, float(lam), bc)
+            assert math.ceil(mismatch / math.pi) == count
+            counts.add(count)
+        assert len(counts) >= 4
+
+    @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
+    def test_prufer_round_trip(self, f):
+        kind, mu, c_pot, pw, sc = fiber._branch_params(f)
+        lam, theta0 = 50.0, 0.3
+        t0, t1 = f.alpha, turning_point(f, lam)
+        forward = fiber._prufer_theta(
+            kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, fiber.ODE_RTOL, fiber.ODE_ATOL
+        )
+        assert forward - theta0 > 2.0 * math.pi
+        back = fiber._prufer_theta(
+            kind, mu, c_pot, pw, sc, lam, t1, t0, forward, fiber.ODE_RTOL, fiber.ODE_ATOL
+        )
+        assert abs(back - theta0) < 1e-9
 
 
 class TestFdOracle:
