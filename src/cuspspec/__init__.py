@@ -38,6 +38,7 @@ from .fiber import (
     ContinuousSpectrumError,
     FiberPotential,
     PruferSettings,
+    count_fibers,
     default_robin_beta,
     fd_oracle,
     fiber_count,

@@ -110,12 +110,20 @@ def _meta(args, model_path: str) -> dict:
     }
 
 
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+    return value
+
+
 def _lambda_grid(args) -> list[float]:
     if getattr(args, "lam", None) is not None:
-        return [args.lam]
+        return [_finite("--lambda", args.lam)]
     lo, hi, pts = args.lambda_min, args.lambda_max, args.points
     if lo is None or hi is None or pts is None:
         raise ValueError("need --lambda or all of --lambda-min/--lambda-max/--points")
+    _finite("--lambda-min", lo)
+    _finite("--lambda-max", hi)
     if not lo < hi:
         raise ValueError("--lambda-min must be strictly below --lambda-max")
     if pts < 2:
@@ -183,7 +191,7 @@ def run(args) -> int:
         if args.verb == "count":
             if args.lam is None:
                 raise ValueError("count needs --lambda")
-            rows = _sweep_rows(model, [args.lam])
+            rows = _sweep_rows(model, _lambda_grid(args))
             _emit(SWEEP_COLUMNS, rows, meta, args.format, args.out)
             return 0
 
@@ -220,8 +228,9 @@ def run(args) -> int:
         if args.verb == "fiber":
             if args.lam is None:
                 raise ValueError("fiber needs --lambda (listing cutoff)")
-            f = _fiber_for(model, args.cusp, args.ell, args.lam)
-            values = fiber_eigenvalues(f, args.lam, _boundary(args))
+            lam = _finite("--lambda", args.lam)
+            f = _fiber_for(model, args.cusp, args.ell, lam)
+            values = fiber_eigenvalues(f, lam, _boundary(args))
             rows = [(k, v) for k, v in enumerate(values)]
             _emit(("k", "value"), rows, meta, args.format, args.out)
             return 0

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cross_section import TWO_PI, perturb_c2
-from .fiber import DEFAULT_SETTINGS, DIRICHLET, FiberPotential, PruferSettings, fiber_count
+from .fiber import DEFAULT_SETTINGS, DIRICHLET, PruferSettings
 from .model import ManifoldModel, TorusCrossSection, total_volume, validate_model
-from .weyl import admissible_fibers, total_count_bracket, weyl_leading
+from .weyl import cusp_count, total_count_bracket, weyl_leading
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,19 @@ def n_ess_exact(
 ) -> int:
     """Exact embedded-eigenvalue count of the separable A = 0 model.
 
-    Sums Dirichlet fiber counts over every mu_ell > 0 channel of every cusp;
-    the mu = 0 channel contributes only continuous spectrum.  Requires a
-    pure cusp ensemble (core volume 0) with zero field.
+    The sum over cusps of the Dirichlet cusp_count at tau = 0: every
+    mu_ell > 0 channel is counted, and the mu = 0 channel contributes only
+    continuous spectrum.  Requires a pure cusp ensemble (core volume 0) with
+    zero field.
     """
     if model.is_magnetic:
         raise ValueError("n_ess_exact is defined for A = 0 models only")
     if model.core.volume != 0.0:
         raise ValueError("n_ess_exact needs core.volume = 0 (separable model)")
-    total = 0
-    for j, cusp in enumerate(model.cusps):
-        groups: dict[float, int] = {}
-        for _, mu in admissible_fibers(model, j, lam, tau=0.0):
-            groups[mu] = groups.get(mu, 0) + 1
-        for mu, mult in sorted(groups.items()):
-            if mu == 0.0:
-                continue
-            f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu)
-            total += mult * fiber_count(f, lam, DIRICHLET, settings)
-    return total
+    return sum(
+        cusp_count(model, j, lam, DIRICHLET, tau=0.0, settings=settings).count
+        for j in range(len(model.cusps))
+    )
 
 
 def embedded_upper_bound(

@@ -15,6 +15,12 @@ spectral level lambda is done by shooting the Prufer angle
 
 from the boundary condition at alpha to a point safely inside the
 classically forbidden region; the winding floor(theta/pi) is the count.
+A cusp's fibers are counted together by count_fibers.  V is pointwise
+non-decreasing in mu, while alpha and the Robin beta depend only on
+(n, delta, a), so by min-max every fiber eigenvalue is non-decreasing in mu
+and N(lambda; mu) is non-increasing along the sorted modes.  Bisection over
+the mode list then shoots only where the count changes: O(D log(M/D))
+shoots for M modes with D distinct counts, instead of M.
 Eigenvalues are listed by matched shooting: the mismatch F(lambda) between
 the forward shoot and a backward shoot of the decaying solution, taken at
 the potential minimum, is smooth and increasing, N(lambda) = ceil(F/pi), and
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -34,7 +40,7 @@ from scipy.optimize import brentq
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional "jit" extra; run interpreted without it
     def njit(*args, **kwargs):
         def wrap(func):
             return func
@@ -449,6 +455,51 @@ def fiber_count(
         return 0
     theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
     return _shoot_count(f, lam, theta0, settings)
+
+
+def count_fibers(
+    n: int,
+    delta: float,
+    a: float,
+    mus: Sequence[float],
+    lam: float,
+    bc: BoundaryCondition = DIRICHLET,
+    settings: PruferSettings = DEFAULT_SETTINGS,
+) -> list[int]:
+    """fiber_count(lam) for each mode of one cusp, mus ascending, distinct and > 0.
+
+    N(lam; mu) is non-increasing in mu (see the module docstring), so when
+    the counts at both ends of an index range agree, every mode between them
+    has that count too.  Such a range is filled without shooting; any other
+    range is split at its midpoint.
+    """
+    mus = list(mus)
+    if mus and not mus[0] > 0.0:
+        raise ValueError("count_fibers needs mu > 0")
+    if any(not hi > lo for lo, hi in zip(mus, mus[1:])):
+        raise ValueError("count_fibers needs strictly ascending mus")
+    counts: list[int] = [0] * len(mus)
+
+    def shoot(i: int) -> None:
+        f = FiberPotential.from_cusp(n, delta, a, mus[i])
+        counts[i] = fiber_count(f, lam, bc, settings)
+
+    if not mus:
+        return counts
+    last = len(mus) - 1
+    shoot(0)
+    if last > 0:
+        shoot(last)
+    ranges = [(0, last)]
+    while ranges:
+        lo, hi = ranges.pop()
+        if counts[lo] == counts[hi]:
+            counts[lo + 1 : hi] = [counts[lo]] * (hi - lo - 1)
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            shoot(mid)
+            ranges += [(mid, hi), (lo, mid)]
+    return counts
 
 
 def _mismatch(

@@ -88,7 +88,13 @@ class ManifoldModel:
     cusps: tuple[CuspEnd, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        try:
+            n = int(self.n)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != self.n:
+            raise ValueError(f"dimension {self.n!r} must be an integer")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "cusps", tuple(self.cusps))
 
     @property
@@ -105,7 +111,8 @@ def validate_model(model: ManifoldModel, flux_tol: float = FLUX_TOL) -> list[str
     """Collect human-readable violations; empty list means the model is valid.
 
     Never raises: malformed data yields descriptors, so batch callers can
-    report everything at once.
+    report everything at once.  The comparisons are written so that a NaN
+    fails them.
     """
     violations: list[str] = []
     n = model.n
@@ -113,11 +120,11 @@ def validate_model(model: ManifoldModel, flux_tol: float = FLUX_TOL) -> list[str
         violations.append(f"dimension n = {n} must be >= 2")
     if len(model.cusps) < 1:
         violations.append("model must have at least one cusp end (J >= 1)")
-    if model.core.volume < 0:
-        violations.append(f"core volume {model.core.volume} must be >= 0")
-    if model.core.remainder_coeff < 0:
+    if not 0 <= model.core.volume < math.inf:
+        violations.append(f"core volume {model.core.volume} must be finite and >= 0")
+    if not 0 <= model.core.remainder_coeff < math.inf:
         violations.append(
-            f"core remainder_coeff {model.core.remainder_coeff} must be >= 0"
+            f"core remainder_coeff {model.core.remainder_coeff} must be finite and >= 0"
         )
     magnetic_mode = model.is_magnetic
     for j, cusp in enumerate(model.cusps):
@@ -131,18 +138,29 @@ def validate_model(model: ManifoldModel, flux_tol: float = FLUX_TOL) -> list[str
                 f"cusp {j}: magnetic coefficients ({len(x.magnetic)}) do not match "
                 f"lengths ({len(x.lengths)})"
             )
-        if any(length <= 0 for length in x.lengths):
-            violations.append(f"cusp {j}: all torus lengths must be > 0")
-        if not cusp.a > 0:
-            violations.append(f"cusp {j}: a = {cusp.a} must be > 0")
-        if n >= 2 and not (1.0 / n < cusp.delta <= 1.0):
+        if not all(0 < length < math.inf for length in x.lengths):
+            violations.append(f"cusp {j}: all torus lengths must be finite and > 0")
+        finite_field = all(math.isfinite(omega) for omega in x.magnetic)
+        if not finite_field:
+            violations.append(f"cusp {j}: magnetic coefficients must be finite")
+        if not 0 < cusp.a < math.inf:
+            violations.append(f"cusp {j}: a = {cusp.a} must be finite and > 0")
+        if math.isnan(cusp.delta):
+            violations.append(f"cusp {j}: delta must be a number, got nan")
+        elif n >= 2 and not (1.0 / n < cusp.delta <= 1.0):
             if cusp.delta <= 1.0 / n:
                 violations.append(
                     f"cusp {j}: delta <= 1/n ({cusp.delta} <= {1.0 / n:g})"
                 )
             else:
                 violations.append(f"cusp {j}: delta = {cusp.delta} must be <= 1")
-        if magnetic_mode and len(x.lengths) == len(x.magnetic) and not x.flux_nontrivial(flux_tol):
+        if (
+            magnetic_mode
+            and finite_field
+            and len(x.lengths) == len(x.magnetic)
+            and all(math.isfinite(length) for length in x.lengths)
+            and not x.flux_nontrivial(flux_tol)
+        ):
             violations.append(
                 f"cusp {j}: integer flux (every omega_k * L_k in 2*pi*Z); "
                 "magnetic mode needs non-integer flux on every cusp"

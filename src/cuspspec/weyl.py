@@ -26,7 +26,7 @@ from .fiber import (
     PruferSettings,
     _interior_min,
     allowed_interval,
-    fiber_count,
+    count_fibers,
     potential_eval,
 )
 from .model import ManifoldModel, TorusCrossSection, cusp_volume, total_volume
@@ -203,9 +203,11 @@ def identity_residual(
 
 
 def _group_by_mu(fibers: Sequence[tuple[int, float]]) -> list[tuple[float, int]]:
+    """Distinct mu > 0, ascending, with their multiplicities."""
     groups: dict[float, int] = {}
     for _, mu in fibers:
-        groups[mu] = groups.get(mu, 0) + 1
+        if mu > 0.0:
+            groups[mu] = groups.get(mu, 0) + 1
     return sorted(groups.items())
 
 
@@ -217,20 +219,20 @@ def cusp_count(
     tau: float = 1.0,
     settings: PruferSettings = DEFAULT_SETTINGS,
 ) -> CountResult:
-    """Exact count of cusp-j eigenvalues below lam: sum of fiber counts.
+    """Exact count of cusp-j eigenvalues below lam: sum of fiber counts,
+    each distinct mode counted once by count_fibers and weighted by its
+    multiplicity.
 
     In an A = 0 model the mu = 0 mode is skipped; it contributes continuous
     spectrum but no discrete eigenvalues (constant potential for delta = 1,
     nonnegative decaying potential for delta < 1).
     """
     cusp = model.cusps[j]
-    fibers = admissible_fibers(model, j, lam, tau)
-    count = 0
-    for mu, mult in _group_by_mu(fibers):
-        if mu == 0.0:
-            continue
-        f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu)
-        count += mult * fiber_count(f, lam, bc, settings)
+    groups = _group_by_mu(admissible_fibers(model, j, lam, tau))
+    counts = count_fibers(
+        model.n, cusp.delta, cusp.a, [mu for mu, _ in groups], lam, bc, settings
+    )
+    count = sum(mult * c for (_, mult), c in zip(groups, counts))
     leading = weyl_leading(cusp_volume(cusp, model.n), model.n, lam)
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 

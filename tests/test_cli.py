@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -109,6 +110,57 @@ class TestCountAndSweep:
         )
         assert code == 2
         assert "strictly below" in json.loads(err)["error"]["message"]
+
+
+class TestNonFiniteLevels:
+    ARGS = {
+        "count": lambda v: ["count", "--lambda=" + v],
+        "fiber": lambda v: ["fiber", "--lambda=" + v, "--ell", "1"],
+        "sweep-min": lambda v: ["sweep", "--lambda-min=" + v, "--lambda-max", "40",
+                                "--points", "8", "--linear"],
+        "sweep-max": lambda v: ["sweep", "--lambda-min", "2", "--lambda-max=" + v,
+                                "--points", "8"],
+        "phase-max": lambda v: ["phase", "--lambda-min", "10", "--lambda-max=" + v,
+                                "--points", "4", "--ell", "1"],
+        "embedded": lambda v: ["embedded", "--lambda=" + v],
+    }
+    FLAGS = {"count": "--lambda", "fiber": "--lambda", "sweep-min": "--lambda-min",
+             "sweep-max": "--lambda-max", "phase-max": "--lambda-max", "embedded": "--lambda"}
+
+    @pytest.mark.parametrize("case", sorted(ARGS))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejected_before_enumeration(self, capsys, model_path, case, value):
+        argv = self.ARGS[case](value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv[0], model_path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert caught == []
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == f"{self.FLAGS[case]} must be finite, got {float(value)}"
+
+
+class TestModelErrors:
+    def test_nan_field_is_a_violation(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(model_to_dict(circle_model(omega=math.nan))))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert "magnetic coefficients must be finite" in out
+        assert err == ""
+
+    def test_fractional_dimension_is_a_model_error(self, capsys, tmp_path):
+        path = tmp_path / "dim.json"
+        data = model_to_dict(circle_model())
+        data["dimension"] = 2.7
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "count", str(path), "--lambda", "10")
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "model-load"
+        assert "dimension 2.7 must be an integer" in error["message"]
 
 
 class TestOtherVerbs:

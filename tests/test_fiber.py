@@ -2,14 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given, strategies as st
 
 from cuspspec import fiber
 from cuspspec import (
     BoundaryCondition,
+    CompactCoreSurrogate,
     ContinuousSpectrumError,
+    CuspEnd,
     FiberPotential,
+    ManifoldModel,
     PruferSettings,
+    TorusCrossSection,
+    admissible_fibers,
+    count_fibers,
     default_robin_beta,
+    demagnetize,
     fd_oracle,
     fiber_count,
     fiber_eigenvalues,
@@ -17,6 +26,7 @@ from cuspspec import (
     potential_min,
     turning_point,
 )
+from conftest import TWO_PI, circle_model
 
 ROBIN = BoundaryCondition.robin()
 F_REF = FiberPotential.from_cusp(2, 1.0, 1.0, 1.0)
@@ -307,6 +317,85 @@ class TestMatchedShooting:
             kind, mu, c_pot, pw, sc, lam, t1, t0, forward, fiber.ODE_RTOL, fiber.ODE_ATOL
         )
         assert abs(back - theta0) < 1e-9
+
+
+def torus3_model() -> ManifoldModel:
+    """n = 3 cusp over the two-length torus with a non-integer flux."""
+    x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3))
+    return ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x, a=1.0, delta=1.0),))
+
+
+def distinct_modes(model, lam, tau):
+    return sorted({mu for _, mu in admissible_fibers(model, 0, lam, tau)})
+
+
+def per_mode_counts(model, mus, lam, bc):
+    cusp = model.cusps[0]
+    return [
+        fiber_count(FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu), lam, bc)
+        for mu in mus
+    ]
+
+
+class TestCountFibers:
+    MODELS = {
+        "delta1": (circle_model(), 120.0),
+        "delta075": (circle_model(delta=0.75), 120.0),
+        "torus3": (torus3_model(), 40.0),
+    }
+    BCS = {"dirichlet": BoundaryCondition.dirichlet(), "robin": ROBIN}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("bc", sorted(BCS))
+    @pytest.mark.parametrize("tau", [1.0, 0.05])
+    def test_equals_per_mode_loop(self, name, bc, tau):
+        model, lam = self.MODELS[name]
+        cusp = model.cusps[0]
+        mus = distinct_modes(model, lam, tau)
+        expected = per_mode_counts(model, mus, lam, self.BCS[bc])
+        assert len(set(expected)) >= 3
+        got = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, self.BCS[bc])
+        assert got == expected
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("bc", sorted(BCS))
+    def test_free_field_skips_zero_mode(self, name, bc):
+        model, lam = self.MODELS[name]
+        free = demagnetize(model)
+        cusp = free.cusps[0]
+        modes = distinct_modes(free, lam, 0.0)
+        assert modes[0] == 0.0
+        mus = modes[1:]
+        expected = per_mode_counts(free, mus, lam, self.BCS[bc])
+        got = count_fibers(free.n, cusp.delta, cusp.a, mus, lam, self.BCS[bc])
+        assert got == expected
+
+    def test_empty_and_single(self):
+        assert count_fibers(2, 1.0, 1.0, [], 50.0) == []
+        assert count_fibers(2, 1.0, 1.0, [1.0], 50.0) == [fiber_count(F_REF, 50.0)]
+
+    @pytest.mark.parametrize("mus", [[0.0, 1.0], [-1.0], [1.0, 1.0], [2.0, 1.0]])
+    def test_rejects_unsorted_or_nonpositive(self, mus):
+        with pytest.raises(ValueError, match="count_fibers"):
+            count_fibers(2, 1.0, 1.0, mus, 50.0)
+
+
+class TestMonotoneInMu:
+    # count_fibers relies on N(lam; mu) being non-increasing in mu
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+        a=st.floats(0.5, 2.0),
+        mu=st.floats(0.05, 50.0),
+        factor=st.floats(1.0, 10.0),
+        lam=st.floats(1.0, 60.0),
+        robin=st.booleans(),
+    )
+    def test_count_non_increasing(self, delta, a, mu, factor, lam, robin):
+        bc = ROBIN if robin else BoundaryCondition.dirichlet()
+        low = fiber_count(FiberPotential.from_cusp(2, delta, a, mu), lam, bc)
+        high = fiber_count(FiberPotential.from_cusp(2, delta, a, mu * factor), lam, bc)
+        assert high <= low
 
 
 class TestFdOracle:

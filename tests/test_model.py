@@ -55,6 +55,48 @@ class TestValidate:
         violations = validate_model(make(2, (-1.0,), (0.3,)))
         assert any("lengths" in v for v in violations)
 
+    @pytest.mark.parametrize(
+        "kwargs,fragment",
+        [
+            ({"magnetic": (math.nan,)}, "magnetic coefficients must be finite"),
+            ({"magnetic": (math.inf,)}, "magnetic coefficients must be finite"),
+            ({"lengths": (math.nan,)}, "lengths must be finite and > 0"),
+            ({"lengths": (math.inf,)}, "lengths must be finite and > 0"),
+            ({"a": math.nan}, "a = nan must be finite"),
+            ({"a": math.inf}, "a = inf must be finite"),
+            ({"delta": math.nan}, "delta must be a number"),
+            ({"core": math.nan}, "core volume nan"),
+            ({"core": math.inf}, "core volume inf"),
+        ],
+    )
+    def test_non_finite_entries_are_violations(self, kwargs, fragment):
+        args = {"n": 2, "lengths": (TWO_PI,), "magnetic": (0.5,)}
+        args.update(kwargs)
+        violations = validate_model(make(**args))
+        assert any(fragment in v for v in violations), violations
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -1.0])
+    def test_bad_remainder_coeff_is_a_violation(self, coeff):
+        model = ManifoldModel(
+            n=2,
+            core=CompactCoreSurrogate(volume=0.0, remainder_coeff=coeff),
+            cusps=circle_model().cusps,
+        )
+        assert any("remainder_coeff" in v for v in validate_model(model))
+
+    @pytest.mark.parametrize("dimension", [2.7, math.nan, math.inf, "2", None])
+    def test_non_integral_dimension_rejected(self, dimension):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ManifoldModel(n=dimension, core=CompactCoreSurrogate(), cusps=circle_model().cusps)
+        data = model_to_dict(circle_model())
+        data["dimension"] = dimension
+        with pytest.raises(ValueError, match="must be an integer"):
+            model_from_dict(data)
+
+    def test_integral_float_dimension_accepted(self):
+        model = ManifoldModel(n=2.0, core=CompactCoreSurrogate(), cusps=circle_model().cusps)
+        assert model.n == 2 and isinstance(model.n, int)
+
     def test_idempotent_and_pure(self):
         model = make(2, (TWO_PI,), (1.0,))
         first = validate_model(model)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cuspspec import fiber
 from cuspspec import (
+    BoundaryCondition,
     CompactCoreSurrogate,
     ContinuousSpectrumError,
     CuspEnd,
@@ -24,6 +26,7 @@ from cuspspec import (
     total_count_bracket,
     weyl_leading,
 )
+from cuspspec.fiber import DIRICHLET
 from conftest import TWO_PI, circle_model
 
 
@@ -200,6 +203,27 @@ class TestCuspCount:
     def test_zero_field_skips_free_channel(self, zero_field_model):
         res = cusp_count(zero_field_model, 0, 30.0)
         assert res.count > 0  # mu = m^2 > 0 channels still counted
+
+    @pytest.mark.parametrize("robin", [False, True])
+    def test_shoots_grow_with_distinct_counts(self, monkeypatch, robin):
+        # the count is non-increasing along the sorted modes, so bisection
+        # shoots only where it changes, not once per mode
+        x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3))
+        model = ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x, 1.0, 1.0),))
+        lam = 66.0
+        bc = BoundaryCondition.robin() if robin else DIRICHLET
+        shoots = []
+        real = fiber._shoot_count
+
+        def counted(*args):
+            shoots.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(fiber, "_shoot_count", counted)
+        res = cusp_count(model, 0, lam, bc)
+        modes = {mu for _, mu in admissible_fibers(model, 0, lam)}
+        assert res.count > 0
+        assert 0 < len(shoots) < len(modes) / 4
 
 
 class TestBracket:
