@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cross_section import mu0, mu_spectrum
-from .embedded import embedded_upper_bound, n_ess_exact
+from .embedded import embedded_upper_bound
 from .fiber import (
     DEFAULT_SETTINGS,
     BoundaryCondition,
@@ -126,49 +127,126 @@ def _lambda_grid(args) -> list[float]:
     _finite("--lambda-max", hi)
     if not lo < hi:
         raise ValueError("--lambda-min must be strictly below --lambda-max")
-    if pts < 2:
-        raise ValueError("--points must be >= 2")
-    if getattr(args, "linear", False):
+    _points(pts)
+    if args.linear:
         return [float(x) for x in np.linspace(lo, hi, pts)]
     if lo <= 0:
         raise ValueError("geometric grid needs --lambda-min > 0")
     return [float(x) for x in np.geomspace(lo, hi, pts)]
 
 
+def _points(pts: int) -> int:
+    if pts < 2:
+        raise ValueError("--points must be >= 2")
+    return pts
+
+
+def _cusp(model, args):
+    if not 0 <= args.cusp < len(model.cusps):
+        raise ValueError(
+            f"--cusp must be in [0, {len(model.cusps)}) for this model, got {args.cusp}"
+        )
+    return model.cusps[args.cusp]
+
+
+def _fiber_for(model, args, lam_hint: float) -> FiberPotential:
+    cusp = _cusp(model, args)
+    if args.ell < 0:
+        raise ValueError(f"--ell must be >= 0, got {args.ell}")
+    cutoff = max(lam_hint, 1.0)
+    values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
+    while len(values) <= args.ell:
+        cutoff *= 4.0
+        values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
+    return FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, values[args.ell])
+
+
 def _boundary(args) -> BoundaryCondition:
-    if getattr(args, "boundary", "dirichlet") == "robin":
+    if args.boundary == "robin":
         return BoundaryCondition.robin()
     return BoundaryCondition.dirichlet()
 
 
-def _sweep_rows(model, lams):
+# Each verb handler takes (model, args, meta) and returns the table as
+# (columns, rows, csv footer lines); it may add keys to meta.
+
+
+def _validate(model, args, meta):
+    return ("violation",), [(v,) for v in validate_model(model)], ()
+
+
+def _sweep(model, args, meta):
+    """count is sweep at one level, without the fit."""
+    lams = _lambda_grid(args)
     rows = []
     for lam in lams:
         bracket = total_count_bracket(model, lam)
+        counts = (getattr(bracket, c) for c in SWEEP_COLUMNS[1:6])
         theta = math.fsum(theta_sum(model, j, lam) for j in range(len(model.cusps)))
-        rows.append(
-            (
-                lam,
-                bracket.count_low,
-                bracket.count_high,
-                bracket.leading,
-                bracket.residual_low,
-                bracket.residual_high,
-                theta,
-                remainder_model(model.n, model.delta, lam),
-            )
-        )
-    return rows
+        rows.append((lam, *counts, theta, remainder_model(model.n, model.delta, lam)))
+    if args.verb == "count":
+        return SWEEP_COLUMNS, rows, ()
+    if len(lams) >= 8 and max(lams) >= 10.0 * min(lams) and min(lams) > 1.0:
+        residuals = [row[1] - row[3] for row in rows]  # Dirichlet end
+        meta["fit"] = asdict(fit_remainder_samples(lams, residuals))
+        footer = "# fit " + " ".join(f"{k}={_fmt(v)}" for k, v in meta["fit"].items())
+    else:
+        meta["fit"] = None
+        footer = "# fit skipped: need >= 8 points spanning >= 1 decade"
+    return SWEEP_COLUMNS, rows, (footer,)
 
 
-def _fiber_for(model, cusp_index: int, ell: int, lam_hint: float) -> FiberPotential:
-    cusp = model.cusps[cusp_index]
-    cutoff = max(lam_hint, 1.0)
-    values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
-    while len(values) <= ell:
-        cutoff *= 4.0
-        values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
-    return FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, values[ell])
+def _fiber(model, args, meta):
+    lam = _finite("--lambda", args.lam)
+    values = fiber_eigenvalues(_fiber_for(model, args, lam), lam, _boundary(args))
+    return ("k", "value"), list(enumerate(values)), ()
+
+
+def _phase(model, args, meta):
+    bc = _boundary(args)
+    rows = []
+    for lam in _lambda_grid(args):
+        f = _fiber_for(model, args, lam)
+        w = phase_integral(f, lam)
+        count = fiber_count(f, lam, bc)
+        rows.append((lam, w, count, abs(count - w / math.pi)))
+    return ("lambda", "w", "count", "gap"), rows, ()
+
+
+def _perturb(model, args, meta):
+    x = _cusp(model, args).cross_section
+    if not 0 < args.tau_max < math.inf:
+        raise ValueError(f"--tau-max must be finite and > 0, got {args.tau_max}")
+    taus = np.geomspace(args.tau_max / 1000.0, args.tau_max, _points(args.points)).tolist()
+    mus = [mu0(x, tau) for tau in taus]
+    rows = [(tau, m0, m0 / (tau * tau)) for tau, m0 in zip(taus, mus)]
+    return ("tau", "mu0", "mu0_over_tau2"), rows, ()
+
+
+def _embedded(model, args, meta):
+    reports = [embedded_upper_bound(model, lam) for lam in _lambda_grid(args)]
+    rows = [(rep.lam, *(getattr(rep, c) for c in EMBEDDED_COLUMNS[1:])) for rep in reports]
+    return EMBEDDED_COLUMNS, rows, ()
+
+
+def _rj_identity(model, args, meta):
+    x = _cusp(model, args).cross_section
+    rows = [
+        (mu, rj_sum(x, 1.0, mu), identity_residual(x, 1.0, mu)) for mu in _lambda_grid(args)
+    ]
+    return ("mu", "rj", "residual"), rows, ()
+
+
+VERBS = {
+    "validate": _validate,
+    "count": _sweep,
+    "sweep": _sweep,
+    "fiber": _fiber,
+    "phase": _phase,
+    "perturb": _perturb,
+    "embedded": _embedded,
+    "rj-identity": _rj_identity,
+}
 
 
 def run(args) -> int:
@@ -176,125 +254,40 @@ def run(args) -> int:
         model = load_model(args.model)
     except (OSError, ValueError) as exc:
         return _error(1, "model-load", str(exc))
-    violations = validate_model(model)
+    if args.verb != "validate":
+        violations = validate_model(model)
+        if violations:
+            return _error(1, "validation", "; ".join(violations))
     meta = _meta(args, args.model)
-
-    if args.verb == "validate":
-        rows = [(v,) for v in violations]
-        _emit(("violation",), rows, meta, args.format, args.out)
-        return 1 if violations else 0
-
-    if violations:
-        return _error(1, "validation", "; ".join(violations))
-
     try:
-        if args.verb == "count":
-            if args.lam is None:
-                raise ValueError("count needs --lambda")
-            rows = _sweep_rows(model, _lambda_grid(args))
-            _emit(SWEEP_COLUMNS, rows, meta, args.format, args.out)
-            return 0
-
-        if args.verb == "sweep":
-            lams = _lambda_grid(args)
-            rows = _sweep_rows(model, lams)
-            footer = []
-            if len(lams) >= 8 and max(lams) >= 10.0 * min(lams) and min(lams) > 1.0:
-                residuals = [row[1] - row[3] for row in rows]  # Dirichlet end
-                fit = fit_remainder_samples(lams, residuals)
-                meta["fit"] = {
-                    "slope": fit.slope,
-                    "log_correction": fit.log_correction,
-                    "constant": fit.constant,
-                    "rss": fit.rss,
-                    "degenerate": fit.degenerate,
-                }
-                footer.append(
-                    "# fit slope=%s log_correction=%s constant=%s rss=%s degenerate=%s"
-                    % (
-                        _fmt(fit.slope),
-                        _fmt(fit.log_correction),
-                        _fmt(fit.constant),
-                        _fmt(fit.rss),
-                        _fmt(fit.degenerate),
-                    )
-                )
-            else:
-                meta["fit"] = None
-                footer.append("# fit skipped: need >= 8 points spanning >= 1 decade")
-            _emit(SWEEP_COLUMNS, rows, meta, args.format, args.out, footer)
-            return 0
-
-        if args.verb == "fiber":
-            if args.lam is None:
-                raise ValueError("fiber needs --lambda (listing cutoff)")
-            lam = _finite("--lambda", args.lam)
-            f = _fiber_for(model, args.cusp, args.ell, lam)
-            values = fiber_eigenvalues(f, lam, _boundary(args))
-            rows = [(k, v) for k, v in enumerate(values)]
-            _emit(("k", "value"), rows, meta, args.format, args.out)
-            return 0
-
-        if args.verb == "phase":
-            lams = _lambda_grid(args)
-            bc = _boundary(args)
-            rows = []
-            for lam in lams:
-                f = _fiber_for(model, args.cusp, args.ell, lam)
-                w = phase_integral(f, lam)
-                count = fiber_count(f, lam, bc)
-                rows.append((lam, w, count, abs(count - w / math.pi)))
-            _emit(("lambda", "w", "count", "gap"), rows, meta, args.format, args.out)
-            return 0
-
-        if args.verb == "perturb":
-            cusp = model.cusps[args.cusp]
-            pts = args.points or 10
-            taus = [float(t) for t in np.geomspace(args.tau_max / 1000.0, args.tau_max, pts)]
-            rows = []
-            for tau in taus:
-                m0 = mu0(cusp.cross_section, tau)
-                rows.append((tau, m0, m0 / (tau * tau)))
-            _emit(("tau", "mu0", "mu0_over_tau2"), rows, meta, args.format, args.out)
-            return 0
-
-        if args.verb == "embedded":
-            lams = _lambda_grid(args)
-            rows = []
-            for lam in lams:
-                rep = embedded_upper_bound(model, lam)
-                rows.append(
-                    (
-                        rep.lam,
-                        rep.rho,
-                        rep.tau,
-                        rep.c_a,
-                        rep.shifted_lambda,
-                        rep.n_ess,
-                        rep.bound,
-                        rep.leading,
-                        rep.r0,
-                    )
-                )
-            _emit(EMBEDDED_COLUMNS, rows, meta, args.format, args.out)
-            return 0
-
-        if args.verb == "rj-identity":
-            mus = _lambda_grid(args)
-            x = model.cusps[args.cusp].cross_section
-            rows = [(mu, rj_sum(x, 1.0, mu), identity_residual(x, 1.0, mu)) for mu in mus]
-            _emit(("mu", "rj", "residual"), rows, meta, args.format, args.out)
-            return 0
-
-        raise ValueError(f"unknown verb {args.verb!r}")
+        columns, rows, footer = VERBS[args.verb](model, args, meta)
+        _emit(columns, rows, meta, args.format, args.out, footer)
     except Exception as exc:  # surface computation failures as exit 2
         return _error(2, type(exc).__name__, str(exc))
+    return 1 if args.verb == "validate" and rows else 0
 
 
-def _add_common(sub):
-    sub.add_argument("model", help="path to the JSON model file")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="write the table here instead of stdout")
+def _add_verb(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("model", help="path to the JSON model file")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="write the table here instead of stdout")
+    return p
+
+
+def _add_grid(sub):
+    """--lambda alone, or a --lambda-min/--lambda-max/--points grid."""
+    sub.add_argument("--lambda", dest="lam", type=float, default=None)
+    sub.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
+    sub.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
+    sub.add_argument("--points", type=int, default=None)
+    sub.add_argument("--linear", action="store_true", help="linear grid instead of geometric")
+
+
+def _add_fiber_choice(sub):
+    sub.add_argument("--cusp", type=int, default=0)
+    sub.add_argument("--ell", type=int, default=0)
+    sub.add_argument("--boundary", choices=("dirichlet", "robin"), default="dirichlet")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,59 +298,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("validate", help="report model violations")
-    _add_common(p)
+    _add_verb(sub, "validate", "report model violations")
 
-    p = sub.add_parser("count", help="Dirichlet/Robin count bracket at one level")
-    _add_common(p)
+    p = _add_verb(sub, "count", "Dirichlet/Robin count bracket at one level")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
 
-    p = sub.add_parser("sweep", help="count bracket over a lambda grid, with fit")
-    _add_common(p)
+    p = _add_verb(sub, "sweep", "count bracket over a lambda grid, with fit")
     p.add_argument("--lambda-min", dest="lambda_min", type=float, required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--linear", action="store_true", help="linear grid instead of geometric")
 
-    p = sub.add_parser("fiber", help="eigenvalues of one fiber below --lambda")
-    _add_common(p)
+    p = _add_verb(sub, "fiber", "eigenvalues of one fiber below --lambda")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--cusp", type=int, default=0)
-    p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--boundary", choices=("dirichlet", "robin"), default="dirichlet")
+    _add_fiber_choice(p)
 
-    p = sub.add_parser("phase", help="phase integral vs count for one fiber")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--linear", action="store_true")
-    p.add_argument("--cusp", type=int, default=0)
-    p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--boundary", choices=("dirichlet", "robin"), default="dirichlet")
+    p = _add_verb(sub, "phase", "phase integral vs count for one fiber")
+    _add_grid(p)
+    _add_fiber_choice(p)
 
-    p = sub.add_parser("perturb", help="mu0(tau)/tau^2 over a geometric tau grid")
-    _add_common(p)
+    p = _add_verb(sub, "perturb", "mu0(tau)/tau^2 over a geometric tau grid")
     p.add_argument("--cusp", type=int, default=0)
     p.add_argument("--tau-max", dest="tau_max", type=float, required=True)
     p.add_argument("--points", type=int, default=10)
 
-    p = sub.add_parser("embedded", help="embedded-eigenvalue bound reports")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--linear", action="store_true")
+    p = _add_verb(sub, "embedded", "embedded-eigenvalue bound reports")
+    _add_grid(p)
 
-    p = sub.add_parser("rj-identity", help="cross-section sum-vs-integral residuals")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--linear", action="store_true")
+    p = _add_verb(sub, "rj-identity", "cross-section sum-vs-integral residuals")
+    _add_grid(p)
     p.add_argument("--cusp", type=int, default=0)
 
     return parser

@@ -40,35 +40,31 @@ class CrossSpectrum:
         return len(self.values)
 
 
-def _axis_offsets(x: TorusCrossSection, tau: float, cutoff: float):
-    """Per-axis arrays of (2 pi m/L + tau*omega) covering every admissible m.
+def _squared_norms(x: TorusCrossSection, tau: float, cutoff: float, max_elements: int):
+    """mu_m(tau) on a box of lattice points m that holds every mu_m(tau) < cutoff.
 
     |2 pi m/L + tau omega| < sqrt(cutoff) forces m into a window of width
     sqrt(cutoff) L / pi around -tau omega L / (2 pi); one extra index on each
-    side guards the open/closed boundary.
+    side guards the open/closed boundary.  The squares are added in axis
+    order, which fixes the rounding of every sum.
     """
-    root = math.sqrt(max(cutoff, 0.0))
+    root = math.sqrt(cutoff)
     offsets = []
-    indices = []
     for length, omega in zip(x.lengths, x.magnetic):
         shift = tau * omega * length / TWO_PI
         half_width = root * length / TWO_PI
         lo = math.floor(-shift - half_width) - 1
         hi = math.ceil(-shift + half_width) + 1
-        m = np.arange(lo, hi + 1, dtype=np.int64)
-        offsets.append(TWO_PI * m / length + tau * omega)
-        indices.append(m)
-    return offsets, indices
-
-
-def _check_budget(offsets, max_elements: int) -> None:
-    count = 1
-    for axis in offsets:
-        count *= axis.size
+        offsets.append(TWO_PI * np.arange(lo, hi + 1, dtype=np.int64) / length + tau * omega)
+    count = math.prod(axis.size for axis in offsets)
     if count > max_elements:
         raise EnumerationBudgetError(
             f"lattice enumeration needs {count} points, budget is {max_elements}"
         )
+    total = offsets[0] * offsets[0]
+    for axis in offsets[1:]:
+        total = np.add.outer(total, axis * axis)
+    return total
 
 
 def mu_spectrum(
@@ -77,25 +73,16 @@ def mu_spectrum(
     cutoff: float,
     max_elements: int = MAX_ELEMENTS,
 ) -> CrossSpectrum:
-    """Exact sorted multiset of eigenvalues mu_m(tau) < cutoff.
+    """Exact sorted multiset of eigenvalues mu_m(tau) < cutoff, as Python floats.
 
-    Ties are ordered by the lattice index, lexicographically, so the output
-    is deterministic down to the last bit.
+    Raises EnumerationBudgetError when the enumeration box holds more than
+    `max_elements` lattice points.
     """
     if cutoff <= 0:
         return CrossSpectrum(tau=tau, values=(), cutoff=cutoff)
-    offsets, indices = _axis_offsets(x, tau, cutoff)
-    _check_budget(offsets, max_elements)
-    grids = np.meshgrid(*offsets, indexing="ij")
-    total = np.zeros(grids[0].shape)
-    for g in grids:
-        total += g * g
-    mask = total < cutoff
-    values = total[mask]
-    index_cols = [np.meshgrid(*indices, indexing="ij")[i][mask] for i in range(len(indices))]
-    # lexsort: last key is primary
-    order = np.lexsort(tuple(reversed(index_cols)) + (values,))
-    return CrossSpectrum(tau=tau, values=tuple(float(v) for v in values[order]), cutoff=cutoff)
+    total = _squared_norms(x, tau, cutoff, max_elements)
+    values = np.sort(total[total < cutoff])
+    return CrossSpectrum(tau=tau, values=tuple(values.tolist()), cutoff=cutoff)
 
 
 def cross_count(
@@ -105,15 +92,7 @@ def cross_count(
     max_elements: int = MAX_ELEMENTS,
 ) -> int:
     """Number of eigenvalues strictly below mu (with multiplicity)."""
-    if mu <= 0:
-        return 0
-    offsets, _ = _axis_offsets(x, tau, mu)
-    _check_budget(offsets, max_elements)
-    grids = np.meshgrid(*offsets, indexing="ij")
-    total = np.zeros(grids[0].shape)
-    for g in grids:
-        total += g * g
-    return int(np.count_nonzero(total < mu))
+    return len(mu_spectrum(x, tau, mu, max_elements))
 
 
 def mu0(x: TorusCrossSection, tau: float) -> float:

@@ -198,7 +198,21 @@ _CUSP_KEYS = {"a", "delta", "lengths", "magnetic"}
 _TOP_KEYS = {"dimension", "core", "cusps"}
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _numbers(values, name: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_number(v, name) for v in values)
+
+
 def model_from_dict(data: dict) -> ManifoldModel:
+    """Parse a model file's JSON object; any malformed field raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("model file must contain a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -208,15 +222,21 @@ def model_from_dict(data: dict) -> ManifoldModel:
     if missing:
         raise ValueError(f"missing model fields: {sorted(missing)}")
     core_data = data["core"]
+    if not isinstance(core_data, dict):
+        raise ValueError(f"core must be an object, got {core_data!r}")
     unknown = set(core_data) - _CORE_KEYS
     if unknown:
         raise ValueError(f"unknown core fields: {sorted(unknown)}")
     core = CompactCoreSurrogate(
-        volume=core_data.get("volume", 0.0),
-        remainder_coeff=core_data.get("remainder_coeff", 0.0),
+        volume=_number(core_data.get("volume", 0.0), "core volume"),
+        remainder_coeff=_number(core_data.get("remainder_coeff", 0.0), "core remainder_coeff"),
     )
+    if not isinstance(data["cusps"], (list, tuple)):
+        raise ValueError(f"cusps must be a list, got {data['cusps']!r}")
     cusps = []
     for j, cusp_data in enumerate(data["cusps"]):
+        if not isinstance(cusp_data, dict):
+            raise ValueError(f"cusp {j} must be an object, got {cusp_data!r}")
         unknown = set(cusp_data) - _CUSP_KEYS
         if unknown:
             raise ValueError(f"cusp {j}: unknown fields {sorted(unknown)}")
@@ -226,10 +246,11 @@ def model_from_dict(data: dict) -> ManifoldModel:
         cusps.append(
             CuspEnd(
                 cross_section=TorusCrossSection(
-                    lengths=cusp_data["lengths"], magnetic=cusp_data["magnetic"]
+                    lengths=_numbers(cusp_data["lengths"], f"cusp {j}: lengths"),
+                    magnetic=_numbers(cusp_data["magnetic"], f"cusp {j}: magnetic"),
                 ),
-                a=cusp_data["a"],
-                delta=cusp_data["delta"],
+                a=_number(cusp_data["a"], f"cusp {j}: a"),
+                delta=_number(cusp_data["delta"], f"cusp {j}: delta"),
             )
         )
     return ManifoldModel(n=data["dimension"], core=core, cusps=tuple(cusps))

@@ -143,6 +143,28 @@ class TestNonFiniteLevels:
 
 
 class TestModelErrors:
+    @pytest.mark.parametrize("field,value,named", [
+        ("core", 5, "core"), ("lengths", 6.28, "lengths"), ("cusps", 5, "cusps"),
+        ("cusps", [5], "cusp 0"), ("volume", [1], "core volume"),
+    ])
+    def test_wrongly_typed_field_is_a_model_error(self, capsys, tmp_path, field, value,
+                                                  named):
+        data = model_to_dict(circle_model())
+        if field in data:
+            data[field] = value
+        elif field in data["core"]:
+            data["core"][field] = value
+        else:
+            data["cusps"][0][field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        for verb in (["validate"], ["count", "--lambda", "10"]):
+            code, out, err = run_cli(capsys, verb[0], str(path), *verb[1:])
+            assert (code, out) == (1, "")
+            error = json.loads(err)["error"]
+            assert error["type"] == "model-load"
+            assert named in error["message"]
+
     def test_nan_field_is_a_violation(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(model_to_dict(circle_model(omega=math.nan))))
@@ -161,6 +183,63 @@ class TestModelErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "model-load"
         assert "dimension 2.7 must be an integer" in error["message"]
+
+
+def assert_value_error(capsys, argv, message):
+    """Exit 2, nothing on stdout, no warning, only the JSON error on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, caught) == (2, "", [])
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
+class TestIndexAndPerturbFlags:
+    CUSP_VERBS = {
+        "fiber": ["fiber", "--lambda", "30"],
+        "phase": ["phase", "--lambda", "30"],
+        "perturb": ["perturb", "--tau-max", "0.1"],
+        "rj-identity": ["rj-identity", "--lambda", "30"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(CUSP_VERBS))
+    @pytest.mark.parametrize("cusp", ["-1", "1", "3"])
+    def test_cusp_out_of_range(self, capsys, model_path, verb, cusp):
+        argv = self.CUSP_VERBS[verb]
+        assert_value_error(
+            capsys, [argv[0], model_path, *argv[1:], "--cusp", cusp],
+            f"--cusp must be in [0, 1) for this model, got {cusp}",
+        )
+
+    @pytest.mark.parametrize("verb", ["fiber", "phase"])
+    def test_negative_ell(self, capsys, model_path, verb):
+        argv = self.CUSP_VERBS[verb]
+        assert_value_error(
+            capsys, [argv[0], model_path, *argv[1:], "--ell", "-1"],
+            "--ell must be >= 0, got -1",
+        )
+
+    @pytest.mark.parametrize("tau_max", ["nan", "inf", "-inf", "0", "-0.1"])
+    def test_tau_max_finite_positive(self, capsys, model_path, tau_max):
+        assert_value_error(
+            capsys, ["perturb", model_path, "--tau-max=" + tau_max],
+            f"--tau-max must be finite and > 0, got {float(tau_max)}",
+        )
+
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_perturb_needs_two_points(self, capsys, model_path, points):
+        assert_value_error(
+            capsys, ["perturb", model_path, "--tau-max", "0.1", "--points=" + points],
+            "--points must be >= 2",
+        )
+
+    def test_second_cusp_is_reachable(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(model_to_dict(circle_model(cusps=2))))
+        code, out, _ = run_cli(capsys, "perturb", str(path), "--tau-max", "0.1",
+                               "--points", "2", "--cusp", "1")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
 
 
 class TestOtherVerbs:

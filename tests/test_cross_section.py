@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,74 @@ class TestMuSpectrum:
     def test_positive_bottom_with_flux(self):
         values = mu_spectrum(CIRCLE_HALF, 0.7, 5.0).values
         assert values[0] > 0
+
+
+def product_spectrum(x, tau, cutoff):
+    """Sorted mu_m(tau) < cutoff over a per-axis box found by itertools.product.
+
+    The box is sized from |2 pi m/L| <= sqrt(cutoff) + |tau omega|, and each
+    value is formed with the arithmetic of the closed form, axis by axis.
+    """
+    boxes = []
+    for length, omega in zip(x.lengths, x.magnetic):
+        reach = math.ceil((math.sqrt(cutoff) + abs(tau * omega)) * length / TWO_PI) + 1
+        boxes.append(range(-reach, reach + 1))
+    values = []
+    for m in itertools.product(*boxes):
+        v = 0.0
+        for mk, lk, wk in zip(m, x.lengths, x.magnetic):
+            d = TWO_PI * mk / lk + tau * wk
+            v = v + d * d
+        if v < cutoff:
+            values.append(v)
+    return sorted(values)
+
+
+class TestEnumeration:
+    TORI = {
+        "circle-half": TorusCrossSection((TWO_PI,), (0.5,)),
+        "circle-free": TorusCrossSection((TWO_PI,), (0.0,)),
+        "circle-generic": TorusCrossSection((3.7,), (-1.3,)),
+        "torus2": TorusCrossSection((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3)),
+        "torus2-free": TorusCrossSection((TWO_PI, TWO_PI), (0.0, 0.0)),
+        "torus3": TorusCrossSection((2.0, 3.1, 4.5), (0.4, -0.7, 1.1)),
+        "torus3-free": TorusCrossSection((TWO_PI, TWO_PI, 2.5), (0.0, 0.0, 0.0)),
+    }
+    CUTOFF = {1: 60.0, 2: 30.0, 3: 12.0}
+
+    @pytest.mark.parametrize("tau", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("name", sorted(TORI))
+    def test_equals_product_reference(self, name, tau):
+        x = self.TORI[name]
+        cutoff = self.CUTOFF[x.dim]
+        values = mu_spectrum(x, tau, cutoff).values
+        expected = product_spectrum(x, tau, cutoff)
+        assert len(expected) >= 5
+        assert values == tuple(expected)
+        assert all(type(v) is float for v in values)
+        assert cross_count(x, tau, cutoff) == len(expected)
+
+    def test_zero_field_ties_are_kept(self):
+        values = mu_spectrum(self.TORI["torus2-free"], 0.37, 3.0).values
+        assert values == (0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("name", sorted(TORI))
+    def test_budget_error_exactly_below_box_size(self, name):
+        x = self.TORI[name]
+        cutoff = self.CUTOFF[x.dim]
+        with pytest.raises(EnumerationBudgetError) as info:
+            mu_spectrum(x, 0.37, cutoff, max_elements=0)
+        match = re.fullmatch(r"lattice enumeration needs (\d+) points, budget is 0",
+                             str(info.value))
+        box = int(match.group(1))
+        assert box >= len(product_spectrum(x, 0.37, cutoff))
+        with pytest.raises(EnumerationBudgetError, match=f"budget is {box - 1}$"):
+            mu_spectrum(x, 0.37, cutoff, max_elements=box - 1)
+        with pytest.raises(EnumerationBudgetError):
+            cross_count(x, 0.37, cutoff, max_elements=box - 1)
+        assert mu_spectrum(x, 0.37, cutoff, max_elements=box).values == tuple(
+            product_spectrum(x, 0.37, cutoff)
+        )
 
 
 class TestCrossCount:

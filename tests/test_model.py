@@ -177,3 +177,33 @@ class TestModelFile:
         del data["cusps"][0]["delta"]
         with pytest.raises(ValueError, match="missing"):
             model_from_dict(data)
+
+
+class TestWronglyTypedFields:
+    # (path into the model dict, value, words the message must hold)
+    CASES = [
+        (("core",), 5, "core must be an object"),
+        (("cusps",), 5, "cusps must be a list"),
+        (("cusps", 0), 5, "cusp 0 must be an object"),
+        (("cusps", 0, "lengths"), 6.28, "cusp 0: lengths must be a list of numbers"),
+        (("cusps", 0, "magnetic"), [None], "cusp 0: magnetic must be a number"),
+        (("cusps", 0, "a"), [1.0], "cusp 0: a must be a number"),
+        (("cusps", 0, "delta"), {}, "cusp 0: delta must be a number"),
+        (("core", "volume"), [1], "core volume must be a number"),
+        (("core", "remainder_coeff"), None, "core remainder_coeff must be a number"),
+    ]
+
+    @pytest.mark.parametrize("path,value,message", CASES)
+    def test_raises_value_error_naming_the_field(self, path, value, message):
+        data = model_to_dict(circle_model())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match="^" + message):
+            model_from_dict(data)
+
+    def test_numeric_strings_still_parse(self):
+        data = model_to_dict(circle_model())
+        data["cusps"][0]["a"] = "1.5"
+        assert model_from_dict(data).cusps[0].a == 1.5
