@@ -178,6 +178,9 @@ def _validate(model, args, meta):
 def _sweep(model, args, meta):
     """count is sweep at one level, without the fit."""
     lams = _lambda_grid(args)
+    if lams[0] < 0.0:
+        flag = "--lambda" if args.verb == "count" else "--lambda-min"
+        raise ValueError(f"{flag} must be >= 0, got {lams[0]}")
     rows = []
     for lam in lams:
         bracket = total_count_bracket(model, lam)

@@ -9,12 +9,19 @@ one-dimensional operator -d^2/dt^2 + V(t) on (alpha, oo), where
                      alpha = a^(2(1-delta)) / (1-delta)
 
 with mu >= 0 the cross-section eigenvalue.  Counting eigenvalues below a
-spectral level lambda is done by shooting the Prufer angle
+spectral level lambda is done by shooting the Prufer angle theta of
+(u, u') = r (sin theta, cos theta) from the boundary condition at alpha; the
+winding floor(theta/pi) is the count.  The kernel integrates the scaled
+angle phi of SLEIGN2 and SLEDGE, tan(phi) = S tan(theta) with
+E = lambda - V(t) and S = (E^2 + 1)^(1/4):
 
-    theta' = cos^2(theta) + (lambda - V(t)) sin^2(theta)
+    phi' = S cos^2(phi) + (E/S) sin^2(phi) - (E V' / (2 (E^2 + 1))) sin(phi) cos(phi)
 
-from the boundary condition at alpha to a point safely inside the
-classically forbidden region; the winding floor(theta/pi) is the count.
+phi and theta cross every multiple of pi together, and phi turns at a
+nearly steady rate where theta climbs in stairs.  A count stops as soon as
+phi is trapped in [k pi, k pi + pi/2] past the turning point, where no
+further winding is possible, or at the latest at a point safely inside the
+classically forbidden region.
 A cusp's fibers are counted together by count_fibers.  V is pointwise
 non-decreasing in mu, while alpha and the Robin beta depend only on
 (n, delta, a), so by min-max every fiber eigenvalue is non-decreasing in mu
@@ -37,15 +44,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-
-try:
-    from numba import njit
-except ImportError:  # numba is the optional "jit" extra; run interpreted without it
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
 
 # Local error target for each accepted step of the angle integration.
 ODE_RTOL = 1e-12
@@ -257,13 +255,37 @@ def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# Prufer shooting.  The angle ODE is integrated from t0 to t1, forward or
-# backward, by an adaptive embedded Dormand-Prince 5(4) pair; the potential
-# is inlined in the two branch forms so the loop can be jit-compiled.
+# Prufer shooting.  With E = lam - V and S = (E^2 + 1)^(1/4), the kernel
+# integrates the scaled angle phi, tan(phi) = S tan(theta) branch by branch:
+#
+#     phi' = S cos^2(phi) + (E/S) sin^2(phi) - (E V' / (2 (E^2 + 1))) sin(phi) cos(phi)
+#
+# phi = k pi exactly where theta = k pi, and phi moves almost linearly where
+# theta climbs in stairs, so an adaptive Dormand-Prince 5(4) pair takes far
+# fewer steps on it.  theta is mapped to phi at t0 and back at the stop point.
+# A forward shoot also stops at the first accepted point where E < 0, V' > 0
+# and phi mod pi <= pi/2.  V has a single minimum, so it increases from there
+# on and E stays negative; phi' = S > 0 at k pi and phi' = E/S < 0 at
+# k pi + pi/2 then trap phi in [k pi, k pi + pi/2] for good, and
+# floor(theta/pi) = k is final.  Backward shoots run to t1.
 
 
-@njit(cache=True)
+def _scale(en: float) -> float:
+    """S = (E^2 + 1)^(1/4)."""
+    return math.sqrt(math.sqrt(en * en + 1.0))
+
+
+def _rescale(angle: float, a: float, b: float) -> float:
+    """k pi + atan2(a sin(psi), b cos(psi)), psi = angle - k pi in [0, pi):
+    theta -> phi with (a, b) = (S, 1), phi -> theta with (1, S)."""
+    base = math.floor(angle / math.pi) * math.pi
+    psi = angle - base
+    return base + math.atan2(a * math.sin(psi), b * math.cos(psi))
+
+
 def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
+    """theta(t1) of the Prufer angle started at theta(t0) = theta0; a forward
+    shoot may return theta at an earlier point once its winding is trapped."""
     a21 = 1.0 / 5.0
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
     a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -293,6 +315,26 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
     e5 = -2187.0 / 6784.0 + 92097.0 / 339200.0
     e6 = 11.0 / 84.0 - 187.0 / 2100.0
     e7 = -1.0 / 40.0
+    pi = math.pi
+    half_pi = 0.5 * pi
+    sin, cos, sqrt, exp = math.sin, math.cos, math.sqrt, math.exp
+
+    def slope(t, ph):
+        """(phi', E, V') at (t, phi); the one place V and V' are evaluated."""
+        if kind == 1:
+            w = mu * exp(2.0 * t)
+            en = lam - w - c_pot
+            vp = 2.0 * w
+        else:
+            w = mu * (sc * t) ** pw
+            q = c_pot / (t * t)
+            en = lam - w - q
+            vp = (pw * w - 2.0 * q) / t
+        en2 = en * en + 1.0
+        sq = sqrt(sqrt(en2))  # S
+        s = sin(ph)
+        c = cos(ph)
+        return sq * c * c + (en / sq) * s * s - 0.5 * en * vp / en2 * s * c, en, vp
 
     if t1 == t0:
         return theta0
@@ -300,75 +342,31 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
     dirn = 1.0 if t1 > t0 else -1.0
 
     t = t0
-    th = theta0
-    s = math.sin(th)
-    c = math.cos(th)
-    if kind == 1:
-        v = mu * math.exp(2.0 * t) + c_pot
-    else:
-        v = mu * (sc * t) ** pw + c_pot / (t * t)
-    k1 = c * c + (lam - v) * s * s
-    h = dirn * min(dirn * (t1 - t0), 0.1 / math.sqrt(abs(lam - v) + 1.0))
+    ph = _rescale(theta0, _scale(slope(t, 0.0)[1]), 1.0)
+    k1, en, _ = slope(t, ph)
+    h = dirn * min(dirn * (t1 - t0), 0.1 / sqrt(abs(en) + 1.0))
     h_min = 1e-12 * (1.0 + abs(max(t0, t1)) - min(0.0, t0, t1))
     t_stop = dirn * t1
     while dirn * t < t_stop:
         if dirn * (t + h) > t_stop:
             h = t1 - t
-        tt = t + 0.2 * h
-        th2 = th + h * a21 * k1
-        s = math.sin(th2)
-        c = math.cos(th2)
-        if kind == 1:
-            v = mu * math.exp(2.0 * tt) + c_pot
-        else:
-            v = mu * (sc * tt) ** pw + c_pot / (tt * tt)
-        k2 = c * c + (lam - v) * s * s
-        tt = t + 0.3 * h
-        th2 = th + h * (a31 * k1 + a32 * k2)
-        s = math.sin(th2)
-        c = math.cos(th2)
-        if kind == 1:
-            v = mu * math.exp(2.0 * tt) + c_pot
-        else:
-            v = mu * (sc * tt) ** pw + c_pot / (tt * tt)
-        k3 = c * c + (lam - v) * s * s
-        tt = t + 0.8 * h
-        th2 = th + h * (a41 * k1 + a42 * k2 + a43 * k3)
-        s = math.sin(th2)
-        c = math.cos(th2)
-        if kind == 1:
-            v = mu * math.exp(2.0 * tt) + c_pot
-        else:
-            v = mu * (sc * tt) ** pw + c_pot / (tt * tt)
-        k4 = c * c + (lam - v) * s * s
-        tt = t + (8.0 / 9.0) * h
-        th2 = th + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-        s = math.sin(th2)
-        c = math.cos(th2)
-        if kind == 1:
-            v = mu * math.exp(2.0 * tt) + c_pot
-        else:
-            v = mu * (sc * tt) ** pw + c_pot / (tt * tt)
-        k5 = c * c + (lam - v) * s * s
-        tt = t + h
-        th2 = th + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-        s = math.sin(th2)
-        c = math.cos(th2)
-        if kind == 1:
-            v = mu * math.exp(2.0 * tt) + c_pot
-        else:
-            v = mu * (sc * tt) ** pw + c_pot / (tt * tt)
-        k6 = c * c + (lam - v) * s * s
-        th_new = th + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-        s = math.sin(th_new)
-        c = math.cos(th_new)
-        k7 = c * c + (lam - v) * s * s
+        k2 = slope(t + 0.2 * h, ph + h * a21 * k1)[0]
+        k3 = slope(t + 0.3 * h, ph + h * (a31 * k1 + a32 * k2))[0]
+        k4 = slope(t + 0.8 * h, ph + h * (a41 * k1 + a42 * k2 + a43 * k3))[0]
+        k5 = slope(
+            t + (8.0 / 9.0) * h, ph + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+        )[0]
+        k6 = slope(t + h, ph + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))[0]
+        ph_new = ph + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        k7, en_new, vp = slope(t + h, ph_new)
         err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
-        ratio = err / (atol + rtol * abs(th_new))
+        ratio = err / (atol + rtol * abs(ph_new))
         if ratio <= 1.0 or dirn * h <= h_min:
             t = t + h
-            th = th_new
-            k1 = k7
+            ph = ph_new
+            k1, en = k7, en_new
+            if dirn > 0.0 and en < 0.0 and vp > 0.0 and ph % pi <= half_pi:
+                break
         fac = 0.9 * (ratio + 1e-16) ** -0.2
         if fac > 5.0:
             fac = 5.0
@@ -377,7 +375,7 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
         h = h * fac
         if dirn * h < h_min:
             h = dirn * h_min
-    return th
+    return _rescale(ph, 1.0, _scale(en))
 
 
 def _branch_params(f: FiberPotential) -> tuple[int, float, float, float, float]:

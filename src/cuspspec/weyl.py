@@ -271,8 +271,11 @@ def remainder_model(n: int, delta: float, lam: float) -> float:
     The thick branch is an upper comparison scale, not the law every thick
     cusp attains: Selberg's A = 0 law has the sqrt(lam) ln(lam) term, while a
     non-exact A at delta = 1, n = 2 gives c(omega) sqrt(lam) with no ln factor.
+    At lam = 0 both branches take their limit 0.
     """
     if delta >= 1.0 / (n - 1):
+        if lam == 0.0:
+            return 0.0
         return lam ** ((n - 1) / 2.0) * math.log(lam)
     return lam ** (1.0 / (2.0 * delta))
 

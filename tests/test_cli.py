@@ -142,6 +142,36 @@ class TestNonFiniteLevels:
         assert error["message"] == f"{self.FLAGS[case]} must be finite, got {float(value)}"
 
 
+class TestLevelZeroAndBelow:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_count_at_zero(self, capsys, model_path, fmt):
+        code, out, err = run_cli(capsys, "count", model_path, "--lambda", "0",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            row = out.splitlines()[1].split(",")
+        else:
+            row = [str(v) for v in json.loads(out)["rows"][0].values()]
+        assert row == ["0.0", "0", "0", "0.0", "0.0", "0.0", "0.0", "0.0"]
+
+    def test_linear_sweep_from_zero(self, capsys, model_path):
+        code, out, _ = run_cli(capsys, "sweep", model_path, "--lambda-min", "0",
+                               "--lambda-max", "4", "--points", "3", "--linear")
+        assert code == 0
+        assert [line.split(",")[7] for line in out.splitlines()[1:4]] == [
+            "0.0", repr(math.sqrt(2.0) * math.log(2.0)), repr(2.0 * math.log(4.0))
+        ]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["count", "--lambda", "-1"], "--lambda"),
+        (["sweep", "--lambda-min", "-1", "--lambda-max", "4", "--points", "3", "--linear"],
+         "--lambda-min"),
+    ])
+    def test_negative_level_rejected(self, capsys, model_path, argv, flag):
+        assert_value_error(capsys, [argv[0], model_path, *argv[1:]],
+                           f"{flag} must be >= 0, got -1.0")
+
+
 class TestModelErrors:
     @pytest.mark.parametrize("field,value,named", [
         ("core", 5, "core"), ("lengths", 6.28, "lengths"), ("cusps", 5, "cusps"),

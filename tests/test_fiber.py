@@ -304,6 +304,26 @@ class TestMatchedShooting:
             counts.add(count)
         assert len(counts) >= 4
 
+    # the backward leg of the mismatch starts in the forbidden region and is
+    # never cut short, so ceil(F/pi) checks the count of a trapped forward shoot
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+        a=st.floats(0.3, 1.5),
+        mu=st.floats(0.01, 20.0),
+        lam=st.floats(0.5, 400.0),
+        robin=st.booleans(),
+    )
+    def test_ceil_mismatch_is_count_on_drawn_fibers(self, n, delta, a, mu, lam, robin):
+        f = FiberPotential.from_cusp(n, delta, a, mu)
+        bc = ROBIN if robin else BoundaryCondition.dirichlet()
+        beta = fiber._resolve_beta(f, bc)
+        theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
+        t_end = fiber._shoot_end(f, max(lam, potential_min(f)), PruferSettings())
+        mismatch = fiber._mismatch(f, lam, theta0, fiber._interior_min(f), t_end)
+        assert math.ceil(mismatch / math.pi) == fiber_count(f, lam, bc)
+
     @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
     def test_prufer_round_trip(self, f):
         kind, mu, c_pot, pw, sc = fiber._branch_params(f)

@@ -204,6 +204,17 @@ class TestCuspCount:
         res = cusp_count(zero_field_model, 0, 30.0)
         assert res.count > 0  # mu = m^2 > 0 channels still counted
 
+    @pytest.mark.parametrize(
+        "delta,bc,expected",
+        [(1.0, DIRICHLET, 4938), (1.0, BoundaryCondition.robin(), 5022),
+         (0.75, DIRICHLET, 9670), (0.75, BoundaryCondition.robin(), 9786)],
+        ids=["delta1-D", "delta1-R", "delta075-D", "delta075-R"],
+    )
+    def test_reference_counts_at_1e4(self, delta, bc, expected):
+        # long shoots (159 and 551 half-turns in the bottom mode) on the
+        # reference circle, L = 2 pi, a = 1, omega = 0.5
+        assert cusp_count(circle_model(delta=delta), 0, 1.0e4, bc).count == expected
+
     @pytest.mark.parametrize("robin", [False, True])
     def test_shoots_grow_with_distinct_counts(self, monkeypatch, robin):
         # the count is non-increasing along the sorted modes, so bisection
@@ -285,6 +296,10 @@ class TestRemainder:
         assert remainder_model(2, 0.75, lam) == pytest.approx(lam ** (2.0 / 3.0))
         assert remainder_model(3, 0.6, lam) == pytest.approx(lam * math.log(lam))
         assert remainder_model(3, 0.4, lam) == pytest.approx(lam**1.25)
+
+    @pytest.mark.parametrize("n,delta", [(2, 1.0), (2, 0.75), (3, 0.6), (3, 0.4)])
+    def test_model_limit_at_zero(self, n, delta):
+        assert remainder_model(n, delta, 0.0) == 0.0
 
     def test_synthetic_log_corrected(self):
         lams = np.geomspace(100.0, 1.0e4, 24)
