@@ -37,7 +37,6 @@ from .fiber import (
     BoundaryCondition,
     ContinuousSpectrumError,
     FiberPotential,
-    PruferSettings,
     count_fibers,
     default_robin_beta,
     fd_oracle,

@@ -22,7 +22,9 @@ from . import __version__
 from .cross_section import mu0, mu_spectrum
 from .embedded import embedded_upper_bound
 from .fiber import (
-    DEFAULT_SETTINGS,
+    ANGLE_TOL,
+    REL_TOL,
+    T_MARGIN,
     BoundaryCondition,
     FiberPotential,
     fiber_eigenvalues,
@@ -103,9 +105,9 @@ def _meta(args, model_path: str) -> dict:
         "model_sha256": digest,
         "tolerances": {
             "flux_tol": FLUX_TOL,
-            "rel_tol": DEFAULT_SETTINGS.rel_tol,
-            "angle_tol": DEFAULT_SETTINGS.angle_tol,
-            "t_margin": DEFAULT_SETTINGS.t_margin,
+            "rel_tol": REL_TOL,
+            "angle_tol": ANGLE_TOL,
+            "t_margin": T_MARGIN,
             "phase_quad_tol": PHASE_QUAD_TOL,
         },
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cross_section import TWO_PI, perturb_c2
-from .fiber import DEFAULT_SETTINGS, DIRICHLET, PruferSettings
+from .fiber import DIRICHLET
 from .model import ManifoldModel, TorusCrossSection, total_volume, validate_model
 from .weyl import cusp_count, total_count_bracket, weyl_leading
 
@@ -92,11 +92,7 @@ def demagnetize(model: ManifoldModel) -> ManifoldModel:
     return dataclasses.replace(model, cusps=cusps)
 
 
-def n_ess_exact(
-    model: ManifoldModel,
-    lam: float,
-    settings: PruferSettings = DEFAULT_SETTINGS,
-) -> int:
+def n_ess_exact(model: ManifoldModel, lam: float) -> int:
     """Exact embedded-eigenvalue count of the separable A = 0 model.
 
     The sum over cusps of the Dirichlet cusp_count at tau = 0: every
@@ -109,16 +105,12 @@ def n_ess_exact(
     if model.core.volume != 0.0:
         raise ValueError("n_ess_exact needs core.volume = 0 (separable model)")
     return sum(
-        cusp_count(model, j, lam, DIRICHLET, tau=0.0, settings=settings).count
+        cusp_count(model, j, lam, DIRICHLET, tau=0.0).count
         for j in range(len(model.cusps))
     )
 
 
-def embedded_upper_bound(
-    model: ManifoldModel,
-    lam: float,
-    settings: PruferSettings = DEFAULT_SETTINGS,
-) -> BoundReport:
+def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
     """Evaluate the scaled-field bound at level lam.
 
     Computes tau = lam^(-rho), the Poincare constant C_A, the shifted level
@@ -139,10 +131,10 @@ def embedded_upper_bound(
     tau = lam**-rho
     c_a = poincare_constant(model)
     shifted = (1.0 + c_a * tau) * lam + c_a
-    bracket = total_count_bracket(model, shifted, tau=tau, settings=settings)
+    bracket = total_count_bracket(model, shifted, tau=tau)
     n_ess = None
     if model.core.volume == 0.0:
-        n_ess = n_ess_exact(demagnetize(model), lam, settings)
+        n_ess = n_ess_exact(demagnetize(model), lam)
     return BoundReport(
         lam=lam,
         rho=rho,

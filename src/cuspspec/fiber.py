@@ -33,6 +33,9 @@ the forward shoot and a backward shoot of the decaying solution, taken at
 the potential minimum, is smooth and increasing, N(lambda) = ceil(F/pi), and
 each eigenvalue is a root of F = k pi.  A three-point finite-difference
 matrix provides an independent oracle.
+The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
+local error of each step, T_MARGIN and ANGLE_TOL place the end point of a
+shoot, and REL_TOL is the accuracy of listed eigenvalues.
 """
 
 from __future__ import annotations
@@ -48,31 +51,18 @@ from scipy.optimize import brentq
 # Local error target for each accepted step of the angle integration.
 ODE_RTOL = 1e-12
 ODE_ATOL = 1e-12
+# Relative tolerance of listed eigenvalues, on the scale max(1, |lambda|);
+# eigenvalues within it of the cutoff are ties and are dropped.
+REL_TOL = 1e-10
+# Leftover Prufer winding accepted past the shoot end point.
+ANGLE_TOL = 1e-9
+# Decay budget, in WKB units (the integral of sqrt(V - lambda)), added past
+# the turning point before the tail-size rule driven by ANGLE_TOL takes over.
+T_MARGIN = 5.0
 
 
 class ContinuousSpectrumError(ValueError):
     """Counting was requested inside the continuous spectrum of a mu = 0 fiber."""
-
-
-@dataclass(frozen=True)
-class PruferSettings:
-    """Tolerances of the shooting and root-finding machinery.
-
-    t_margin is the decay budget (in WKB units, i.e. units of the integral
-    of sqrt(V - lambda)) added past the turning point before the tail-size
-    rule driven by angle_tol takes over.
-    """
-
-    rel_tol: float = 1e-10
-    angle_tol: float = 1e-9
-    t_margin: float = 5.0
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.angle_tol > 0 and self.t_margin > 0):
-            raise ValueError("PruferSettings entries must all be positive")
-
-
-DEFAULT_SETTINGS = PruferSettings()
 
 
 @dataclass(frozen=True)
@@ -198,7 +188,7 @@ def _interior_min(f: FiberPotential) -> float:
 def potential_min(f: FiberPotential) -> float:
     """inf of V over [alpha, oo)."""
     if f.mu == 0.0:
-        return f.const_coeff if f.delta == 1.0 else 0.0
+        return f.ess_inf
     return potential_eval(f, _interior_min(f))
 
 
@@ -209,26 +199,22 @@ def turning_point(f: FiberPotential, lam: float) -> Optional[float]:
     math.inf when mu = 0 and lam sits above the essential infimum, so the
     allowed region never closes.
     """
-    if f.delta == 1.0:
-        q = f.const_coeff
-        if f.mu == 0.0:
-            if lam > q:
-                return math.inf
-            return f.alpha if lam == q else None
-        v_alpha = f.mu * math.exp(2.0 * f.alpha) + q
-        if lam < v_alpha:
-            return None
-        if lam == v_alpha:
-            return f.alpha
-        return max(f.alpha, 0.5 * math.log((lam - q) / f.mu))
     if f.mu == 0.0:
-        return math.inf if lam > 0.0 else None
+        if lam > f.ess_inf:
+            return math.inf
+        return f.alpha if (f.delta == 1.0 and lam == f.ess_inf) else None
     t_min = _interior_min(f)
-    vmin = potential_eval(f, t_min)
+    return _right_edge(f, lam, t_min, potential_eval(f, t_min))
+
+
+def _right_edge(f: FiberPotential, lam: float, t_min: float, vmin: float) -> Optional[float]:
+    """turning_point of a mu > 0 fiber whose potential minimum vmin sits at t_min."""
     if lam < vmin:
         return None
     if lam == vmin:
         return t_min
+    if f.delta == 1.0:
+        return max(f.alpha, 0.5 * math.log((lam - f.const_coeff) / f.mu))
     t_hi = (lam / f.mu) ** (1.0 / f.power) / (1.0 - f.delta)
     if t_hi <= t_min:
         return t_min
@@ -247,7 +233,7 @@ def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
     vmin = potential_eval(f, t_min)
     if lam <= vmin:
         return None
-    t_hi = turning_point(f, lam)
+    t_hi = _right_edge(f, lam, t_min, vmin)
     if potential_eval(f, f.alpha) < lam:
         return (f.alpha, t_hi)
     t_lo = brentq(lambda t: potential_eval(f, t) - lam, f.alpha, t_min, xtol=1e-13, rtol=1e-15)
@@ -283,9 +269,14 @@ def _rescale(angle: float, a: float, b: float) -> float:
     return base + math.atan2(a * math.sin(psi), b * math.cos(psi))
 
 
-def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
-    """theta(t1) of the Prufer angle started at theta(t0) = theta0; a forward
-    shoot may return theta at an earlier point once its winding is trapped."""
+def _prufer_theta(f: FiberPotential, lam: float, t0: float, t1: float, theta0: float) -> float:
+    """theta(t1) of the Prufer angle of fiber f at level lam, started at
+    theta(t0) = theta0; a forward shoot may return theta at an earlier point
+    once its winding is trapped."""
+    kind = 1 if f.delta == 1.0 else 0
+    mu, c_pot = f.mu, f.const_coeff
+    pw, sc = (0.0, 0.0) if kind == 1 else (f.power, 1.0 - f.delta)
+    rtol, atol = ODE_RTOL, ODE_ATOL
     a21 = 1.0 / 5.0
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
     a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -378,18 +369,14 @@ def _prufer_theta(kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, rtol, atol):
     return _rescale(ph, 1.0, _scale(en))
 
 
-def _branch_params(f: FiberPotential) -> tuple[int, float, float, float, float]:
-    if f.delta == 1.0:
-        return 1, f.mu, f.const_coeff, 0.0, 0.0
-    return 0, f.mu, f.const_coeff, f.power, 1.0 - f.delta
-
-
 def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> float:
     """Extent m such that the decay integral of sqrt(V - lam) past `start`
     reaches `budget`; the leftover Prufer winding is then O(exp(-2 budget))."""
     acc = 0.0
     m = 0.0
-    step = 1e-3 * (1.0 + abs(start))
+    # the cap keeps the first step from leaping far past the turning point of
+    # a delta -> 1 fiber, where alpha ~ 1/(1 - delta) and V would overflow
+    step = min(1e-3 * (1.0 + abs(start)), 1.0)
     f0 = math.sqrt(max(potential_eval(f, start) - lam, 0.0))
     while acc < budget and m < 1e4:
         f1 = math.sqrt(max(potential_eval(f, start + m + step) - lam, 0.0))
@@ -400,28 +387,20 @@ def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> 
     return m
 
 
-def _shoot_end(f: FiberPotential, lam: float, s: PruferSettings) -> float:
+def _shoot_end(f: FiberPotential, lam: float) -> float:
     """Where the shoot at lam stops: past the turning point by the decay budget."""
     t_turn = turning_point(f, lam)
     start = f.alpha if (t_turn is None or t_turn == math.inf) else t_turn
-    budget = s.t_margin + 0.5 * math.log(1.0 / (s.angle_tol * 1e-3))
+    budget = T_MARGIN + 0.5 * math.log(1.0 / (ANGLE_TOL * 1e-3))
     return start + _tail_extent(f, start, lam, budget)
 
 
-def _shoot_count(f: FiberPotential, lam: float, theta0: float, s: PruferSettings) -> int:
-    kind, mu, c_pot, pw, sc = _branch_params(f)
-    theta = _prufer_theta(
-        kind, mu, c_pot, pw, sc, lam, f.alpha, _shoot_end(f, lam, s), theta0, ODE_RTOL, ODE_ATOL
-    )
+def _shoot_count(f: FiberPotential, lam: float, theta0: float) -> int:
+    theta = _prufer_theta(f, lam, f.alpha, _shoot_end(f, lam), theta0)
     return int(math.floor(theta / math.pi))
 
 
-def fiber_count(
-    f: FiberPotential,
-    lam: float,
-    bc: BoundaryCondition = DIRICHLET,
-    settings: PruferSettings = DEFAULT_SETTINGS,
-) -> int:
+def fiber_count(f: FiberPotential, lam: float, bc: BoundaryCondition = DIRICHLET) -> int:
     """Number of eigenvalues strictly below lam (Prufer winding count).
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
@@ -447,12 +426,12 @@ def fiber_count(
         if beta <= 0.0:
             return 0
         theta0 = math.atan2(1.0, -beta)
-        return _shoot_count(f, lam, theta0, settings)
+        return _shoot_count(f, lam, theta0)
     vmin = potential_min(f)
     if lam <= vmin and (bc.kind == "dirichlet" or beta <= 0.0):
         return 0
     theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
-    return _shoot_count(f, lam, theta0, settings)
+    return _shoot_count(f, lam, theta0)
 
 
 def count_fibers(
@@ -462,7 +441,6 @@ def count_fibers(
     mus: Sequence[float],
     lam: float,
     bc: BoundaryCondition = DIRICHLET,
-    settings: PruferSettings = DEFAULT_SETTINGS,
 ) -> list[int]:
     """fiber_count(lam) for each mode of one cusp, mus ascending, distinct and > 0.
 
@@ -480,7 +458,7 @@ def count_fibers(
 
     def shoot(i: int) -> None:
         f = FiberPotential.from_cusp(n, delta, a, mus[i])
-        counts[i] = fiber_count(f, lam, bc, settings)
+        counts[i] = fiber_count(f, lam, bc)
 
     if not mus:
         return counts
@@ -510,24 +488,16 @@ def _mismatch(
     the decaying solution u'/u = -sqrt(V - lam).  F increases with lam, and
     N(lam) = ceil(F / pi): eigenvalue k is the root of F = k pi.
     """
-    kind, mu, c_pot, pw, sc = _branch_params(f)
-    theta_l = _prufer_theta(
-        kind, mu, c_pot, pw, sc, lam, f.alpha, t_match, theta0, ODE_RTOL, ODE_ATOL
-    )
+    theta_l = _prufer_theta(f, lam, f.alpha, t_match, theta0)
     kappa = math.sqrt(max(potential_eval(f, t_end) - lam, 0.0))
-    theta_r = _prufer_theta(
-        kind, mu, c_pot, pw, sc, lam, t_end, t_match, math.atan2(1.0, -kappa), ODE_RTOL, ODE_ATOL
-    )
+    theta_r = _prufer_theta(f, lam, t_end, t_match, math.atan2(1.0, -kappa))
     return theta_l - theta_r
 
 
 def fiber_eigenvalues(
-    f: FiberPotential,
-    lam_max: float,
-    bc: BoundaryCondition = DIRICHLET,
-    settings: PruferSettings = DEFAULT_SETTINGS,
+    f: FiberPotential, lam_max: float, bc: BoundaryCondition = DIRICHLET
 ) -> list[float]:
-    """All eigenvalues below lam_max, by matched shooting to settings.rel_tol.
+    """All eigenvalues below lam_max, by matched shooting to REL_TOL.
 
     The mismatch F of _mismatch is matched at the potential minimum and
     shot backward from the end point of the shoot at lam_max, so every
@@ -535,12 +505,12 @@ def fiber_eigenvalues(
     is the root of F = k pi, found by brentq inside a bracket read off the F
     values already computed; each F value is kept for the later roots.  The
     total comes from fiber_count(lam_max).  A top root that cannot be
-    bracketed below lam_max, or that falls within rel_tol of it, is a tie
+    bracketed below lam_max, or that falls within REL_TOL of it, is a tie
     with the cutoff and is dropped.
     """
     if f.mu <= 0.0:
         raise ValueError("fiber_eigenvalues needs a confining fiber (mu > 0)")
-    total = fiber_count(f, lam_max, bc, settings)
+    total = fiber_count(f, lam_max, bc)
     if total == 0:
         return []
     beta = _resolve_beta(f, bc)
@@ -548,7 +518,7 @@ def fiber_eigenvalues(
     t_match = _interior_min(f)
     lo = potential_min(f)
     # below the potential minimum the end point is placed from t_match
-    t_end = _shoot_end(f, max(lam_max, lo), settings)
+    t_end = _shoot_end(f, max(lam_max, lo))
     cache: dict[float, float] = {}
 
     def mismatch(lam: float) -> float:
@@ -561,7 +531,6 @@ def fiber_eigenvalues(
     while mismatch(lo) > 0.0:
         lo -= 2.0 * (abs(lo) + 1.0)
     mismatch(lam_max)
-    tol = settings.rel_tol
     values = []
     for k in range(total):
         target = k * math.pi
@@ -571,10 +540,11 @@ def fiber_eigenvalues(
         i = next((i for i, lam in enumerate(lams) if cache[lam] > target), None)
         if i is None:
             break
-        values.append(
-            brentq(lambda lam: mismatch(lam) - target, lams[i - 1], lams[i], xtol=tol, rtol=tol)
+        root = brentq(
+            lambda lam: mismatch(lam) - target, lams[i - 1], lams[i], xtol=REL_TOL, rtol=REL_TOL
         )
-    cut = lam_max - tol * max(1.0, abs(lam_max))
+        values.append(root)
+    cut = lam_max - REL_TOL * max(1.0, abs(lam_max))
     return [v for v in values if v < cut]
 
 

@@ -41,12 +41,12 @@ class TorusCrossSection:
     def volume(self) -> float:
         return math.prod(self.lengths)
 
-    def flux_nontrivial(self, tol: float = FLUX_TOL) -> bool:
-        """True iff some loop holonomy omega_k * L_k is not in 2*pi*Z (within tol)."""
+    def flux_nontrivial(self) -> bool:
+        """True iff some loop holonomy omega_k * L_k is not in 2*pi*Z (within FLUX_TOL)."""
         for length, omega in zip(self.lengths, self.magnetic):
             flux = omega * length
             nearest = 2.0 * math.pi * round(flux / (2.0 * math.pi))
-            if abs(flux - nearest) > tol:
+            if abs(flux - nearest) > FLUX_TOL:
                 return True
         return False
 
@@ -107,7 +107,7 @@ class ManifoldModel:
         return any(w != 0.0 for c in self.cusps for w in c.cross_section.magnetic)
 
 
-def validate_model(model: ManifoldModel, flux_tol: float = FLUX_TOL) -> list[str]:
+def validate_model(model: ManifoldModel) -> list[str]:
     """Collect human-readable violations; empty list means the model is valid.
 
     Never raises: malformed data yields descriptors, so batch callers can
@@ -159,7 +159,7 @@ def validate_model(model: ManifoldModel, flux_tol: float = FLUX_TOL) -> list[str
             and finite_field
             and len(x.lengths) == len(x.magnetic)
             and all(math.isfinite(length) for length in x.lengths)
-            and not x.flux_nontrivial(flux_tol)
+            and not x.flux_nontrivial()
         ):
             violations.append(
                 f"cusp {j}: integer flux (every omega_k * L_k in 2*pi*Z); "

@@ -18,12 +18,10 @@ from scipy.integrate import quad
 
 from .cross_section import mu_spectrum, unit_ball_volume
 from .fiber import (
-    DEFAULT_SETTINGS,
     DIRICHLET,
     BoundaryCondition,
     ContinuousSpectrumError,
     FiberPotential,
-    PruferSettings,
     _interior_min,
     allowed_interval,
     count_fibers,
@@ -33,6 +31,7 @@ from .model import ManifoldModel, TorusCrossSection, cusp_volume, total_volume
 
 TWO_PI = 2.0 * math.pi
 
+# Absolute error target of each phase-integral quadrature.
 PHASE_QUAD_TOL = 1e-9
 
 
@@ -97,7 +96,7 @@ def admissible_fibers(
     return list(enumerate(spec.values))
 
 
-def phase_integral(f: FiberPotential, lam: float, tol: float = PHASE_QUAD_TOL) -> float:
+def phase_integral(f: FiberPotential, lam: float) -> float:
     """w(lam) = integral of sqrt([lam - V]_+) over the classically allowed region.
 
     The square-root vanishing at a turning point t* is removed by the
@@ -127,13 +126,13 @@ def phase_integral(f: FiberPotential, lam: float, tol: float = PHASE_QUAD_TOL) -
             lambda v: 2.0 * v * g(t_lo + v * v),
             0.0,
             math.sqrt(span),
-            epsabs=tol,
+            epsabs=PHASE_QUAD_TOL,
             epsrel=1e-11,
             limit=200,
         )
         total += val
     elif t_lo < t_min:
-        val, _ = quad(g, t_lo, t_min, epsabs=tol, epsrel=1e-11, limit=200)
+        val, _ = quad(g, t_lo, t_min, epsabs=PHASE_QUAD_TOL, epsrel=1e-11, limit=200)
         total += val
     span = t_hi - t_min
     if span > 0:
@@ -141,7 +140,7 @@ def phase_integral(f: FiberPotential, lam: float, tol: float = PHASE_QUAD_TOL) -
             lambda v: 2.0 * v * g(t_hi - v * v),
             0.0,
             math.sqrt(span),
-            epsabs=tol,
+            epsabs=PHASE_QUAD_TOL,
             epsrel=1e-11,
             limit=200,
         )
@@ -152,16 +151,15 @@ def phase_integral(f: FiberPotential, lam: float, tol: float = PHASE_QUAD_TOL) -
 def theta_sum(model: ManifoldModel, j: int, lam: float, tau: float = 1.0) -> float:
     """Sum of phase integrals / pi over the admissible fibers of cusp j.
 
-    Exact-zero modes (the free channel of an A = 0 model) are skipped: they
-    carry continuous spectrum and no phase term.
+    Each distinct mode is integrated once and its term repeated by its
+    multiplicity.  Exact-zero modes (the free channel of an A = 0 model) are
+    skipped: they carry continuous spectrum and no phase term.
     """
     cusp = model.cusps[j]
     terms = []
-    for _, mu in admissible_fibers(model, j, lam, tau):
-        if mu == 0.0:
-            continue
+    for mu, mult in _group_by_mu(admissible_fibers(model, j, lam, tau)):
         f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu)
-        terms.append(phase_integral(f, lam))
+        terms += [phase_integral(f, lam)] * mult
     return math.fsum(terms) / math.pi
 
 
@@ -173,14 +171,12 @@ def rj_sum(x: TorusCrossSection, tau: float, mu: float) -> float:
     return math.fsum(math.sqrt(mu - v) for v in values)
 
 
-def identity_residual(
-    x: TorusCrossSection, tau: float, mu: float, quad_tol: float = 1e-12
-) -> float:
+def identity_residual(x: TorusCrossSection, tau: float, mu: float) -> float:
     """|R(mu) - (1/2) int_0^oo [mu - s]_+^(-1/2) N(s) ds|, both sides exact.
 
     N is a step function, so the integral is a finite sum over jump
-    intervals; quad_tol only groups floating-point-equal eigenvalues into
-    one jump.  The residual is pure rounding noise.
+    intervals; eigenvalues within 1e-12 of each other are floating-point
+    equal and form one jump.  The residual is pure rounding noise.
     """
     if mu <= 0:
         return 0.0
@@ -188,7 +184,7 @@ def identity_residual(
     left = math.fsum(math.sqrt(mu - v) for v in values)
     jumps: list[tuple[float, int]] = []
     for v in values:
-        if jumps and abs(v - jumps[-1][0]) <= quad_tol:
+        if jumps and abs(v - jumps[-1][0]) <= 1e-12:
             jumps[-1] = (jumps[-1][0], jumps[-1][1] + 1)
         else:
             jumps.append((v, 1))
@@ -217,7 +213,6 @@ def cusp_count(
     lam: float,
     bc: BoundaryCondition = DIRICHLET,
     tau: float = 1.0,
-    settings: PruferSettings = DEFAULT_SETTINGS,
 ) -> CountResult:
     """Exact count of cusp-j eigenvalues below lam: sum of fiber counts,
     each distinct mode counted once by count_fibers and weighted by its
@@ -229,20 +224,13 @@ def cusp_count(
     """
     cusp = model.cusps[j]
     groups = _group_by_mu(admissible_fibers(model, j, lam, tau))
-    counts = count_fibers(
-        model.n, cusp.delta, cusp.a, [mu for mu, _ in groups], lam, bc, settings
-    )
+    counts = count_fibers(model.n, cusp.delta, cusp.a, [mu for mu, _ in groups], lam, bc)
     count = sum(mult * c for (_, mult), c in zip(groups, counts))
     leading = weyl_leading(cusp_volume(cusp, model.n), model.n, lam)
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 
 
-def total_count_bracket(
-    model: ManifoldModel,
-    lam: float,
-    tau: float = 1.0,
-    settings: PruferSettings = DEFAULT_SETTINGS,
-) -> CountResult:
+def total_count_bracket(model: ManifoldModel, lam: float, tau: float = 1.0) -> CountResult:
     """Dirichlet/Robin bracket of the whole-manifold counting function.
 
     low  = core Weyl band floor + sum_j Dirichlet cusp counts
@@ -252,8 +240,8 @@ def total_count_bracket(
     low = 0
     high = 0
     for j in range(len(model.cusps)):
-        low += cusp_count(model, j, lam, DIRICHLET, tau, settings).count
-        high += cusp_count(model, j, lam, BoundaryCondition.robin(), tau, settings).count
+        low += cusp_count(model, j, lam, DIRICHLET, tau).count
+        high += cusp_count(model, j, lam, BoundaryCondition.robin(), tau).count
     core = model.core
     if core.volume > 0 or core.remainder_coeff > 0:
         w_core = weyl_leading(core.volume, model.n, lam)
@@ -332,16 +320,12 @@ def remainder_fit(
     lambda_grid: Sequence[float],
     tau: float = 1.0,
     bc: BoundaryCondition = DIRICHLET,
-    settings: PruferSettings = DEFAULT_SETTINGS,
 ) -> FitReport:
     """Fit the empirical Weyl remainder of the exact (core-free) count."""
     if model.core.volume != 0.0:
         raise ValueError("remainder_fit needs core.volume = 0 (exact counts)")
     residuals = []
     for lam in lambda_grid:
-        count = sum(
-            cusp_count(model, j, lam, bc, tau, settings).count
-            for j in range(len(model.cusps))
-        )
+        count = sum(cusp_count(model, j, lam, bc, tau).count for j in range(len(model.cusps)))
         residuals.append(count - weyl_leading(total_volume(model), model.n, lam))
     return fit_remainder_samples(list(lambda_grid), residuals)

@@ -69,6 +69,16 @@ class TestCountAndSweep:
         assert int(cells[1]) <= int(cells[2])
         assert float(cells[3]) == pytest.approx(50.0)
 
+    @pytest.mark.parametrize("lam,low,high", [("20", 6, 10), ("60", 26, 32)])
+    def test_count_delta_near_one(self, capsys, tmp_path, lam, low, high):
+        # alpha ~ 1/(1 - delta) = 1e7; the counts are those of delta = 1
+        path = tmp_path / "near_one.json"
+        path.write_text(json.dumps(model_to_dict(circle_model(delta=0.9999999))))
+        code, out, _ = run_cli(capsys, "count", str(path), "--lambda", lam, "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["count_low"], row["count_high"]) == (low, high)
+
     def test_count_rejects_invalid_model(self, capsys, bad_flux_path):
         code, _, err = run_cli(capsys, "count", bad_flux_path, "--lambda", "10")
         assert code == 1

@@ -13,7 +13,6 @@ from cuspspec import (
     CuspEnd,
     FiberPotential,
     ManifoldModel,
-    PruferSettings,
     TorusCrossSection,
     admissible_fibers,
     count_fibers,
@@ -115,13 +114,19 @@ class TestCounting:
         ]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
-    def test_margin_doubling_invariance(self):
-        base = PruferSettings()
-        doubled = PruferSettings(t_margin=2 * base.t_margin)
-        for lam in (9.2, 30.0, 77.0):
-            assert fiber_count(F_REF, lam, settings=base) == fiber_count(
-                F_REF, lam, settings=doubled
-            )
+    def test_margin_doubling_invariance(self, monkeypatch):
+        # on F_REF the last geometric step of the tail walk overshoots both
+        # budgets, so the delta < 1 fiber is the one whose end point moves
+        cases = [
+            (f, lam)
+            for f in (F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0))
+            for lam in (9.2, 30.0, 77.0)
+        ]
+        counts = [fiber_count(f, lam) for f, lam in cases]
+        ends = [fiber._shoot_end(f, lam) for f, lam in cases]
+        monkeypatch.setattr(fiber, "T_MARGIN", 2 * fiber.T_MARGIN)
+        assert [fiber_count(f, lam) for f, lam in cases] == counts
+        assert any(fiber._shoot_end(f, lam) > end for (f, lam), end in zip(cases, ends))
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_level_raises(self, lam):
@@ -134,10 +139,14 @@ class TestCounting:
         "mu,lam,expected", [(0.25, 20.0, 2), (0.25, 60.0, 6), (1.0, 20.0, 1), (1.0, 60.0, 4)]
     )
     def test_delta_near_one(self, mu, lam, expected):
-        # the growth power 2 delta/(1 - delta) = 1998 underflows a direct
-        # evaluation of the potential minimum
-        f = FiberPotential.from_cusp(2, 0.999, 1.0, mu)
-        assert fiber_count(f, lam) == expected == len(fd_oracle(f, lam, grid=1 << 13))
+        # the growth power 2 delta/(1 - delta) >= 1998 underflows a direct
+        # evaluation of the potential minimum, and alpha ~ 1/(1 - delta) puts
+        # the turning point far from 0; Robin counts match the delta = 1 limit
+        robin = fiber_count(FiberPotential.from_cusp(2, 1.0, 1.0, mu), lam, ROBIN)
+        for delta in (0.999, 1.0 - 1e-7, 1.0 - 1e-9):
+            f = FiberPotential.from_cusp(2, delta, 1.0, mu)
+            for bc, want in ((BoundaryCondition.dirichlet(), expected), (ROBIN, robin)):
+                assert fiber_count(f, lam, bc) == want == len(fd_oracle(f, lam, bc, grid=1 << 13))
 
     def test_robin_dirichlet_limit(self):
         # under u'(alpha) + beta u(alpha) = 0, beta -> -infinity is the
@@ -190,10 +199,9 @@ class TestEigenvalues:
             assert l > s
 
     def test_simplicity_gaps(self):
-        settings = PruferSettings()
-        values = fiber_eigenvalues(F_REF, 90.0, settings=settings)
+        values = fiber_eigenvalues(F_REF, 90.0)
         for a, b in zip(values, values[1:]):
-            assert b - a > settings.rel_tol * max(1.0, abs(b))
+            assert b - a > fiber.REL_TOL * max(1.0, abs(b))
 
     def test_tie_excluded_at_cutoff(self):
         values = fiber_eigenvalues(F_REF, 60.0)
@@ -257,7 +265,7 @@ def count_bisection(f, lam_max, bc, rel_tol=1e-10):
 
 
 def close(value, reference, rel_tol=1e-9):
-    # relative on the scale max(1, |lam|) that PruferSettings.rel_tol uses
+    # relative on the scale max(1, |lam|) that fiber.REL_TOL uses
     return abs(value - reference) <= rel_tol * max(1.0, abs(reference))
 
 
@@ -295,7 +303,7 @@ class TestMatchedShooting:
         beta = fiber._resolve_beta(f, bc)
         theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
         t_match = fiber._interior_min(f)
-        t_end = fiber._shoot_end(f, lam_max, PruferSettings())
+        t_end = fiber._shoot_end(f, lam_max)
         counts = set()
         for lam in np.linspace(potential_min(f) - 1.0, lam_max, 17):
             mismatch = fiber._mismatch(f, float(lam), theta0, t_match, t_end)
@@ -320,22 +328,17 @@ class TestMatchedShooting:
         bc = ROBIN if robin else BoundaryCondition.dirichlet()
         beta = fiber._resolve_beta(f, bc)
         theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
-        t_end = fiber._shoot_end(f, max(lam, potential_min(f)), PruferSettings())
+        t_end = fiber._shoot_end(f, max(lam, potential_min(f)))
         mismatch = fiber._mismatch(f, lam, theta0, fiber._interior_min(f), t_end)
         assert math.ceil(mismatch / math.pi) == fiber_count(f, lam, bc)
 
     @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
     def test_prufer_round_trip(self, f):
-        kind, mu, c_pot, pw, sc = fiber._branch_params(f)
         lam, theta0 = 50.0, 0.3
         t0, t1 = f.alpha, turning_point(f, lam)
-        forward = fiber._prufer_theta(
-            kind, mu, c_pot, pw, sc, lam, t0, t1, theta0, fiber.ODE_RTOL, fiber.ODE_ATOL
-        )
+        forward = fiber._prufer_theta(f, lam, t0, t1, theta0)
         assert forward - theta0 > 2.0 * math.pi
-        back = fiber._prufer_theta(
-            kind, mu, c_pot, pw, sc, lam, t1, t0, forward, fiber.ODE_RTOL, fiber.ODE_ATOL
-        )
+        back = fiber._prufer_theta(f, lam, t1, t0, forward)
         assert abs(back - theta0) < 1e-9
 
 

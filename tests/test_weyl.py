@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cuspspec import fiber
+from cuspspec import fiber, weyl
 from cuspspec import (
     BoundaryCondition,
     CompactCoreSurrogate,
@@ -113,6 +113,25 @@ class TestThetaSum:
         assert len(fibers) == 1
         f = FiberPotential.from_cusp(2, 1.0, 1.0, fibers[0][1])
         assert theta_sum(model, 0, lam) == phase_integral(f, lam) / math.pi
+
+    def test_one_phase_integral_per_distinct_mode(self, ref_model, monkeypatch):
+        # omega = 0.5 pairs the modes (k + 1/2)^2 and (-k - 1/2)^2
+        lam = 100.0
+        fibers = admissible_fibers(ref_model, 0, lam)
+        terms = [
+            phase_integral(FiberPotential.from_cusp(2, 1.0, 1.0, mu), lam) for _, mu in fibers
+        ]
+        calls = []
+        real = weyl.phase_integral
+
+        def counted(f, lam):
+            calls.append(f.mu)
+            return real(f, lam)
+
+        monkeypatch.setattr(weyl, "phase_integral", counted)
+        assert theta_sum(ref_model, 0, lam) == math.fsum(terms) / math.pi
+        assert sorted(calls) == sorted({mu for _, mu in fibers})
+        assert len(calls) == len(fibers) // 2
 
     def test_zero_below_all_minima(self, ref_model):
         assert theta_sum(ref_model, 0, 0.3) == 0.0
