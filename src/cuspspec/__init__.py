@@ -56,6 +56,7 @@ from .weyl import (
     phase_integral,
     remainder_fit,
     remainder_model,
+    rj_identity,
     rj_sum,
     theta_sum,
     total_count_bracket,

@@ -34,10 +34,9 @@ from .model import FLUX_TOL, load_model, validate_model
 from .weyl import (
     PHASE_QUAD_TOL,
     fit_remainder_samples,
-    identity_residual,
     phase_integral,
     remainder_model,
-    rj_sum,
+    rj_identity,
     theta_sum,
     total_count_bracket,
 )
@@ -156,10 +155,10 @@ def _fiber_for(model, args, lam_hint: float) -> FiberPotential:
     if args.ell < 0:
         raise ValueError(f"--ell must be >= 0, got {args.ell}")
     cutoff = max(lam_hint, 1.0)
-    values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
+    values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values.tolist()
     while len(values) <= args.ell:
         cutoff *= 4.0
-        values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
+        values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values.tolist()
     return FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, values[args.ell])
 
 
@@ -236,9 +235,7 @@ def _embedded(model, args, meta):
 
 def _rj_identity(model, args, meta):
     x = _cusp(model, args).cross_section
-    rows = [
-        (mu, rj_sum(x, 1.0, mu), identity_residual(x, 1.0, mu)) for mu in _lambda_grid(args)
-    ]
+    rows = [(mu, *rj_identity(x, 1.0, mu)) for mu in _lambda_grid(args)]
     return ("mu", "rj", "residual"), rows, ()
 
 

@@ -28,12 +28,16 @@ class EnumerationBudgetError(RuntimeError):
     """Lattice enumeration would exceed the configured element budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossSpectrum:
-    """All cross-section eigenvalues below `cutoff`, sorted, with multiplicity."""
+    """All cross-section eigenvalues below `cutoff`, sorted, with multiplicity.
+
+    `values` is a read-only float64 array; callers that hand single values
+    on (as fiber parameters or output) convert them with `.tolist()`.
+    """
 
     tau: float
-    values: tuple[float, ...]
+    values: np.ndarray
     cutoff: float
 
     def __len__(self) -> int:
@@ -45,22 +49,25 @@ def _squared_norms(x: TorusCrossSection, tau: float, cutoff: float, max_elements
 
     |2 pi m/L + tau omega| < sqrt(cutoff) forces m into a window of width
     sqrt(cutoff) L / pi around -tau omega L / (2 pi); one extra index on each
-    side guards the open/closed boundary.  The squares are added in axis
+    side guards the open/closed boundary.  The box size is checked against
+    the budget before any array is built.  The squares are added in axis
     order, which fixes the rounding of every sum.
     """
     root = math.sqrt(cutoff)
-    offsets = []
+    windows = []
     for length, omega in zip(x.lengths, x.magnetic):
         shift = tau * omega * length / TWO_PI
         half_width = root * length / TWO_PI
-        lo = math.floor(-shift - half_width) - 1
-        hi = math.ceil(-shift + half_width) + 1
-        offsets.append(TWO_PI * np.arange(lo, hi + 1, dtype=np.int64) / length + tau * omega)
-    count = math.prod(axis.size for axis in offsets)
+        windows.append((math.floor(-shift - half_width) - 1, math.ceil(-shift + half_width) + 1))
+    count = math.prod(hi - lo + 1 for lo, hi in windows)
     if count > max_elements:
         raise EnumerationBudgetError(
             f"lattice enumeration needs {count} points, budget is {max_elements}"
         )
+    offsets = [
+        TWO_PI * np.arange(lo, hi + 1, dtype=np.int64) / length + tau * omega
+        for (lo, hi), length, omega in zip(windows, x.lengths, x.magnetic)
+    ]
     total = offsets[0] * offsets[0]
     for axis in offsets[1:]:
         total = np.add.outer(total, axis * axis)
@@ -73,16 +80,22 @@ def mu_spectrum(
     cutoff: float,
     max_elements: int = MAX_ELEMENTS,
 ) -> CrossSpectrum:
-    """Exact sorted multiset of eigenvalues mu_m(tau) < cutoff, as Python floats.
+    """Exact sorted multiset of eigenvalues mu_m(tau) < cutoff, as a
+    read-only float64 array.
 
-    Raises EnumerationBudgetError when the enumeration box holds more than
+    Raises ValueError for a cutoff that is not finite, and
+    EnumerationBudgetError when the enumeration box holds more than
     `max_elements` lattice points.
     """
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
     if cutoff <= 0:
-        return CrossSpectrum(tau=tau, values=(), cutoff=cutoff)
-    total = _squared_norms(x, tau, cutoff, max_elements)
-    values = np.sort(total[total < cutoff])
-    return CrossSpectrum(tau=tau, values=tuple(values.tolist()), cutoff=cutoff)
+        values = np.empty(0)
+    else:
+        total = _squared_norms(x, tau, cutoff, max_elements)
+        values = np.sort(total[total < cutoff])
+    values.flags.writeable = False
+    return CrossSpectrum(tau=tau, values=values, cutoff=cutoff)
 
 
 def cross_count(
@@ -120,7 +133,7 @@ def hormander_residual(
     if mu_max <= 1.0:
         raise ValueError("mu_max must exceed 1")
     d = x.dim
-    spectrum = np.asarray(mu_spectrum(x, tau, mu_max).values)
+    spectrum = mu_spectrum(x, tau, mu_max).values
     constant = unit_ball_volume(d) / TWO_PI**d * x.volume()
     worst = 0.0
     for mu in np.geomspace(1.0, mu_max, grid):

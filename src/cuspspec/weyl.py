@@ -93,7 +93,7 @@ def admissible_fibers(
     if cutoff <= 0:
         return []
     spec = mu_spectrum(model.cusps[j].cross_section, tau, cutoff)
-    return list(enumerate(spec.values))
+    return list(enumerate(spec.values.tolist()))
 
 
 def phase_integral(f: FiberPotential, lam: float) -> float:
@@ -163,39 +163,58 @@ def theta_sum(model: ManifoldModel, j: int, lam: float, tau: float = 1.0) -> flo
     return math.fsum(terms) / math.pi
 
 
+def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, float]:
+    """R(mu) and |R(mu) - (1/2) int_0^oo [mu - s]_+^(-1/2) N(s) ds|, both
+    sides exact, from one enumeration of the cross-section spectrum.
+
+    R(mu) = sum over the spectrum of sqrt([mu - mu_ell]_+).  N is a step
+    function, so the integral is a finite sum over jump intervals; a value
+    starts a new jump when it lies more than 1e-12 above the first value of
+    the current jump.  The residual is pure rounding noise.  Every term is a
+    correctly rounded sqrt and every sum an exactly rounded fsum, so the
+    result does not depend on the order of the terms.
+    """
+    if mu <= 0:
+        return 0.0, 0.0
+    values = mu_spectrum(x, tau, mu).values
+    roots = np.sqrt(mu - values)
+    left = math.fsum(roots)
+    starts, ends = _jumps(values)
+    # N = ends[k] from the first value of jump k to the first value of the
+    # next jump, or to mu past the last one, where the root is 0
+    closed = np.append(roots, 0.0)
+    right = math.fsum(ends * (roots[starts] - closed[ends]))
+    return left, abs(left - right)
+
+
+def _jumps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and one-past-last index of each jump of N over sorted values.
+
+    A gap above 1e-12 between neighbours always starts a jump.  A run of
+    neighbours closer than that can still span more than 1e-12 from its
+    first value; only such runs are split by the sequential rule.
+    """
+    opens = np.diff(values, prepend=-np.inf) > 1e-12
+    closes = np.diff(values, append=np.inf) > 1e-12
+    starts, lasts = np.flatnonzero(opens), np.flatnonzero(closes)
+    wide = values[lasts] - values[starts] > 1e-12
+    for a, b in zip(starts[wide].tolist(), lasts[wide].tolist()):
+        first = values[a]
+        for i in range(a + 1, b + 1):
+            if values[i] - first > 1e-12:
+                opens[i] = closes[i - 1] = True
+                first = values[i]
+    return np.flatnonzero(opens), np.flatnonzero(closes) + 1
+
+
 def rj_sum(x: TorusCrossSection, tau: float, mu: float) -> float:
     """R(mu) = sum over the cross-section spectrum of sqrt([mu - mu_ell]_+)."""
-    if mu <= 0:
-        return 0.0
-    values = mu_spectrum(x, tau, mu).values
-    return math.fsum(math.sqrt(mu - v) for v in values)
+    return rj_identity(x, tau, mu)[0]
 
 
 def identity_residual(x: TorusCrossSection, tau: float, mu: float) -> float:
-    """|R(mu) - (1/2) int_0^oo [mu - s]_+^(-1/2) N(s) ds|, both sides exact.
-
-    N is a step function, so the integral is a finite sum over jump
-    intervals; eigenvalues within 1e-12 of each other are floating-point
-    equal and form one jump.  The residual is pure rounding noise.
-    """
-    if mu <= 0:
-        return 0.0
-    values = mu_spectrum(x, tau, mu).values
-    left = math.fsum(math.sqrt(mu - v) for v in values)
-    jumps: list[tuple[float, int]] = []
-    for v in values:
-        if jumps and abs(v - jumps[-1][0]) <= 1e-12:
-            jumps[-1] = (jumps[-1][0], jumps[-1][1] + 1)
-        else:
-            jumps.append((v, 1))
-    terms = []
-    cumulative = 0
-    for k, (s_k, mult) in enumerate(jumps):
-        cumulative += mult
-        s_next = jumps[k + 1][0] if k + 1 < len(jumps) else mu
-        terms.append(cumulative * (math.sqrt(mu - s_k) - math.sqrt(mu - s_next)))
-    right = math.fsum(terms)
-    return abs(left - right)
+    """The residual of the sum-integral identity for R(mu); see rj_identity."""
+    return rj_identity(x, tau, mu)[1]
 
 
 def _group_by_mu(fibers: Sequence[tuple[int, float]]) -> list[tuple[float, int]]:

@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
 import warnings
 
 import pytest
 
-from cuspspec import fiber_eigenvalues, FiberPotential, model_to_dict
+from cuspspec import cli, weyl
+from cuspspec import fiber_eigenvalues, FiberPotential, load_model, model_to_dict
 from cuspspec.cli import main
 from conftest import circle_model
 
@@ -320,6 +322,29 @@ class TestOtherVerbs:
         assert code == 0
         residual = float(out.strip().splitlines()[1].split(",")[2])
         assert residual <= 1e-10
+
+    def test_rj_identity_enumerates_once_per_level(self, capsys, model_path, monkeypatch):
+        calls = []
+        real = weyl.mu_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weyl, "mu_spectrum", counted)
+        code, out, _ = run_cli(
+            capsys, "rj-identity", model_path, "--lambda-min", "10", "--lambda-max", "1000",
+            "--points", "3",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        assert len(calls) == 3
+
+    def test_fiber_mode_is_a_python_float(self, model_path):
+        model = load_model(model_path)
+        f = cli._fiber_for(model, argparse.Namespace(cusp=0, ell=3), 10.0)
+        assert type(f.mu) is float
+        assert f.mu == 2.25
 
     def test_embedded_row(self, capsys, model_path):
         code, out, _ = run_cli(capsys, "embedded", model_path, "--lambda", "100")

@@ -18,9 +18,11 @@ from cuspspec import (
     fiber_count,
     fit_remainder_samples,
     identity_residual,
+    mu_spectrum,
     phase_integral,
     remainder_fit,
     remainder_model,
+    rj_identity,
     rj_sum,
     theta_sum,
     total_count_bracket,
@@ -89,6 +91,7 @@ class TestAdmissible:
         fibers = admissible_fibers(ref_model, 0, 100.0)
         assert len(fibers) == 20
         assert fibers[0][1] == 0.25
+        assert all(type(mu) is float for _, mu in fibers)
 
     def test_empty_below_bottom(self, ref_model):
         assert admissible_fibers(ref_model, 0, 0.2) == []
@@ -172,6 +175,75 @@ class TestRjIdentity:
     def test_identity_residual_tiny(self):
         x = TorusCrossSection((TWO_PI,), (0.5,))
         assert identity_residual(x, 1.0, 100.0) <= 1e-10
+
+    # (lengths, omega, mu); the first has runs of neighbours within 1e-12
+    # whose span from the run's first value exceeds 1e-12
+    CASES = {
+        "torus3-wide-runs": ((TWO_PI, TWO_PI, TWO_PI), (0.5, 0.5, 0.25), 3000.0),
+        "torus2-free": ((TWO_PI, TWO_PI), (0.0, 0.0), 5000.0),
+        "torus2-benchmark": ((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3), 2.0e4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_to_sequential_grouping(self, name):
+        lengths, omega, mu = self.CASES[name]
+        x = TorusCrossSection(lengths, omega)
+        rj, residual = sequential_rj_identity(mu_spectrum(x, 1.0, mu).values.tolist(), mu)
+        assert rj_sum(x, 1.0, mu) == rj
+        assert identity_residual(x, 1.0, mu) == residual
+        assert rj_identity(x, 1.0, mu) == (rj, residual)
+
+    def test_wide_runs_are_split_sequentially(self):
+        lengths, omega, mu = self.CASES["torus3-wide-runs"]
+        x = TorusCrossSection(lengths, omega)
+        values = mu_spectrum(x, 1.0, mu).values
+        jumps = sequential_jumps(values.tolist())
+        # gaps above 1e-12 alone would give fewer jumps than the sequential rule
+        assert len(jumps) > 1 + np.count_nonzero(np.diff(values) > 1e-12)
+        starts, ends = weyl._jumps(values)
+        assert values[starts].tolist() == [s for s, _ in jumps]
+        assert (ends - starts).tolist() == [mult for _, mult in jumps]
+        assert rj_identity(x, 1.0, mu) == (22206530.683808643, 7.450580596923828e-09)
+
+    def test_empty_spectrum(self):
+        x = TorusCrossSection((TWO_PI,), (0.5,))
+        assert rj_identity(x, 1.0, 0.2) == (0.0, 0.0)  # mu_0 = 0.25
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_non_finite_mu_rejected(self, mu):
+        x = TorusCrossSection((TWO_PI,), (0.5,))
+        with pytest.raises(ValueError, match="must be finite"):
+            rj_sum(x, 1.0, mu)
+        with pytest.raises(ValueError, match="must be finite"):
+            identity_residual(x, 1.0, mu)
+
+
+def sequential_jumps(values):
+    """(first value, multiplicity) of each jump of N, by the per-mode loop.
+
+    A value joins the current jump when it lies within 1e-12 of the jump's
+    first value, scanning in ascending order.
+    """
+    jumps = []
+    for v in values:
+        if jumps and abs(v - jumps[-1][0]) <= 1e-12:
+            jumps[-1] = (jumps[-1][0], jumps[-1][1] + 1)
+        else:
+            jumps.append((v, 1))
+    return jumps
+
+
+def sequential_rj_identity(values, mu):
+    """R(mu) and the identity residual by per-mode loops (test oracle)."""
+    left = math.fsum(math.sqrt(mu - v) for v in values)
+    jumps = sequential_jumps(values)
+    terms = []
+    cumulative = 0
+    for k, (s_k, mult) in enumerate(jumps):
+        cumulative += mult
+        s_next = jumps[k + 1][0] if k + 1 < len(jumps) else mu
+        terms.append(cumulative * (math.sqrt(mu - s_k) - math.sqrt(mu - s_next)))
+    return left, abs(left - math.fsum(terms))
 
 
 class TestCuspCount:
