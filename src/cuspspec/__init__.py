@@ -17,7 +17,6 @@ from .model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
     spectral_floor,
     total_volume,
     validate_model,
@@ -49,8 +48,8 @@ from .fiber import (
 from .weyl import (
     CountResult,
     FitReport,
-    admissible_fibers,
     cusp_count,
+    cusp_modes,
     fit_remainder_samples,
     identity_residual,
     phase_integral,
@@ -70,4 +69,5 @@ from .embedded import (
     poincare_constant,
     r0_model,
     rho_exponent,
+    scale_field,
 )

@@ -150,16 +150,16 @@ def _cusp(model, args):
     return model.cusps[args.cusp]
 
 
-def _fiber_for(model, args, lam_hint: float) -> FiberPotential:
+def _fiber_for(model, args) -> FiberPotential:
     cusp = _cusp(model, args)
     if args.ell < 0:
         raise ValueError(f"--ell must be >= 0, got {args.ell}")
-    cutoff = max(lam_hint, 1.0)
-    values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values.tolist()
+    cutoff = 1.0
+    values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
     while len(values) <= args.ell:
         cutoff *= 4.0
-        values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values.tolist()
-    return FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, values[args.ell])
+        values = mu_spectrum(cusp.cross_section, 1.0, cutoff).values
+    return FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, float(values[args.ell]))
 
 
 def _boundary(args) -> BoundaryCondition:
@@ -202,15 +202,16 @@ def _sweep(model, args, meta):
 
 def _fiber(model, args, meta):
     lam = _finite("--lambda", args.lam)
-    values = fiber_eigenvalues(_fiber_for(model, args, lam), lam, _boundary(args))
+    values = fiber_eigenvalues(_fiber_for(model, args), lam, _boundary(args))
     return ("k", "value"), list(enumerate(values)), ()
 
 
 def _phase(model, args, meta):
     bc = _boundary(args)
+    lams = _lambda_grid(args)
+    f = _fiber_for(model, args)
     rows = []
-    for lam in _lambda_grid(args):
-        f = _fiber_for(model, args, lam)
+    for lam in lams:
         w = phase_integral(f, lam)
         count = fiber_count(f, lam, bc)
         rows.append((lam, w, count, abs(count - w / math.pi)))

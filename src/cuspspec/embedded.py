@@ -2,9 +2,10 @@
 
 Embedded eigenfunctions have zero cross-section mean in every cusp, so a
 Poincare inequality compares the free quadratic form against the magnetic
-form with the one-form scaled down to lam^(-rho) A.  The number of embedded
-eigenvalues below lam is then at most the counting function of the scaled
-magnetic Laplacian at a slightly shifted level, plus one.
+form with the one-form scaled down to tau A, tau = lam^(-rho).  The number
+of embedded eigenvalues below lam is then at most the counting function of
+the model whose one-form is tau A (scale_field) at a slightly shifted level,
+plus one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cross_section import TWO_PI, perturb_c2
-from .fiber import DIRICHLET
 from .model import ManifoldModel, TorusCrossSection, total_volume, validate_model
 from .weyl import cusp_count, total_count_bracket, weyl_leading
 
@@ -78,13 +78,13 @@ def poincare_constant(model: ManifoldModel) -> float:
     return c_a
 
 
-def demagnetize(model: ManifoldModel) -> ManifoldModel:
-    """The same geometry with the one-form switched off."""
+def scale_field(model: ManifoldModel, tau: float) -> ManifoldModel:
+    """The same geometry with every one-form A scaled to tau A."""
     cusps = tuple(
         dataclasses.replace(
             c,
             cross_section=dataclasses.replace(
-                c.cross_section, magnetic=(0.0,) * len(c.cross_section.magnetic)
+                c.cross_section, magnetic=tuple(tau * w for w in c.cross_section.magnetic)
             ),
         )
         for c in model.cusps
@@ -92,22 +92,23 @@ def demagnetize(model: ManifoldModel) -> ManifoldModel:
     return dataclasses.replace(model, cusps=cusps)
 
 
+def demagnetize(model: ManifoldModel) -> ManifoldModel:
+    """The same geometry with the one-form switched off."""
+    return scale_field(model, 0.0)
+
+
 def n_ess_exact(model: ManifoldModel, lam: float) -> int:
     """Exact embedded-eigenvalue count of the separable A = 0 model.
 
-    The sum over cusps of the Dirichlet cusp_count at tau = 0: every
-    mu_ell > 0 channel is counted, and the mu = 0 channel contributes only
-    continuous spectrum.  Requires a pure cusp ensemble (core volume 0) with
-    zero field.
+    The sum over cusps of the Dirichlet cusp_count: every mu_ell > 0
+    channel is counted, and the mu = 0 channel contributes only continuous
+    spectrum.  Requires a pure cusp ensemble (core volume 0) with zero field.
     """
     if model.is_magnetic:
         raise ValueError("n_ess_exact is defined for A = 0 models only")
     if model.core.volume != 0.0:
         raise ValueError("n_ess_exact needs core.volume = 0 (separable model)")
-    return sum(
-        cusp_count(model, j, lam, DIRICHLET, tau=0.0).count
-        for j in range(len(model.cusps))
-    )
+    return sum(cusp_count(model, j, lam).count for j in range(len(model.cusps)))
 
 
 def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
@@ -115,8 +116,8 @@ def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
 
     Computes tau = lam^(-rho), the Poincare constant C_A, the shifted level
     (1 + C_A tau) lam + C_A, and bounds the embedded count by the Robin end
-    of the scaled-model bracket there, plus one.  For a core-free model the
-    exact left-hand side is attached for comparison.
+    of the bracket of scale_field(model, tau) there, plus one.  For a
+    core-free model the exact left-hand side is attached for comparison.
     """
     violations = validate_model(model)
     if violations:
@@ -131,7 +132,7 @@ def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
     tau = lam**-rho
     c_a = poincare_constant(model)
     shifted = (1.0 + c_a * tau) * lam + c_a
-    bracket = total_count_bracket(model, shifted, tau=tau)
+    bracket = total_count_bracket(scale_field(model, tau), shifted)
     n_ess = None
     if model.core.volume == 0.0:
         n_ess = n_ess_exact(demagnetize(model), lam)

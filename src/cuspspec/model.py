@@ -279,6 +279,3 @@ def load_model(path: Union[str, Path]) -> ManifoldModel:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
 
-
-def save_model(model: ManifoldModel, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8")

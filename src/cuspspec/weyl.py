@@ -1,7 +1,8 @@
 """Global eigenvalue counting: fiber sums, phase integrals, Weyl residual fits.
 
 The count over one cusp is the exact integer sum of fiber counts over the
-finitely many admissible cross-section modes; the whole-manifold count is
+finitely many cross-section modes that cusp_modes lists, with the field the
+model carries (a scaled field is a scaled model); the whole-manifold count is
 bracketed between Dirichlet and Neumann-like (Robin) decoupled counts plus
 a Weyl band for the compact core.  Phase integrals give the semiclassical
 term whose sum tracks the cusp Weyl volume.
@@ -85,15 +86,16 @@ def mu_cutoff(model: ManifoldModel, lam: float) -> float:
     return lam / min(c.a ** (4.0 * c.delta) for c in model.cusps)
 
 
-def admissible_fibers(
-    model: ManifoldModel, j: int, lam: float, tau: float = 1.0
-) -> list[tuple[int, float]]:
-    """Indices ell and eigenvalues mu_ell(j, tau) of the contributing modes."""
-    cutoff = mu_cutoff(model, lam)
-    if cutoff <= 0:
-        return []
-    spec = mu_spectrum(model.cusps[j].cross_section, tau, cutoff)
-    return list(enumerate(spec.values.tolist()))
+def cusp_modes(model: ManifoldModel, j: int, lam: float) -> tuple[list[float], list[int]]:
+    """Distinct cross-section eigenvalues mu > 0 of cusp j that can contribute
+    below lam, ascending, and their multiplicities, as Python floats and ints.
+
+    An exact-zero mode (the free channel of an A = 0 model) is left out: it
+    carries continuous spectrum, no discrete eigenvalues and no phase term.
+    """
+    values = mu_spectrum(model.cusps[j].cross_section, 1.0, mu_cutoff(model, lam)).values
+    mus, mults = np.unique(values[values > 0.0], return_counts=True)
+    return mus.tolist(), mults.tolist()
 
 
 def phase_integral(f: FiberPotential, lam: float) -> float:
@@ -148,16 +150,15 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
     return total
 
 
-def theta_sum(model: ManifoldModel, j: int, lam: float, tau: float = 1.0) -> float:
-    """Sum of phase integrals / pi over the admissible fibers of cusp j.
+def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
+    """Sum of phase integrals / pi over the modes of cusp j.
 
     Each distinct mode is integrated once and its term repeated by its
-    multiplicity.  Exact-zero modes (the free channel of an A = 0 model) are
-    skipped: they carry continuous spectrum and no phase term.
+    multiplicity.
     """
     cusp = model.cusps[j]
     terms = []
-    for mu, mult in _group_by_mu(admissible_fibers(model, j, lam, tau)):
+    for mu, mult in zip(*cusp_modes(model, j, lam)):
         f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu)
         terms += [phase_integral(f, lam)] * mult
     return math.fsum(terms) / math.pi
@@ -217,21 +218,8 @@ def identity_residual(x: TorusCrossSection, tau: float, mu: float) -> float:
     return rj_identity(x, tau, mu)[1]
 
 
-def _group_by_mu(fibers: Sequence[tuple[int, float]]) -> list[tuple[float, int]]:
-    """Distinct mu > 0, ascending, with their multiplicities."""
-    groups: dict[float, int] = {}
-    for _, mu in fibers:
-        if mu > 0.0:
-            groups[mu] = groups.get(mu, 0) + 1
-    return sorted(groups.items())
-
-
 def cusp_count(
-    model: ManifoldModel,
-    j: int,
-    lam: float,
-    bc: BoundaryCondition = DIRICHLET,
-    tau: float = 1.0,
+    model: ManifoldModel, j: int, lam: float, bc: BoundaryCondition = DIRICHLET
 ) -> CountResult:
     """Exact count of cusp-j eigenvalues below lam: sum of fiber counts,
     each distinct mode counted once by count_fibers and weighted by its
@@ -242,14 +230,14 @@ def cusp_count(
     nonnegative decaying potential for delta < 1).
     """
     cusp = model.cusps[j]
-    groups = _group_by_mu(admissible_fibers(model, j, lam, tau))
-    counts = count_fibers(model.n, cusp.delta, cusp.a, [mu for mu, _ in groups], lam, bc)
-    count = sum(mult * c for (_, mult), c in zip(groups, counts))
+    mus, mults = cusp_modes(model, j, lam)
+    counts = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, bc)
+    count = sum(mult * c for mult, c in zip(mults, counts))
     leading = weyl_leading(cusp_volume(cusp, model.n), model.n, lam)
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 
 
-def total_count_bracket(model: ManifoldModel, lam: float, tau: float = 1.0) -> CountResult:
+def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
     """Dirichlet/Robin bracket of the whole-manifold counting function.
 
     low  = core Weyl band floor + sum_j Dirichlet cusp counts
@@ -259,8 +247,8 @@ def total_count_bracket(model: ManifoldModel, lam: float, tau: float = 1.0) -> C
     low = 0
     high = 0
     for j in range(len(model.cusps)):
-        low += cusp_count(model, j, lam, DIRICHLET, tau).count
-        high += cusp_count(model, j, lam, BoundaryCondition.robin(), tau).count
+        low += cusp_count(model, j, lam, DIRICHLET).count
+        high += cusp_count(model, j, lam, BoundaryCondition.robin()).count
     core = model.core
     if core.volume > 0 or core.remainder_coeff > 0:
         w_core = weyl_leading(core.volume, model.n, lam)
@@ -334,17 +322,12 @@ def fit_remainder_samples(
     )
 
 
-def remainder_fit(
-    model: ManifoldModel,
-    lambda_grid: Sequence[float],
-    tau: float = 1.0,
-    bc: BoundaryCondition = DIRICHLET,
-) -> FitReport:
-    """Fit the empirical Weyl remainder of the exact (core-free) count."""
+def remainder_fit(model: ManifoldModel, lambda_grid: Sequence[float]) -> FitReport:
+    """Fit the empirical Weyl remainder of the exact (core-free) Dirichlet count."""
     if model.core.volume != 0.0:
         raise ValueError("remainder_fit needs core.volume = 0 (exact counts)")
     residuals = []
     for lam in lambda_grid:
-        count = sum(cusp_count(model, j, lam, bc, tau).count for j in range(len(model.cusps)))
+        count = sum(cusp_count(model, j, lam).count for j in range(len(model.cusps)))
         residuals.append(count - weyl_leading(total_volume(model), model.n, lam))
     return fit_remainder_samples(list(lambda_grid), residuals)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -342,9 +343,28 @@ class TestOtherVerbs:
 
     def test_fiber_mode_is_a_python_float(self, model_path):
         model = load_model(model_path)
-        f = cli._fiber_for(model, argparse.Namespace(cusp=0, ell=3), 10.0)
+        f = cli._fiber_for(model, argparse.Namespace(cusp=0, ell=3))
         assert type(f.mu) is float
         assert f.mu == 2.25
+
+    def test_phase_picks_its_fiber_once(self, capsys, monkeypatch):
+        sizes = []
+        real = cli.mu_spectrum
+
+        def counted(*args, **kwargs):
+            spec = real(*args, **kwargs)
+            sizes.append(len(spec))
+            return spec
+
+        monkeypatch.setattr(cli, "mu_spectrum", counted)
+        torus3 = str(Path(__file__).parent / "golden" / "models" / "torus3.json")
+        code, out, _ = run_cli(
+            capsys, "phase", torus3, "--lambda-min", "50", "--lambda-max", "800",
+            "--points", "12",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 13
+        assert sizes == [4]
 
     def test_embedded_row(self, capsys, model_path):
         code, out, _ = run_cli(capsys, "embedded", model_path, "--lambda", "100")

@@ -1,19 +1,27 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cuspspec import (
+    CompactCoreSurrogate,
+    CuspEnd,
     FiberPotential,
+    ManifoldModel,
+    TorusCrossSection,
     demagnetize,
     embedded_upper_bound,
     fiber_count,
     mu0,
+    mu_spectrum,
     n_ess_exact,
     perturb_c2,
     poincare_constant,
     r0_model,
     rho_exponent,
+    scale_field,
     total_count_bracket,
 )
 from conftest import circle_model
@@ -94,7 +102,8 @@ class TestEmbeddedBound:
         assert rep.tau == pytest.approx(0.1, rel=1e-14)
         assert rep.c_a == pytest.approx(1.5, rel=1e-14)
         assert rep.shifted_lambda == pytest.approx(116.5, rel=1e-12)
-        bracket = total_count_bracket(ref_model, rep.shifted_lambda, tau=rep.tau)
+        # the bracket of the reference circle with its one-form scaled by tau
+        bracket = total_count_bracket(circle_model(omega=0.5 * rep.tau), rep.shifted_lambda)
         assert rep.bound == bracket.count_high + 1
         assert rep.n_ess is not None and rep.n_ess <= rep.bound
 
@@ -131,8 +140,6 @@ class TestEmbeddedBound:
         assert zero.cusps[0].a == ref_model.cusps[0].a
 
     def test_n3_torus_pipeline(self):
-        from cuspspec import CompactCoreSurrogate, CuspEnd, ManifoldModel, TorusCrossSection
-
         x3 = TorusCrossSection((2.0 * math.pi, 2.0 * math.pi), (1.0, 0.5))
         model = ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x3, 1.0, 1.0),))
         rep = embedded_upper_bound(model, 80.0)
@@ -142,6 +149,23 @@ class TestEmbeddedBound:
 
 
 class TestScaledField:
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=2),
+        omegas=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        tau=st.floats(0.0, 1.0, exclude_min=True),
+        cutoff=st.floats(0.01, 200.0),
+    )
+    def test_scaled_model_has_the_tau_spectrum(self, lengths, omegas, tau, cutoff):
+        # embedded_upper_bound counts scale_field(model, tau) at tau = 1 in
+        # place of the model at tau: the two spectra must agree bit for bit
+        x = TorusCrossSection(tuple(lengths), tuple(omegas[: len(lengths)]))
+        model = ManifoldModel(len(lengths) + 1, CompactCoreSurrogate(), (CuspEnd(x, 1.0, 1.0),))
+        scaled = scale_field(model, tau).cusps[0].cross_section
+        assert np.array_equal(
+            mu_spectrum(x, tau, cutoff).values, mu_spectrum(scaled, 1.0, cutoff).values
+        )
+
     def test_floor_quadratic_across_three_decades(self, ref_model):
         x = ref_model.cusps[0].cross_section
         c2 = perturb_c2(x)

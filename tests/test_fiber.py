@@ -14,17 +14,18 @@ from cuspspec import (
     FiberPotential,
     ManifoldModel,
     TorusCrossSection,
-    admissible_fibers,
     count_fibers,
     default_robin_beta,
     demagnetize,
     fd_oracle,
     fiber_count,
     fiber_eigenvalues,
+    mu_spectrum,
     potential_eval,
     potential_min,
     turning_point,
 )
+from cuspspec.weyl import mu_cutoff
 from conftest import TWO_PI, circle_model
 
 ROBIN = BoundaryCondition.robin()
@@ -349,7 +350,8 @@ def torus3_model() -> ManifoldModel:
 
 
 def distinct_modes(model, lam, tau):
-    return sorted({mu for _, mu in admissible_fibers(model, 0, lam, tau)})
+    x = model.cusps[0].cross_section
+    return np.unique(mu_spectrum(x, tau, mu_cutoff(model, lam)).values).tolist()
 
 
 def per_mode_counts(model, mus, lam, bc):

@@ -12,8 +12,8 @@ from cuspspec import (
     FiberPotential,
     ManifoldModel,
     TorusCrossSection,
-    admissible_fibers,
     cusp_count,
+    cusp_modes,
     fd_oracle,
     fiber_count,
     fit_remainder_samples,
@@ -29,7 +29,13 @@ from cuspspec import (
     weyl_leading,
 )
 from cuspspec.fiber import DIRICHLET
+from cuspspec.weyl import mu_cutoff
 from conftest import TWO_PI, circle_model
+
+
+def all_modes(model, lam):
+    """Every contributing cross-section mode of cusp 0, with multiplicity."""
+    return mu_spectrum(model.cusps[0].cross_section, 1.0, mu_cutoff(model, lam)).values.tolist()
 
 
 def closed_form_w_delta1(f: FiberPotential, lam: float) -> float:
@@ -88,17 +94,30 @@ class TestPhaseIntegral:
 
 class TestAdmissible:
     def test_reference_twenty_fibers(self, ref_model):
-        fibers = admissible_fibers(ref_model, 0, 100.0)
-        assert len(fibers) == 20
-        assert fibers[0][1] == 0.25
-        assert all(type(mu) is float for _, mu in fibers)
+        mus, mults = cusp_modes(ref_model, 0, 100.0)
+        assert sum(mults) == 20
+        assert mus[0] == 0.25
+        assert all(type(mu) is float for mu in mus)
+        assert all(type(mult) is int for mult in mults)
+
+    @pytest.mark.parametrize("omega", [0.5, 0.0])
+    def test_groups_the_spectrum(self, omega):
+        # omega = 0.5 pairs modes along the first axis; omega = 0 adds mu = 0
+        x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), (omega, 0.3 * omega))
+        model = ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x, 1.0, 1.0),))
+        modes = all_modes(model, 40.0)
+        groups: dict[float, int] = {}
+        for mu in modes:
+            if mu > 0.0:
+                groups[mu] = groups.get(mu, 0) + 1
+        assert max(groups.values()) > 1
+        assert (modes[0] == 0.0) == (omega == 0.0)
+        assert cusp_modes(model, 0, 40.0) == tuple(map(list, zip(*sorted(groups.items()))))
 
     def test_empty_below_bottom(self, ref_model):
-        assert admissible_fibers(ref_model, 0, 0.2) == []
+        assert cusp_modes(ref_model, 0, 0.2) == ([], [])
 
     def test_threshold_scales_as_a_pow_4delta(self):
-        from cuspspec.weyl import mu_cutoff
-
         lam = 25.0
         assert mu_cutoff(circle_model(a=0.5), lam) == pytest.approx(
             2.0**4 * mu_cutoff(circle_model(a=1.0), lam)
@@ -112,18 +131,17 @@ class TestThetaSum:
     def test_single_fiber_equals_phase_over_pi(self):
         model = circle_model(omega=0.3)
         lam = 0.2  # cutoff 0.2 admits only mu_0 = 0.09
-        fibers = admissible_fibers(model, 0, lam)
+        fibers = all_modes(model, lam)
         assert len(fibers) == 1
-        f = FiberPotential.from_cusp(2, 1.0, 1.0, fibers[0][1])
+        assert cusp_modes(model, 0, lam) == (fibers, [1])
+        f = FiberPotential.from_cusp(2, 1.0, 1.0, fibers[0])
         assert theta_sum(model, 0, lam) == phase_integral(f, lam) / math.pi
 
     def test_one_phase_integral_per_distinct_mode(self, ref_model, monkeypatch):
         # omega = 0.5 pairs the modes (k + 1/2)^2 and (-k - 1/2)^2
         lam = 100.0
-        fibers = admissible_fibers(ref_model, 0, lam)
-        terms = [
-            phase_integral(FiberPotential.from_cusp(2, 1.0, 1.0, mu), lam) for _, mu in fibers
-        ]
+        fibers = all_modes(ref_model, lam)
+        terms = [phase_integral(FiberPotential.from_cusp(2, 1.0, 1.0, mu), lam) for mu in fibers]
         calls = []
         real = weyl.phase_integral
 
@@ -133,7 +151,7 @@ class TestThetaSum:
 
         monkeypatch.setattr(weyl, "phase_integral", counted)
         assert theta_sum(ref_model, 0, lam) == math.fsum(terms) / math.pi
-        assert sorted(calls) == sorted({mu for _, mu in fibers})
+        assert sorted(calls) == sorted(set(fibers))
         assert len(calls) == len(fibers) // 2
 
     def test_zero_below_all_minima(self, ref_model):
@@ -252,7 +270,7 @@ class TestCuspCount:
 
     def test_oracle_sum_at_100(self, ref_model):
         total = 0
-        for _, mu in admissible_fibers(ref_model, 0, 100.0):
+        for mu in all_modes(ref_model, 100.0):
             f = FiberPotential.from_cusp(2, 1.0, 1.0, mu)
             total += len(fd_oracle(f, 100.0, grid=4096))
         assert cusp_count(ref_model, 0, 100.0).count == total
@@ -273,10 +291,10 @@ class TestCuspCount:
     def test_truncation_stability(self, ref_model):
         # counting over 10 extra fibers beyond the admissible cutoff adds 0
         lam = 60.0
-        fibers = admissible_fibers(ref_model, 0, lam)
-        extra = admissible_fibers(ref_model, 0, 4.0 * lam)[: len(fibers) + 10]
+        fibers = all_modes(ref_model, lam)
+        extra = all_modes(ref_model, 4.0 * lam)[: len(fibers) + 10]
         total = 0
-        for _, mu in extra:
+        for mu in extra:
             f = FiberPotential.from_cusp(2, 1.0, 1.0, mu)
             total += fiber_count(f, lam)
         assert total == cusp_count(ref_model, 0, lam).count
@@ -323,7 +341,7 @@ class TestCuspCount:
 
         monkeypatch.setattr(fiber, "_shoot_count", counted)
         res = cusp_count(model, 0, lam, bc)
-        modes = {mu for _, mu in admissible_fibers(model, 0, lam)}
+        modes = set(all_modes(model, lam))
         assert res.count > 0
         assert 0 < len(shoots) < len(modes) / 4
 
@@ -333,7 +351,7 @@ class TestBracket:
         lam = 100.0
         res = total_count_bracket(ref_model, lam)
         assert res.count_low <= res.count_high
-        assert res.count_high - res.count_low <= len(admissible_fibers(ref_model, 0, lam))
+        assert res.count_high - res.count_low <= len(all_modes(ref_model, lam))
 
     def test_small_lambda(self, ref_model):
         res = total_count_bracket(ref_model, 0.3)
@@ -354,12 +372,11 @@ class TestBracket:
         model = ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x3, 1.0, 1.0),))
         lam = 60.0
         bracket = total_count_bracket(model, lam)
-        groups: dict[float, int] = {}
-        for _, mu in admissible_fibers(model, 0, lam):
-            groups[mu] = groups.get(mu, 0) + 1
+        mus, mults = cusp_modes(model, 0, lam)
+        assert sum(mults) == len(all_modes(model, lam))
         total = sum(
             mult * len(fd_oracle(FiberPotential.from_cusp(3, 1.0, 1.0, mu), lam, grid=2048))
-            for mu, mult in groups.items()
+            for mu, mult in zip(mus, mults)
         )
         assert bracket.count_low == total
         assert bracket.count_low <= bracket.count_high
