@@ -17,7 +17,8 @@ from typing import Optional
 
 from .cross_section import TWO_PI, perturb_c2
 from .model import ManifoldModel, TorusCrossSection, total_volume, validate_model
-from .weyl import cusp_count, total_count_bracket, weyl_leading
+from .fiber import BoundaryCondition
+from .weyl import core_band, cusp_count, weyl_leading
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,12 @@ def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
     tau = lam**-rho
     c_a = poincare_constant(model)
     shifted = (1.0 + c_a * tau) * lam + c_a
-    bracket = total_count_bracket(scale_field(model, tau), shifted)
+    # the Robin end of the scaled model's bracket; its Dirichlet end is not needed
+    scaled = scale_field(model, tau)
+    high = core_band(scaled, shifted)[1] + sum(
+        cusp_count(scaled, j, shifted, BoundaryCondition.robin()).count
+        for j in range(len(scaled.cusps))
+    )
     n_ess = None
     if model.core.volume == 0.0:
         n_ess = n_ess_exact(demagnetize(model), lam)
@@ -142,7 +148,7 @@ def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
         tau=tau,
         c_a=c_a,
         shifted_lambda=shifted,
-        bound=bracket.count_high + 1,
+        bound=high + 1,
         n_ess=n_ess,
         leading=weyl_leading(total_volume(model), model.n, lam),
         r0=r0_model(model.n, model.delta, lam),

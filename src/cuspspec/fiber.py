@@ -22,17 +22,24 @@ nearly steady rate where theta climbs in stairs.  A count stops as soon as
 phi is trapped in [k pi, k pi + pi/2] past the turning point, where no
 further winding is possible, or at the latest at a point safely inside the
 classically forbidden region.
-A cusp's fibers are counted together by count_fibers.  V is pointwise
-non-decreasing in mu, while alpha and the Robin beta depend only on
-(n, delta, a), so by min-max every fiber eigenvalue is non-decreasing in mu
-and N(lambda; mu) is non-increasing along the sorted modes.  Bisection over
-the mode list then shoots only where the count changes: O(D log(M/D))
-shoots for M modes with D distinct counts, instead of M.
 Eigenvalues are listed by matched shooting: the mismatch F(lambda) between
 the forward shoot and a backward shoot of the decaying solution, taken at
 the potential minimum, is smooth and increasing, N(lambda) = ceil(F/pi), and
 each eigenvalue is a root of F = k pi.  A three-point finite-difference
 matrix provides an independent oracle.
+A cusp's fibers are counted together by count_fibers.  At delta = 1 the
+shift s = t + (1/2) ln mu turns every mode into the same equation
+-u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
+(1/2) ln mu, and beta does not depend on mu.  One backward shoot of the
+decaying solution, stopping at each s_mu in turn, then counts every mode by
+the matched-shooting identity with the match point at the boundary:
+N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi), whatever the number of
+distinct counts.  For delta < 1 no such shift exists.  There V is pointwise
+non-decreasing in mu, while alpha and the Robin beta depend only on
+(n, delta, a), so by min-max every fiber eigenvalue is non-decreasing in mu
+and N(lambda; mu) is non-increasing along the sorted modes.  Bisection over
+the mode list then shoots only where the count changes: O(D log(M/D))
+shoots for M modes with D distinct counts, instead of M.
 The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
 local error of each step, T_MARGIN and ANGLE_TOL place the end point of a
 shoot, and REL_TOL is the accuracy of listed eigenvalues.
@@ -400,6 +407,18 @@ def _shoot_count(f: FiberPotential, lam: float, theta0: float) -> int:
     return int(math.floor(theta / math.pi))
 
 
+def _require_finite(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"spectral level must be finite, got {lam}")
+
+
+def _decaying_theta(f: FiberPotential, lam: float, t: float) -> float:
+    """Prufer angle at t, in the forbidden region of lam, of the decaying
+    solution u'/u = -sqrt(V - lam)."""
+    kappa = math.sqrt(max(potential_eval(f, t) - lam, 0.0))
+    return math.atan2(1.0, -kappa)
+
+
 def fiber_count(f: FiberPotential, lam: float, bc: BoundaryCondition = DIRICHLET) -> int:
     """Number of eigenvalues strictly below lam (Prufer winding count).
 
@@ -407,8 +426,7 @@ def fiber_count(f: FiberPotential, lam: float, bc: BoundaryCondition = DIRICHLET
     asking for a count there raises ContinuousSpectrumError.  A non-finite
     lam raises ValueError.
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"spectral level must be finite, got {lam}")
+    _require_finite(lam)
     beta = _resolve_beta(f, bc)
     if f.mu == 0.0:
         if lam > f.ess_inf:
@@ -444,24 +462,33 @@ def count_fibers(
 ) -> list[int]:
     """fiber_count(lam) for each mode of one cusp, mus ascending, distinct and > 0.
 
-    N(lam; mu) is non-increasing in mu (see the module docstring), so when
-    the counts at both ends of an index range agree, every mode between them
-    has that count too.  Such a range is filled without shooting; any other
-    range is split at its midpoint.
+    delta = 1: every mode is the mu = 1 fiber shifted to start at s_mu (see
+    the module docstring), so one backward shoot of its decaying solution,
+    from the shoot end of the mode with the largest s_mu, passes every s_mu in
+    descending order and reads off N = ceil((theta0 - theta(s_mu)) / pi):
+    one kernel call per mode, and a total length of one shoot of the smallest.
+
+    delta < 1: N(lam; mu) is non-increasing in mu, so when the counts at both
+    ends of an index range agree, every mode between them has that count too.
+    Such a range is filled without shooting; any other range is split at its
+    midpoint.
     """
+    _require_finite(lam)
     mus = list(mus)
     if mus and not mus[0] > 0.0:
         raise ValueError("count_fibers needs mu > 0")
     if any(not hi > lo for lo, hi in zip(mus, mus[1:])):
         raise ValueError("count_fibers needs strictly ascending mus")
+    if not mus:
+        return []
+    if delta == 1.0:
+        return _count_shifted_modes(n, a, mus, lam, bc)
     counts: list[int] = [0] * len(mus)
 
     def shoot(i: int) -> None:
         f = FiberPotential.from_cusp(n, delta, a, mus[i])
         counts[i] = fiber_count(f, lam, bc)
 
-    if not mus:
-        return counts
     last = len(mus) - 1
     shoot(0)
     if last > 0:
@@ -478,6 +505,27 @@ def count_fibers(
     return counts
 
 
+def _count_shifted_modes(
+    n: int, a: float, mus: list[float], lam: float, bc: BoundaryCondition
+) -> list[int]:
+    """count_fibers at delta = 1, in the shifted coordinate s = t + (1/2) ln mu."""
+    alpha = 2.0 * math.log(a)
+    starts = [alpha + 0.5 * math.log(mu) for mu in mus]
+    # V(s) = e^(2s) + (n-1)^2/4 for every mode; this fiber's boundary is the
+    # largest s_mu, so its shoot end lies in the forbidden region of them all
+    f = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1])
+    beta = _resolve_beta(f, bc)
+    theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
+    s = _shoot_end(f, lam)
+    theta = _decaying_theta(f, lam, s)
+    counts = [0] * len(mus)
+    for i in range(len(mus) - 1, -1, -1):
+        theta = _prufer_theta(f, lam, s, starts[i], theta)
+        s = starts[i]
+        counts[i] = math.ceil((theta0 - theta) / math.pi)
+    return counts
+
+
 def _mismatch(
     f: FiberPotential, lam: float, theta0: float, t_match: float, t_end: float
 ) -> float:
@@ -489,8 +537,7 @@ def _mismatch(
     N(lam) = ceil(F / pi): eigenvalue k is the root of F = k pi.
     """
     theta_l = _prufer_theta(f, lam, f.alpha, t_match, theta0)
-    kappa = math.sqrt(max(potential_eval(f, t_end) - lam, 0.0))
-    theta_r = _prufer_theta(f, lam, t_end, t_match, math.atan2(1.0, -kappa))
+    theta_r = _prufer_theta(f, lam, t_end, t_match, _decaying_theta(f, lam, t_end))
     return theta_l - theta_r
 
 

@@ -237,6 +237,17 @@ def cusp_count(
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 
 
+def core_band(model: ManifoldModel, lam: float) -> tuple[int, int]:
+    """Floor and ceiling of the compact core's Weyl band at lam, (0, 0) when
+    the model has no core."""
+    core = model.core
+    if not (core.volume > 0 or core.remainder_coeff > 0):
+        return 0, 0
+    w_core = weyl_leading(core.volume, model.n, lam)
+    band = core.remainder_coeff * lam ** ((model.n - 1) / 2.0)
+    return max(0, math.floor(w_core - band)), max(0, math.ceil(w_core + band))
+
+
 def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
     """Dirichlet/Robin bracket of the whole-manifold counting function.
 
@@ -244,17 +255,10 @@ def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
     high = core Weyl band ceiling + sum_j Robin (default beta_j) cusp counts
     For core volume 0 both ends are exact decoupled counts.
     """
-    low = 0
-    high = 0
+    low, high = core_band(model, lam)
     for j in range(len(model.cusps)):
         low += cusp_count(model, j, lam, DIRICHLET).count
         high += cusp_count(model, j, lam, BoundaryCondition.robin()).count
-    core = model.core
-    if core.volume > 0 or core.remainder_coeff > 0:
-        w_core = weyl_leading(core.volume, model.n, lam)
-        band = core.remainder_coeff * lam ** ((model.n - 1) / 2.0)
-        low += max(0, math.floor(w_core - band))
-        high += max(0, math.ceil(w_core + band))
     leading = weyl_leading(total_volume(model), model.n, lam)
     return CountResult(lam=lam, count_low=low, count_high=high, leading=leading)
 

@@ -22,6 +22,12 @@ def circle_model(omega: float = 0.5, delta: float = 1.0, a: float = 1.0,
     )
 
 
+def torus3_model(delta: float = 1.0) -> ManifoldModel:
+    """n = 3 cusp over the two-length torus with a non-integer flux."""
+    x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3))
+    return ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x, a=1.0, delta=delta),))
+
+
 @pytest.fixture
 def ref_model() -> ManifoldModel:
     """n=2, single cusp, L=2pi, a=1, delta=1, omega=0.5, core=0."""

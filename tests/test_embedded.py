@@ -24,6 +24,8 @@ from cuspspec import (
     scale_field,
     total_count_bracket,
 )
+from cuspspec import embedded, weyl
+from cuspspec.fiber import DIRICHLET
 from conftest import circle_model
 
 
@@ -106,6 +108,26 @@ class TestEmbeddedBound:
         bracket = total_count_bracket(circle_model(omega=0.5 * rep.tau), rep.shifted_lambda)
         assert rep.bound == bracket.count_high + 1
         assert rep.n_ess is not None and rep.n_ess <= rep.bound
+
+    def test_counts_only_the_robin_end(self, monkeypatch):
+        # a cored model has no exact n_ess, so every cusp count the bound
+        # makes is its own; the Dirichlet end of the bracket is never needed
+        model = circle_model(core_volume=1.0, cusps=2)
+        kinds = []
+        real = weyl.cusp_count
+
+        def counted(model, j, lam, bc=DIRICHLET):
+            kinds.append(bc.kind)
+            return real(model, j, lam, bc)
+
+        monkeypatch.setattr(weyl, "cusp_count", counted)
+        monkeypatch.setattr(embedded, "cusp_count", counted)
+        rep = embedded_upper_bound(model, 100.0)
+        assert kinds == ["robin", "robin"]
+        monkeypatch.undo()
+        bracket = total_count_bracket(scale_field(model, rep.tau), rep.shifted_lambda)
+        assert rep.n_ess is None
+        assert rep.bound == bracket.count_high + 1
 
     def test_refuses_integer_flux(self):
         with pytest.raises(ValueError):

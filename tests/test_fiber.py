@@ -8,12 +8,8 @@ from hypothesis import given, strategies as st
 from cuspspec import fiber
 from cuspspec import (
     BoundaryCondition,
-    CompactCoreSurrogate,
     ContinuousSpectrumError,
-    CuspEnd,
     FiberPotential,
-    ManifoldModel,
-    TorusCrossSection,
     count_fibers,
     default_robin_beta,
     demagnetize,
@@ -26,7 +22,7 @@ from cuspspec import (
     turning_point,
 )
 from cuspspec.weyl import mu_cutoff
-from conftest import TWO_PI, circle_model
+from conftest import circle_model, torus3_model
 
 ROBIN = BoundaryCondition.robin()
 F_REF = FiberPotential.from_cusp(2, 1.0, 1.0, 1.0)
@@ -343,12 +339,6 @@ class TestMatchedShooting:
         assert abs(back - theta0) < 1e-9
 
 
-def torus3_model() -> ManifoldModel:
-    """n = 3 cusp over the two-length torus with a non-integer flux."""
-    x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3))
-    return ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x, a=1.0, delta=1.0),))
-
-
 def distinct_modes(model, lam, tau):
     x = model.cusps[0].cross_section
     return np.unique(mu_spectrum(x, tau, mu_cutoff(model, lam)).values).tolist()
@@ -403,6 +393,56 @@ class TestCountFibers:
     def test_rejects_unsorted_or_nonpositive(self, mus):
         with pytest.raises(ValueError, match="count_fibers"):
             count_fibers(2, 1.0, 1.0, mus, 50.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_raises(self, lam):
+        with pytest.raises(ValueError, match="spectral level must be finite"):
+            count_fibers(2, 1.0, 1.0, [1.0, 4.0], lam)
+
+    # at delta = 1 one backward shoot counts every mode; draw levels below
+    # (n-1)^2/4 too, where only Robin boundary states can be counted
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        a=st.floats(0.5, 2.0),
+        mus=st.lists(st.floats(math.log(1e-3), math.log(300.0)), min_size=1, max_size=30),
+        log_lam=st.floats(math.log(0.1), math.log(400.0)),
+        bc=st.one_of(
+            st.just(BoundaryCondition.dirichlet()),
+            st.just(ROBIN),
+            st.floats(-3.0, 3.0).map(BoundaryCondition.robin),
+        ),
+    )
+    def test_delta1_equals_per_mode_loop(self, n, a, mus, log_lam, bc):
+        mus = sorted({math.exp(x) for x in mus})
+        lam = math.exp(log_lam)
+        expected = [fiber_count(FiberPotential.from_cusp(n, 1.0, a, mu), lam, bc) for mu in mus]
+        assert count_fibers(n, 1.0, a, mus, lam, bc) == expected
+
+    @pytest.mark.parametrize(
+        "n,a,mus,lam",
+        [
+            (2, 1.0, [0.25, 30.25], 200.0),
+            (3, 0.7, [0.05, 9.0], 120.0),
+            (4, 1.5, [0.02], 300.0),
+        ],
+    )
+    def test_delta1_counts_zeros_of_bessel_k(self, n, a, mus, lam):
+        # the decaying solution of -u'' + (e^(2s) + (n-1)^2/4) u = lam u is
+        # K_{i nu}(e^s), nu^2 = lam - (n-1)^2/4; the Dirichlet count of mode mu
+        # is its number of zeros on (s_mu, oo), i.e. of y -> K_{i nu}(y) on
+        # (a^2 sqrt(mu), oo), and they all lie below y = nu, at least pi / nu
+        # apart in ln y
+        import mpmath
+
+        nu = math.sqrt(lam - (n - 1) ** 2 / 4.0)
+        expected = []
+        for mu in mus:
+            ys = np.geomspace(a * a * math.sqrt(mu), nu, 300)
+            signs = [mpmath.sign(mpmath.besselk(1j * nu, y).real) for y in ys]
+            expected.append(sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1))
+        assert min(expected) > 0
+        assert count_fibers(n, 1.0, a, mus, lam) == expected
 
 
 class TestMonotoneInMu:

@@ -30,7 +30,7 @@ from cuspspec import (
 )
 from cuspspec.fiber import DIRICHLET
 from cuspspec.weyl import mu_cutoff
-from conftest import TWO_PI, circle_model
+from conftest import TWO_PI, circle_model, torus3_model
 
 
 def all_modes(model, lam):
@@ -326,10 +326,9 @@ class TestCuspCount:
 
     @pytest.mark.parametrize("robin", [False, True])
     def test_shoots_grow_with_distinct_counts(self, monkeypatch, robin):
-        # the count is non-increasing along the sorted modes, so bisection
-        # shoots only where it changes, not once per mode
-        x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3))
-        model = ManifoldModel(3, CompactCoreSurrogate(), (CuspEnd(x, 1.0, 1.0),))
+        # at delta < 1 the count is non-increasing along the sorted modes, so
+        # bisection shoots only where it changes, not once per mode
+        model = torus3_model(delta=0.75)
         lam = 66.0
         bc = BoundaryCondition.robin() if robin else DIRICHLET
         shoots = []
@@ -344,6 +343,32 @@ class TestCuspCount:
         modes = set(all_modes(model, lam))
         assert res.count > 0
         assert 0 < len(shoots) < len(modes) / 4
+
+    @pytest.mark.parametrize("robin", [False, True])
+    def test_delta1_one_kernel_call_per_mode(self, monkeypatch, robin):
+        # at delta = 1 one backward shoot passes every mode: no per-fiber
+        # shoot, and one kernel call per distinct mode
+        model = torus3_model(delta=1.0)
+        lam = 66.0
+        bc = BoundaryCondition.robin() if robin else DIRICHLET
+        calls = {"shoot": 0, "kernel": 0}
+        real_shoot, real_kernel = fiber._shoot_count, fiber._prufer_theta
+
+        def shoot(*args):
+            calls["shoot"] += 1
+            return real_shoot(*args)
+
+        def kernel(*args):
+            calls["kernel"] += 1
+            return real_kernel(*args)
+
+        monkeypatch.setattr(fiber, "_shoot_count", shoot)
+        monkeypatch.setattr(fiber, "_prufer_theta", kernel)
+        res = cusp_count(model, 0, lam, bc)
+        modes = set(all_modes(model, lam))
+        assert res.count > 0
+        assert calls["shoot"] == 0
+        assert 0 < calls["kernel"] <= len(modes)
 
 
 class TestBracket:
