@@ -18,7 +18,7 @@ from typing import Optional
 from .cross_section import TWO_PI, perturb_c2
 from .model import ManifoldModel, TorusCrossSection, total_volume, validate_model
 from .fiber import BoundaryCondition
-from .weyl import core_band, cusp_count, weyl_leading
+from .weyl import count_end, cusp_count, weyl_leading
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,7 @@ def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
     c_a = poincare_constant(model)
     shifted = (1.0 + c_a * tau) * lam + c_a
     # the Robin end of the scaled model's bracket; its Dirichlet end is not needed
-    scaled = scale_field(model, tau)
-    high = core_band(scaled, shifted)[1] + sum(
-        cusp_count(scaled, j, shifted, BoundaryCondition.robin()).count
-        for j in range(len(scaled.cusps))
-    )
+    high = count_end(scale_field(model, tau), shifted, BoundaryCondition.robin())
     n_ess = None
     if model.core.volume == 0.0:
         n_ess = n_ess_exact(demagnetize(model), lam)

@@ -34,10 +34,11 @@ shift s = t + (1/2) ln mu turns every mode into the same equation
 decaying solution, stopping at each s_mu in turn, then counts every mode by
 the matched-shooting identity with the match point at the boundary:
 N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi), whatever the number of
-distinct counts.  For delta < 1 no such shift exists.  There V is pointwise
-non-decreasing in mu, while alpha and the Robin beta depend only on
-(n, delta, a), so by min-max every fiber eigenvalue is non-decreasing in mu
-and N(lambda; mu) is non-increasing along the sorted modes.  Bisection over
+distinct counts; fiber_count applies it to an angle it is given.  For
+delta < 1 no such shift exists.  There V is pointwise non-decreasing in
+mu, while alpha and the Robin beta depend only on (n, delta, a), so by
+min-max every fiber eigenvalue is non-decreasing in mu and N(lambda; mu)
+is non-increasing along the sorted modes.  Bisection over
 the mode list then shoots only where the count changes: O(D log(M/D))
 shoots for M modes with D distinct counts, instead of M.
 The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
@@ -419,8 +420,20 @@ def _decaying_theta(f: FiberPotential, lam: float, t: float) -> float:
     return math.atan2(1.0, -kappa)
 
 
-def fiber_count(f: FiberPotential, lam: float, bc: BoundaryCondition = DIRICHLET) -> int:
+def fiber_count(
+    f: FiberPotential,
+    lam: float,
+    bc: BoundaryCondition = DIRICHLET,
+    *,
+    theta_decay: Optional[float] = None,
+) -> int:
     """Number of eigenvalues strictly below lam (Prufer winding count).
+
+    theta_decay, when given, is the Prufer angle at alpha of the solution
+    that decays at infinity at level lam, already shot elsewhere (count_fibers
+    shares one such shoot among the modes of a delta = 1 cusp).  The count is
+    then ceil((theta0 - theta_decay) / pi), the matched-shooting identity
+    with the match point at the boundary, and no shoot is made.
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
     asking for a count there raises ContinuousSpectrumError.  A non-finite
@@ -449,6 +462,8 @@ def fiber_count(f: FiberPotential, lam: float, bc: BoundaryCondition = DIRICHLET
     if lam <= vmin and (bc.kind == "dirichlet" or beta <= 0.0):
         return 0
     theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
+    if theta_decay is not None:
+        return math.ceil((theta0 - theta_decay) / math.pi)
     return _shoot_count(f, lam, theta0)
 
 
@@ -465,8 +480,9 @@ def count_fibers(
     delta = 1: every mode is the mu = 1 fiber shifted to start at s_mu (see
     the module docstring), so one backward shoot of its decaying solution,
     from the shoot end of the mode with the largest s_mu, passes every s_mu in
-    descending order and reads off N = ceil((theta0 - theta(s_mu)) / pi):
-    one kernel call per mode, and a total length of one shoot of the smallest.
+    descending order.  Each mode's angle there goes to fiber_count as
+    theta_decay, which reads off N = ceil((theta0 - theta(s_mu)) / pi): one
+    kernel call per mode, and a total length of one shoot of the smallest.
 
     delta < 1: N(lam; mu) is non-increasing in mu, so when the counts at both
     ends of an index range agree, every mode between them has that count too.
@@ -511,18 +527,18 @@ def _count_shifted_modes(
     """count_fibers at delta = 1, in the shifted coordinate s = t + (1/2) ln mu."""
     alpha = 2.0 * math.log(a)
     starts = [alpha + 0.5 * math.log(mu) for mu in mus]
-    # V(s) = e^(2s) + (n-1)^2/4 for every mode; this fiber's boundary is the
-    # largest s_mu, so its shoot end lies in the forbidden region of them all
-    f = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1])
-    beta = _resolve_beta(f, bc)
-    theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
-    s = _shoot_end(f, lam)
-    theta = _decaying_theta(f, lam, s)
+    # V(s) = e^(2s) + (n-1)^2/4 for every mode.  The shoot runs on the fiber
+    # whose boundary is the lowest s_mu and so covers every segment; it ends
+    # where the top mode's shoot would, in the forbidden region of them all
+    shifted = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[0])
+    s = _shoot_end(FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1]), lam)
+    theta = _decaying_theta(shifted, lam, s)
     counts = [0] * len(mus)
     for i in range(len(mus) - 1, -1, -1):
-        theta = _prufer_theta(f, lam, s, starts[i], theta)
+        theta = _prufer_theta(shifted, lam, s, starts[i], theta)
         s = starts[i]
-        counts[i] = math.ceil((theta0 - theta) / math.pi)
+        f = FiberPotential(n=n, delta=1.0, mu=mus[i], alpha=alpha)
+        counts[i] = fiber_count(f, lam, bc, theta_decay=theta)
     return counts
 
 

@@ -237,15 +237,20 @@ def cusp_count(
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 
 
-def core_band(model: ManifoldModel, lam: float) -> tuple[int, int]:
-    """Floor and ceiling of the compact core's Weyl band at lam, (0, 0) when
-    the model has no core."""
+def count_end(model: ManifoldModel, lam: float, bc: BoundaryCondition) -> int:
+    """One end of the whole-manifold bracket at lam: the compact core's Weyl
+    band floor plus every Dirichlet cusp count, or its ceiling plus every
+    cusp count under the Robin bc.  A model without a core adds nothing."""
     core = model.core
-    if not (core.volume > 0 or core.remainder_coeff > 0):
-        return 0, 0
-    w_core = weyl_leading(core.volume, model.n, lam)
-    band = core.remainder_coeff * lam ** ((model.n - 1) / 2.0)
-    return max(0, math.floor(w_core - band)), max(0, math.ceil(w_core + band))
+    core_term = 0
+    if core.volume > 0 or core.remainder_coeff > 0:
+        w_core = weyl_leading(core.volume, model.n, lam)
+        band = core.remainder_coeff * lam ** ((model.n - 1) / 2.0)
+        if bc.kind == "dirichlet":
+            core_term = max(0, math.floor(w_core - band))
+        else:
+            core_term = max(0, math.ceil(w_core + band))
+    return core_term + sum(cusp_count(model, j, lam, bc).count for j in range(len(model.cusps)))
 
 
 def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
@@ -255,12 +260,12 @@ def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
     high = core Weyl band ceiling + sum_j Robin (default beta_j) cusp counts
     For core volume 0 both ends are exact decoupled counts.
     """
-    low, high = core_band(model, lam)
-    for j in range(len(model.cusps)):
-        low += cusp_count(model, j, lam, DIRICHLET).count
-        high += cusp_count(model, j, lam, BoundaryCondition.robin()).count
-    leading = weyl_leading(total_volume(model), model.n, lam)
-    return CountResult(lam=lam, count_low=low, count_high=high, leading=leading)
+    return CountResult(
+        lam=lam,
+        count_low=count_end(model, lam, DIRICHLET),
+        count_high=count_end(model, lam, BoundaryCondition.robin()),
+        leading=weyl_leading(total_volume(model), model.n, lam),
+    )
 
 
 def remainder_model(n: int, delta: float, lam: float) -> float:

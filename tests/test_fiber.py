@@ -385,6 +385,39 @@ class TestCountFibers:
         got = count_fibers(free.n, cusp.delta, cusp.a, mus, lam, self.BCS[bc])
         assert got == expected
 
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("bc", sorted(BCS))
+    def test_every_count_is_a_fiber_count_result(self, monkeypatch, name, bc):
+        # each count that count_fibers returns is a value of fiber_count, so a
+        # fault there shows in every cusp count, on both paths
+        model, lam = self.MODELS[name]
+        cusp = model.cusps[0]
+        mus = distinct_modes(model, lam, 1.0)
+        expected = per_mode_counts(model, mus, lam, self.BCS[bc])
+        real = fiber.fiber_count
+
+        def off_by_one(*args, **kwargs):
+            count = real(*args, **kwargs)
+            return count + 1 if count > 0 else count
+
+        monkeypatch.setattr(fiber, "fiber_count", off_by_one)
+        got = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, self.BCS[bc])
+        assert got == [c + 1 if c > 0 else c for c in expected]
+
+    @pytest.mark.parametrize("delta", [1.0, 0.75])
+    @pytest.mark.parametrize("bc", sorted(BCS))
+    @pytest.mark.parametrize("lam", [0.2, 3.0, 80.0])
+    def test_theta_decay_gives_the_shoot_count(self, delta, bc, lam):
+        # the decaying solution shot back to alpha counts by
+        # ceil((theta0 - theta) / pi), whatever the fiber
+        f = FiberPotential.from_cusp(2, delta, 0.8, 1.7)
+        end = fiber._shoot_end(f, lam)
+        theta = fiber._prufer_theta(f, lam, end, f.alpha, fiber._decaying_theta(f, lam, end))
+        direct = fiber_count(f, lam, self.BCS[bc])
+        assert fiber_count(f, lam, self.BCS[bc], theta_decay=theta) == direct
+        if lam == 80.0:
+            assert direct > 0
+
     def test_empty_and_single(self):
         assert count_fibers(2, 1.0, 1.0, [], 50.0) == []
         assert count_fibers(2, 1.0, 1.0, [1.0], 50.0) == [fiber_count(F_REF, 50.0)]
