@@ -17,8 +17,8 @@ from typing import Optional
 
 from .cross_section import TWO_PI, perturb_c2
 from .model import ManifoldModel, TorusCrossSection, total_volume, validate_model
-from .fiber import BoundaryCondition
-from .weyl import count_end, cusp_count, weyl_leading
+from .fiber import DIRICHLET, BoundaryCondition
+from .weyl import count_end, weyl_leading
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,15 @@ def demagnetize(model: ManifoldModel) -> ManifoldModel:
 def n_ess_exact(model: ManifoldModel, lam: float) -> int:
     """Exact embedded-eigenvalue count of the separable A = 0 model.
 
-    The sum over cusps of the Dirichlet cusp_count: every mu_ell > 0
-    channel is counted, and the mu = 0 channel contributes only continuous
+    The Dirichlet count_end, which for a model without core volume is the
+    sum of the Dirichlet cusp counts: every mu_ell > 0 channel is counted, and the mu = 0 channel contributes only continuous
     spectrum.  Requires a pure cusp ensemble (core volume 0) with zero field.
     """
     if model.is_magnetic:
         raise ValueError("n_ess_exact is defined for A = 0 models only")
     if model.core.volume != 0.0:
         raise ValueError("n_ess_exact needs core.volume = 0 (separable model)")
-    return sum(cusp_count(model, j, lam).count for j in range(len(model.cusps)))
+    return count_end(model, lam, DIRICHLET)
 
 
 def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:

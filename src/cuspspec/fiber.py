@@ -8,12 +8,12 @@ one-dimensional operator -d^2/dt^2 + V(t) on (alpha, oo), where
                             + (n-1) delta ((n-3) delta + 2) / (4 (1-delta)^2 t^2),
                      alpha = a^(2(1-delta)) / (1-delta)
 
-with mu >= 0 the cross-section eigenvalue.  Counting eigenvalues below a
-spectral level lambda is done by shooting the Prufer angle theta of
-(u, u') = r (sin theta, cos theta) from the boundary condition at alpha; the
-winding floor(theta/pi) is the count.  The kernel integrates the scaled
-angle phi of SLEIGN2 and SLEDGE, tan(phi) = S tan(theta) with
-E = lambda - V(t) and S = (E^2 + 1)^(1/4):
+with mu >= 0 the cross-section eigenvalue.  The Prufer angle theta of
+(u, u') = r (sin theta, cos theta) is shot two ways.  The forward shoot
+starts from the boundary condition at alpha; its winding floor(theta/pi)
+counts the eigenvalues below the spectral level lambda.  The kernel
+integrates the scaled angle phi of SLEIGN2 and SLEDGE, tan(phi) =
+S tan(theta) with E = lambda - V(t) and S = (E^2 + 1)^(1/4):
 
     phi' = S cos^2(phi) + (E/S) sin^2(phi) - (E V' / (2 (E^2 + 1))) sin(phi) cos(phi)
 
@@ -22,25 +22,24 @@ nearly steady rate where theta climbs in stairs.  A count stops as soon as
 phi is trapped in [k pi, k pi + pi/2] past the turning point, where no
 further winding is possible, or at the latest at a point safely inside the
 classically forbidden region.
-Eigenvalues are listed by matched shooting: the mismatch F(lambda) between
-the forward shoot and a backward shoot of the decaying solution, taken at
-the potential minimum, is smooth and increasing, N(lambda) = ceil(F/pi), and
-each eigenvalue is a root of F = k pi.  A three-point finite-difference
-matrix provides an independent oracle.
+The backward shoot runs the solution that decays at infinity from the
+forbidden region, where backward integration is stable, to the boundary.
+Its angle there gives the boundary read-off F(lambda) = theta0 -
+theta_dec(alpha; lambda), smooth and increasing with N(lambda) =
+ceil(F/pi).  Eigenvalues are listed as the roots of F = k pi, and a
+three-point finite-difference matrix provides an independent oracle.
 A cusp's fibers are counted together by count_fibers.  At delta = 1 the
 shift s = t + (1/2) ln mu turns every mode into the same equation
 -u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
-(1/2) ln mu, and beta does not depend on mu.  One backward shoot of the
-decaying solution, stopping at each s_mu in turn, then counts every mode by
-the matched-shooting identity with the match point at the boundary:
-N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi), whatever the number of
-distinct counts; fiber_count applies it to an angle it is given.  For
-delta < 1 no such shift exists.  There V is pointwise non-decreasing in
-mu, while alpha and the Robin beta depend only on (n, delta, a), so by
-min-max every fiber eigenvalue is non-decreasing in mu and N(lambda; mu)
-is non-increasing along the sorted modes.  Bisection over
-the mode list then shoots only where the count changes: O(D log(M/D))
-shoots for M modes with D distinct counts, instead of M.
+(1/2) ln mu, and beta does not depend on mu.  One backward shoot, stopping
+at each s_mu in turn, then counts every mode by the boundary read-off
+N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi); fiber_count applies it
+to an angle it is given.  For delta < 1 no such shift exists.  There V is
+pointwise non-decreasing in mu, while alpha and the Robin beta depend only
+on (n, delta, a), so by min-max every fiber eigenvalue is non-decreasing
+in mu and N(lambda; mu) is non-increasing along the sorted modes.
+Bisection over the mode list then makes forward shoots only where the
+count changes: O(D log(M/D)) shoots for M modes with D distinct counts.
 The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
 local error of each step, T_MARGIN and ANGLE_TOL place the end point of a
 shoot, and REL_TOL is the accuracy of listed eigenvalues.
@@ -226,6 +225,10 @@ def _right_edge(f: FiberPotential, lam: float, t_min: float, vmin: float) -> Opt
     t_hi = (lam / f.mu) ** (1.0 / f.power) / (1.0 - f.delta)
     if t_hi <= t_min:
         return t_min
+    # V(t_hi) = lam + c/t_hi^2, and at lam >~ 1e11 the c/t_hi^2 term falls
+    # below the rounding of lam: widen until the bracket closes
+    while potential_eval(f, t_hi) <= lam:
+        t_hi *= 2.0
     return brentq(lambda t: potential_eval(f, t) - lam, t_min, t_hi, xtol=1e-13, rtol=1e-15)
 
 
@@ -413,11 +416,23 @@ def _require_finite(lam: float) -> None:
         raise ValueError(f"spectral level must be finite, got {lam}")
 
 
-def _decaying_theta(f: FiberPotential, lam: float, t: float) -> float:
-    """Prufer angle at t, in the forbidden region of lam, of the decaying
-    solution u'/u = -sqrt(V - lam)."""
-    kappa = math.sqrt(max(potential_eval(f, t) - lam, 0.0))
-    return math.atan2(1.0, -kappa)
+def _boundary_angle(f: FiberPotential, bc: BoundaryCondition) -> float:
+    """Prufer angle theta0 at alpha of the boundary condition: 0 for
+    Dirichlet, u'/u = -beta for Robin."""
+    return 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -_resolve_beta(f, bc))
+
+
+def _shoot_back(f: FiberPotential, lam: float, t_end: float, stops: Sequence[float]) -> list[float]:
+    """Prufer angles at each of stops, descending and >= alpha, of the
+    solution that decays at infinity at level lam, shot back from t_end in
+    its forbidden region, where it starts at u'/u = -sqrt(V - lam)."""
+    theta = math.atan2(1.0, -math.sqrt(max(potential_eval(f, t_end) - lam, 0.0)))
+    angles = []
+    for stop in stops:
+        theta = _prufer_theta(f, lam, t_end, stop, theta)
+        t_end = stop
+        angles.append(theta)
+    return angles
 
 
 def fiber_count(
@@ -432,8 +447,8 @@ def fiber_count(
     theta_decay, when given, is the Prufer angle at alpha of the solution
     that decays at infinity at level lam, already shot elsewhere (count_fibers
     shares one such shoot among the modes of a delta = 1 cusp).  The count is
-    then ceil((theta0 - theta_decay) / pi), the matched-shooting identity
-    with the match point at the boundary, and no shoot is made.
+    then the boundary read-off ceil((theta0 - theta_decay) / pi), and no
+    shoot is made.
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
     asking for a count there raises ContinuousSpectrumError.  A non-finite
@@ -456,12 +471,11 @@ def fiber_count(
             return 1 if (beta > 0.0 and q - beta * beta < lam) else 0
         if beta <= 0.0:
             return 0
-        theta0 = math.atan2(1.0, -beta)
-        return _shoot_count(f, lam, theta0)
+        return _shoot_count(f, lam, _boundary_angle(f, bc))
     vmin = potential_min(f)
     if lam <= vmin and (bc.kind == "dirichlet" or beta <= 0.0):
         return 0
-    theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
+    theta0 = _boundary_angle(f, bc)
     if theta_decay is not None:
         return math.ceil((theta0 - theta_decay) / math.pi)
     return _shoot_count(f, lam, theta0)
@@ -531,80 +545,59 @@ def _count_shifted_modes(
     # whose boundary is the lowest s_mu and so covers every segment; it ends
     # where the top mode's shoot would, in the forbidden region of them all
     shifted = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[0])
-    s = _shoot_end(FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1]), lam)
-    theta = _decaying_theta(shifted, lam, s)
-    counts = [0] * len(mus)
-    for i in range(len(mus) - 1, -1, -1):
-        theta = _prufer_theta(shifted, lam, s, starts[i], theta)
-        s = starts[i]
-        f = FiberPotential(n=n, delta=1.0, mu=mus[i], alpha=alpha)
-        counts[i] = fiber_count(f, lam, bc, theta_decay=theta)
-    return counts
-
-
-def _mismatch(
-    f: FiberPotential, lam: float, theta0: float, t_match: float, t_end: float
-) -> float:
-    """F(lam) = theta_L(t_match) - theta_R(t_match) of two-sided shooting.
-
-    theta_L is shot forward from the boundary angle theta0 at alpha; theta_R
-    is shot backward from t_end, in the forbidden region of lam, starting on
-    the decaying solution u'/u = -sqrt(V - lam).  F increases with lam, and
-    N(lam) = ceil(F / pi): eigenvalue k is the root of F = k pi.
-    """
-    theta_l = _prufer_theta(f, lam, f.alpha, t_match, theta0)
-    theta_r = _prufer_theta(f, lam, t_end, t_match, _decaying_theta(f, lam, t_end))
-    return theta_l - theta_r
+    end = _shoot_end(FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1]), lam)
+    thetas = _shoot_back(shifted, lam, end, starts[::-1])[::-1]
+    return [
+        fiber_count(FiberPotential(n=n, delta=1.0, mu=mu, alpha=alpha), lam, bc, theta_decay=theta)
+        for mu, theta in zip(mus, thetas)
+    ]
 
 
 def fiber_eigenvalues(
     f: FiberPotential, lam_max: float, bc: BoundaryCondition = DIRICHLET
 ) -> list[float]:
-    """All eigenvalues below lam_max, by matched shooting to REL_TOL.
+    """All eigenvalues below lam_max, to REL_TOL, as the roots of the
+    boundary read-off F(lam) = theta0 - theta_dec(alpha; lam) = k pi.
 
-    The mismatch F of _mismatch is matched at the potential minimum and
-    shot backward from the end point of the shoot at lam_max, so every
-    lam <= lam_max shares it.  F is smooth and increasing, and eigenvalue k
-    is the root of F = k pi, found by brentq inside a bracket read off the F
-    values already computed; each F value is kept for the later roots.  The
-    total comes from fiber_count(lam_max).  A top root that cannot be
-    bracketed below lam_max, or that falls within REL_TOL of it, is a tie
-    with the cutoff and is dropped.
+    Every backward shoot starts from the end point of the shoot at lam_max.
+    The total is fiber_count's read-off ceil(F(lam_max) / pi), so each root
+    below it is bracketed by the F values already computed, and brentq
+    refines it; each F value is kept for the later roots.  A root within
+    REL_TOL of lam_max is a tie with the cutoff and is dropped.
     """
     if f.mu <= 0.0:
         raise ValueError("fiber_eigenvalues needs a confining fiber (mu > 0)")
-    total = fiber_count(f, lam_max, bc)
+    _require_finite(lam_max)
+    theta0 = _boundary_angle(f, bc)
+    lo = potential_min(f)
+    # below the potential minimum, the end point of the shoot at the minimum
+    t_end = _shoot_end(f, max(lam_max, lo))
+    theta_dec: dict[float, float] = {}
+
+    def read_off(lam: float) -> float:
+        if lam not in theta_dec:
+            theta_dec[lam] = _shoot_back(f, lam, t_end, [f.alpha])[0]
+        return theta0 - theta_dec[lam]
+
+    read_off(lam_max)
+    total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
     if total == 0:
         return []
     beta = _resolve_beta(f, bc)
-    theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
-    t_match = _interior_min(f)
-    lo = potential_min(f)
-    # below the potential minimum the end point is placed from t_match
-    t_end = _shoot_end(f, max(lam_max, lo))
-    cache: dict[float, float] = {}
-
-    def mismatch(lam: float) -> float:
-        if lam not in cache:
-            cache[lam] = _mismatch(f, lam, theta0, t_match, t_end)
-        return cache[lam]
-
     if bc.kind == "robin" and beta > 0.0:
         lo -= 2.0 * beta * beta + 1.0
-    while mismatch(lo) > 0.0:
+    while read_off(lo) > 0.0:
         lo -= 2.0 * (abs(lo) + 1.0)
-    mismatch(lam_max)
     values = []
     for k in range(total):
         target = k * math.pi
-        lams = sorted(cache)
+        lams = sorted(theta_dec)
         # F increases with lam, so the first sample above the target and the
-        # one before it bracket the root; F(lo) <= 0 keeps i >= 1
-        i = next((i for i, lam in enumerate(lams) if cache[lam] > target), None)
-        if i is None:
-            break
+        # one before it bracket the root; F(lo) <= 0 keeps i >= 1, and
+        # F(lam_max) > (total - 1) pi keeps i defined
+        i = next(i for i, lam in enumerate(lams) if read_off(lam) > target)
         root = brentq(
-            lambda lam: mismatch(lam) - target, lams[i - 1], lams[i], xtol=REL_TOL, rtol=REL_TOL
+            lambda lam: read_off(lam) - target, lams[i - 1], lams[i], xtol=REL_TOL, rtol=REL_TOL
         )
         values.append(root)
     cut = lam_max - REL_TOL * max(1.0, abs(lam_max))

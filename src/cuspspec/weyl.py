@@ -337,6 +337,6 @@ def remainder_fit(model: ManifoldModel, lambda_grid: Sequence[float]) -> FitRepo
         raise ValueError("remainder_fit needs core.volume = 0 (exact counts)")
     residuals = []
     for lam in lambda_grid:
-        count = sum(cusp_count(model, j, lam).count for j in range(len(model.cusps)))
+        count = count_end(model, lam, DIRICHLET)
         residuals.append(count - weyl_leading(total_volume(model), model.n, lam))
     return fit_remainder_samples(list(lambda_grid), residuals)

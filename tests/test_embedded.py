@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import hypothesis
@@ -24,7 +25,7 @@ from cuspspec import (
     scale_field,
     total_count_bracket,
 )
-from cuspspec import embedded, weyl
+from cuspspec import weyl
 from cuspspec.fiber import DIRICHLET
 from conftest import circle_model
 
@@ -88,6 +89,16 @@ class TestNEssExact:
         for lam in (10.0, 100.0):
             assert n_ess_exact(two, lam) == 2 * n_ess_exact(one, lam)
 
+    def test_core_band_adds_nothing(self, zero_field_model):
+        # a core-free model may still carry a remainder band; the Dirichlet
+        # end floors it away, so the count is the sum of the cusp counts
+        banded = dataclasses.replace(
+            zero_field_model, core=CompactCoreSurrogate(volume=0.0, remainder_coeff=5.0)
+        )
+        for lam in (10.0, 100.0):
+            direct = weyl.cusp_count(zero_field_model, 0, lam).count
+            assert n_ess_exact(banded, lam) == n_ess_exact(zero_field_model, lam) == direct > 0
+
     def test_counts_embedded_channels(self, zero_field_model):
         # at lam = 10 the mu = 1, 4, 9 channels contribute; mu = 0 does not
         direct = 0
@@ -120,8 +131,8 @@ class TestEmbeddedBound:
             kinds.append(bc.kind)
             return real(model, j, lam, bc)
 
+        # embedded counts only through weyl.count_end, which reads this name
         monkeypatch.setattr(weyl, "cusp_count", counted)
-        monkeypatch.setattr(embedded, "cusp_count", counted)
         rep = embedded_upper_bound(model, 100.0)
         assert kinds == ["robin", "robin"]
         monkeypatch.undo()

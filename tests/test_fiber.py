@@ -21,7 +21,8 @@ from cuspspec import (
     potential_min,
     turning_point,
 )
-from cuspspec.weyl import mu_cutoff
+from cuspspec.fiber import allowed_interval
+from cuspspec.weyl import mu_cutoff, phase_integral
 from conftest import circle_model, torus3_model
 
 ROBIN = BoundaryCondition.robin()
@@ -76,6 +77,20 @@ class TestTurningPoint:
         flat = FiberPotential.from_cusp(2, 1.0, 1.0, 0.0)
         assert turning_point(flat, 1.0) == math.inf
         assert turning_point(flat, 0.2) is None
+
+    @pytest.mark.parametrize("lam", [1e11, 1e12])
+    def test_large_level_delta_lt1(self, lam):
+        # c/t^2 falls below the rounding of lam at the first bracket end
+        f = FiberPotential.from_cusp(2, 0.75, 1.0, 0.25)
+        t = turning_point(f, lam)
+        assert potential_eval(f, t) == pytest.approx(lam, rel=1e-14)
+        assert allowed_interval(f, lam) == (f.alpha, t)
+        # without the 1/t^2 term, w = sqrt(lam) (T B - alpha) with
+        # T = (lam/mu)^(1/p) / (1 - delta) and B = integral_0^1 sqrt(1 - x^p) dx
+        p = f.power
+        span = (lam / f.mu) ** (1.0 / p) / (1.0 - f.delta)
+        b = math.gamma(1.0 + 1.0 / p) * math.gamma(1.5) / math.gamma(1.0 / p + 1.5)
+        assert phase_integral(f, lam) == pytest.approx(math.sqrt(lam) * (span * b - f.alpha), rel=1e-10)
 
     def test_delta_lt1_interior_dip(self):
         f = FiberPotential.from_cusp(2, 0.75, 0.2, 4.0)
@@ -281,36 +296,72 @@ class TestMatchedShooting:
         for v, r in zip(values, reference):
             assert close(v, r)
 
-    @pytest.mark.parametrize("f,lam", TestEdgeFibers.CASES)
-    def test_count_jumps_at_listed_values(self, f, lam):
+    @staticmethod
+    def assert_count_jumps_at_listed_values(f, lam, bc):
         # a count bisection lands within eps of v_k exactly when the count
         # steps from k to k + 1 inside (v_k - eps, v_k + eps], so two counts
         # per eigenvalue stand in for the full reference listing
+        values = fiber_eigenvalues(f, lam, bc)
+        assert len(values) == fiber_count(f, lam, bc)
+        for k, v in enumerate(values):
+            eps = 1e-9 * max(1.0, abs(v))
+            assert fiber_count(f, v - eps, bc) == k
+            assert fiber_count(f, v + eps, bc) == k + 1
+
+    @pytest.mark.parametrize("f,lam", TestEdgeFibers.CASES)
+    def test_count_jumps_at_listed_values(self, f, lam):
         for bc in (BoundaryCondition.dirichlet(), ROBIN):
-            values = fiber_eigenvalues(f, lam, bc)
-            assert len(values) == fiber_count(f, lam, bc)
-            for k, v in enumerate(values):
-                eps = 1e-9 * max(1.0, abs(v))
-                assert fiber_count(f, v - eps, bc) == k
-                assert fiber_count(f, v + eps, bc) == k + 1
+            self.assert_count_jumps_at_listed_values(f, lam, bc)
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+        a=st.floats(0.3, 1.5),
+        mu=st.floats(0.01, 20.0),
+        lam=st.floats(0.5, 150.0),
+        robin=st.booleans(),
+    )
+    def test_count_jumps_at_listed_values_on_drawn_fibers(self, n, delta, a, mu, lam, robin):
+        f = FiberPotential.from_cusp(n, delta, a, mu)
+        bc = ROBIN if robin else BoundaryCondition.dirichlet()
+        self.assert_count_jumps_at_listed_values(f, lam, bc)
+
+    @pytest.mark.parametrize("f,lam", CASES)
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
+    def test_listing_shoots_only_backward_to_alpha(self, monkeypatch, f, lam, bc):
+        # every kernel call of a listing, its total included, is the decaying
+        # solution shot back from the forbidden region to the boundary
+        calls = []
+        real = fiber._prufer_theta
+
+        def kernel(g, level, t0, t1, theta0):
+            calls.append((t0, t1))
+            return real(g, level, t0, t1, theta0)
+
+        monkeypatch.setattr(fiber, "_prufer_theta", kernel)
+        values = fiber_eigenvalues(f, lam, bc)
+        assert len(values) > 2
+        assert len(calls) > len(values)
+        assert all(t1 < t0 and t1 == f.alpha for t0, t1 in calls)
 
     @pytest.mark.parametrize("f,lam_max", CASES)
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
     def test_ceil_mismatch_is_count(self, f, lam_max, bc):
-        beta = fiber._resolve_beta(f, bc)
-        theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
-        t_match = fiber._interior_min(f)
+        # the boundary read-off F = theta0 - theta_dec(alpha) that listings
+        # find roots on, with the listing's shared end point
+        theta0 = fiber._boundary_angle(f, bc)
         t_end = fiber._shoot_end(f, lam_max)
         counts = set()
         for lam in np.linspace(potential_min(f) - 1.0, lam_max, 17):
-            mismatch = fiber._mismatch(f, float(lam), theta0, t_match, t_end)
+            read_off = theta0 - fiber._shoot_back(f, float(lam), t_end, [f.alpha])[0]
             count = fiber_count(f, float(lam), bc)
-            assert math.ceil(mismatch / math.pi) == count
+            assert math.ceil(read_off / math.pi) == count
             counts.add(count)
         assert len(counts) >= 4
 
-    # the backward leg of the mismatch starts in the forbidden region and is
-    # never cut short, so ceil(F/pi) checks the count of a trapped forward shoot
+    # the backward shoot starts in the forbidden region and is never cut
+    # short, so ceil(F/pi) checks the count of a trapped forward shoot
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         n=st.sampled_from([2, 3]),
@@ -323,11 +374,9 @@ class TestMatchedShooting:
     def test_ceil_mismatch_is_count_on_drawn_fibers(self, n, delta, a, mu, lam, robin):
         f = FiberPotential.from_cusp(n, delta, a, mu)
         bc = ROBIN if robin else BoundaryCondition.dirichlet()
-        beta = fiber._resolve_beta(f, bc)
-        theta0 = 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -beta)
         t_end = fiber._shoot_end(f, max(lam, potential_min(f)))
-        mismatch = fiber._mismatch(f, lam, theta0, fiber._interior_min(f), t_end)
-        assert math.ceil(mismatch / math.pi) == fiber_count(f, lam, bc)
+        read_off = fiber._boundary_angle(f, bc) - fiber._shoot_back(f, lam, t_end, [f.alpha])[0]
+        assert math.ceil(read_off / math.pi) == fiber_count(f, lam, bc)
 
     @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
     def test_prufer_round_trip(self, f):
@@ -412,7 +461,7 @@ class TestCountFibers:
         # ceil((theta0 - theta) / pi), whatever the fiber
         f = FiberPotential.from_cusp(2, delta, 0.8, 1.7)
         end = fiber._shoot_end(f, lam)
-        theta = fiber._prufer_theta(f, lam, end, f.alpha, fiber._decaying_theta(f, lam, end))
+        [theta] = fiber._shoot_back(f, lam, end, [f.alpha])
         direct = fiber_count(f, lam, self.BCS[bc])
         assert fiber_count(f, lam, self.BCS[bc], theta_decay=theta) == direct
         if lam == 80.0:

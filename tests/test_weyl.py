@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -461,6 +462,15 @@ class TestRemainder:
         lams = np.linspace(100.0, 200.0, 12)
         with pytest.raises(ValueError, match="decade"):
             fit_remainder_samples(lams, np.sqrt(lams))
+
+    def test_remainder_fit_ignores_core_band(self):
+        # the Dirichlet end floors a core-free model's remainder band to 0
+        model = circle_model(delta=0.75)
+        banded = dataclasses.replace(
+            model, core=CompactCoreSurrogate(volume=0.0, remainder_coeff=5.0)
+        )
+        grid = list(np.geomspace(10.0, 200.0, 8))
+        assert remainder_fit(banded, grid) == remainder_fit(model, grid)
 
     def test_remainder_fit_requires_exact_core(self):
         model = circle_model(core_volume=2.0)
