@@ -18,7 +18,7 @@ from typing import Optional
 from .cross_section import TWO_PI, perturb_c2
 from .model import ManifoldModel, TorusCrossSection, total_volume, validate_model
 from .fiber import DIRICHLET, BoundaryCondition
-from .weyl import count_end, weyl_leading
+from .weyl import count_ends, weyl_leading
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,17 @@ def demagnetize(model: ManifoldModel) -> ManifoldModel:
 def n_ess_exact(model: ManifoldModel, lam: float) -> int:
     """Exact embedded-eigenvalue count of the separable A = 0 model.
 
-    The Dirichlet count_end, which for a model without core volume is the
-    sum of the Dirichlet cusp counts: every mu_ell > 0 channel is counted, and the mu = 0 channel contributes only continuous
-    spectrum.  Requires a pure cusp ensemble (core volume 0) with zero field.
+    The Dirichlet end of count_ends, which for a model without core volume
+    is the sum of the Dirichlet cusp counts: every mu_ell > 0 channel is
+    counted, and the mu = 0 channel contributes only continuous spectrum.
+    Requires a pure cusp ensemble (core volume 0) with zero field.
     """
     if model.is_magnetic:
         raise ValueError("n_ess_exact is defined for A = 0 models only")
     if model.core.volume != 0.0:
         raise ValueError("n_ess_exact needs core.volume = 0 (separable model)")
-    return count_end(model, lam, DIRICHLET)
+    [count] = count_ends(model, lam, [DIRICHLET])
+    return count
 
 
 def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
@@ -134,7 +136,7 @@ def embedded_upper_bound(model: ManifoldModel, lam: float) -> BoundReport:
     c_a = poincare_constant(model)
     shifted = (1.0 + c_a * tau) * lam + c_a
     # the Robin end of the scaled model's bracket; its Dirichlet end is not needed
-    high = count_end(scale_field(model, tau), shifted, BoundaryCondition.robin())
+    [high] = count_ends(scale_field(model, tau), shifted, [BoundaryCondition.robin()])
     n_ess = None
     if model.core.volume == 0.0:
         n_ess = n_ess_exact(demagnetize(model), lam)

@@ -31,13 +31,16 @@ three-point finite-difference matrix provides an independent oracle.
 A cusp's fibers are counted together by count_fibers.  At delta = 1 the
 shift s = t + (1/2) ln mu turns every mode into the same equation
 -u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
-(1/2) ln mu, and beta does not depend on mu.  One backward shoot, stopping
-at each s_mu in turn, then counts every mode by the boundary read-off
-N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi); fiber_count applies it
-to an angle it is given.  For delta < 1 no such shift exists.  There V is
-pointwise non-decreasing in mu, while alpha and the Robin beta depend only
-on (n, delta, a), so by min-max every fiber eigenvalue is non-decreasing
-in mu and N(lambda; mu) is non-increasing along the sorted modes.
+(1/2) ln mu, and beta does not depend on mu.  One backward shoot, a
+single kernel call that stops at each s_mu in turn, then counts every mode
+by the boundary read-off N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi);
+fiber_count applies it to an angle it is given.  Only theta0 depends on the
+boundary condition, so that one shoot per cusp and level serves the
+Dirichlet and the Robin count alike.  For delta < 1 no such shift exists.
+There V is pointwise non-decreasing in mu, while alpha and the Robin beta
+depend only on (n, delta, a), so by min-max every fiber eigenvalue is
+non-decreasing in mu and N(lambda; mu) is non-increasing along the sorted
+modes.
 Bisection over the mode list then makes forward shoots only where the
 count changes: O(D log(M/D)) shoots for M modes with D distinct counts.
 The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
@@ -264,7 +267,7 @@ def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
 # and phi mod pi <= pi/2.  V has a single minimum, so it increases from there
 # on and E stays negative; phi' = S > 0 at k pi and phi' = E/S < 0 at
 # k pi + pi/2 then trap phi in [k pi, k pi + pi/2] for good, and
-# floor(theta/pi) = k is final.  Backward shoots run to t1.
+# floor(theta/pi) = k is final.  Backward shoots run to their last stop.
 
 
 def _scale(en: float) -> float:
@@ -280,10 +283,17 @@ def _rescale(angle: float, a: float, b: float) -> float:
     return base + math.atan2(a * math.sin(psi), b * math.cos(psi))
 
 
-def _prufer_theta(f: FiberPotential, lam: float, t0: float, t1: float, theta0: float) -> float:
-    """theta(t1) of the Prufer angle of fiber f at level lam, started at
-    theta(t0) = theta0; a forward shoot may return theta at an earlier point
-    once its winding is trapped."""
+def _prufer_theta(
+    f: FiberPotential, lam: float, t0: float, stops: Sequence[float], theta0: float
+) -> list[float]:
+    """theta at each of stops, which run away from t0 in one direction, of
+    the Prufer angle of fiber f at level lam, started at theta(t0) = theta0.
+
+    One integration passes every stop: a step is clipped to land on a stop,
+    and the step after it is no shorter than the one the clip cut down.  A
+    forward shoot passes one stop and may return theta at an earlier point
+    once its winding is trapped; every stop not yet reached gets that angle.
+    """
     kind = 1 if f.delta == 1.0 else 0
     mu, c_pot = f.mu, f.const_coeff
     pw, sc = (0.0, 0.0) if kind == 1 else (f.power, 1.0 - f.delta)
@@ -338,8 +348,9 @@ def _prufer_theta(f: FiberPotential, lam: float, t0: float, t1: float, theta0: f
         c = cos(ph)
         return sq * c * c + (en / sq) * s * s - 0.5 * en * vp / en2 * s * c, en, vp
 
+    t1 = stops[-1]
     if t1 == t0:
-        return theta0
+        return [theta0] * len(stops)
     # the step h carries the direction: +1 integrates forward, -1 backward
     dirn = 1.0 if t1 > t0 else -1.0
 
@@ -348,36 +359,46 @@ def _prufer_theta(f: FiberPotential, lam: float, t0: float, t1: float, theta0: f
     k1, en, _ = slope(t, ph)
     h = dirn * min(dirn * (t1 - t0), 0.1 / sqrt(abs(en) + 1.0))
     h_min = 1e-12 * (1.0 + abs(max(t0, t1)) - min(0.0, t0, t1))
-    t_stop = dirn * t1
-    while dirn * t < t_stop:
-        if dirn * (t + h) > t_stop:
-            h = t1 - t
-        k2 = slope(t + 0.2 * h, ph + h * a21 * k1)[0]
-        k3 = slope(t + 0.3 * h, ph + h * (a31 * k1 + a32 * k2))[0]
-        k4 = slope(t + 0.8 * h, ph + h * (a41 * k1 + a42 * k2 + a43 * k3))[0]
-        k5 = slope(
-            t + (8.0 / 9.0) * h, ph + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-        )[0]
-        k6 = slope(t + h, ph + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))[0]
-        ph_new = ph + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-        k7, en_new, vp = slope(t + h, ph_new)
-        err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
-        ratio = err / (atol + rtol * abs(ph_new))
-        if ratio <= 1.0 or dirn * h <= h_min:
-            t = t + h
-            ph = ph_new
-            k1, en = k7, en_new
-            if dirn > 0.0 and en < 0.0 and vp > 0.0 and ph % pi <= half_pi:
-                break
-        fac = 0.9 * (ratio + 1e-16) ** -0.2
-        if fac > 5.0:
-            fac = 5.0
-        elif fac < 0.2:
-            fac = 0.2
-        h = h * fac
-        if dirn * h < h_min:
-            h = dirn * h_min
-    return _rescale(ph, 1.0, _scale(en))
+    angles = []
+    for stop in stops:
+        t_stop = dirn * stop
+        while dirn * t < t_stop:
+            h_free = h
+            clipped = dirn * (t + h) > t_stop
+            if clipped:
+                h = stop - t
+            k2 = slope(t + 0.2 * h, ph + h * a21 * k1)[0]
+            k3 = slope(t + 0.3 * h, ph + h * (a31 * k1 + a32 * k2))[0]
+            k4 = slope(t + 0.8 * h, ph + h * (a41 * k1 + a42 * k2 + a43 * k3))[0]
+            k5 = slope(
+                t + (8.0 / 9.0) * h, ph + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+            )[0]
+            k6 = slope(t + h, ph + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))[0]
+            ph_new = ph + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            k7, en_new, vp = slope(t + h, ph_new)
+            err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
+            ratio = err / (atol + rtol * abs(ph_new))
+            accepted = ratio <= 1.0 or dirn * h <= h_min
+            if accepted:
+                t = t + h
+                ph = ph_new
+                k1, en = k7, en_new
+                if dirn > 0.0 and en < 0.0 and vp > 0.0 and ph % pi <= half_pi:
+                    theta = _rescale(ph, 1.0, _scale(en))
+                    return angles + [theta] * (len(stops) - len(angles))
+            fac = 0.9 * (ratio + 1e-16) ** -0.2
+            if fac > 5.0:
+                fac = 5.0
+            elif fac < 0.2:
+                fac = 0.2
+            h = h * fac
+            if clipped and accepted and dirn * h < dirn * h_free:
+                # a step cut short to land on a stop does not shrink the next
+                h = h_free
+            if dirn * h < h_min:
+                h = dirn * h_min
+        angles.append(_rescale(ph, 1.0, _scale(en)))
+    return angles
 
 
 def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> float:
@@ -407,7 +428,7 @@ def _shoot_end(f: FiberPotential, lam: float) -> float:
 
 
 def _shoot_count(f: FiberPotential, lam: float, theta0: float) -> int:
-    theta = _prufer_theta(f, lam, f.alpha, _shoot_end(f, lam), theta0)
+    [theta] = _prufer_theta(f, lam, f.alpha, [_shoot_end(f, lam)], theta0)
     return int(math.floor(theta / math.pi))
 
 
@@ -427,12 +448,7 @@ def _shoot_back(f: FiberPotential, lam: float, t_end: float, stops: Sequence[flo
     solution that decays at infinity at level lam, shot back from t_end in
     its forbidden region, where it starts at u'/u = -sqrt(V - lam)."""
     theta = math.atan2(1.0, -math.sqrt(max(potential_eval(f, t_end) - lam, 0.0)))
-    angles = []
-    for stop in stops:
-        theta = _prufer_theta(f, lam, t_end, stop, theta)
-        t_end = stop
-        angles.append(theta)
-    return angles
+    return _prufer_theta(f, lam, t_end, stops, theta)
 
 
 def fiber_count(
@@ -487,21 +503,24 @@ def count_fibers(
     a: float,
     mus: Sequence[float],
     lam: float,
-    bc: BoundaryCondition = DIRICHLET,
-) -> list[int]:
-    """fiber_count(lam) for each mode of one cusp, mus ascending, distinct and > 0.
+    bcs: Sequence[BoundaryCondition],
+) -> list[list[int]]:
+    """fiber_count(lam) for each mode of one cusp, mus ascending, distinct and
+    > 0: one list of counts per boundary condition in bcs, in their order.
 
     delta = 1: every mode is the mu = 1 fiber shifted to start at s_mu (see
     the module docstring), so one backward shoot of its decaying solution,
     from the shoot end of the mode with the largest s_mu, passes every s_mu in
-    descending order.  Each mode's angle there goes to fiber_count as
-    theta_decay, which reads off N = ceil((theta0 - theta(s_mu)) / pi): one
-    kernel call per mode, and a total length of one shoot of the smallest.
+    descending order, in one kernel call.  The angle theta(s_mu) does not
+    depend on the boundary condition, so that one shoot serves every one of
+    bcs: each mode's angle goes to fiber_count as theta_decay once per
+    condition, which reads off N = ceil((theta0 - theta(s_mu)) / pi).  The
+    total length is that of one shoot of the smallest mode.
 
     delta < 1: N(lam; mu) is non-increasing in mu, so when the counts at both
     ends of an index range agree, every mode between them has that count too.
     Such a range is filled without shooting; any other range is split at its
-    midpoint.
+    midpoint.  Each condition runs its own bisection.
     """
     _require_finite(lam)
     mus = list(mus)
@@ -510,9 +529,16 @@ def count_fibers(
     if any(not hi > lo for lo, hi in zip(mus, mus[1:])):
         raise ValueError("count_fibers needs strictly ascending mus")
     if not mus:
-        return []
+        return [[] for _ in bcs]
     if delta == 1.0:
-        return _count_shifted_modes(n, a, mus, lam, bc)
+        return _count_shifted_modes(n, a, mus, lam, bcs)
+    return [_bisect_modes(n, delta, a, mus, lam, bc) for bc in bcs]
+
+
+def _bisect_modes(
+    n: int, delta: float, a: float, mus: list[float], lam: float, bc: BoundaryCondition
+) -> list[int]:
+    """count_fibers at delta < 1 under one condition, by bisection over the modes."""
     counts: list[int] = [0] * len(mus)
 
     def shoot(i: int) -> None:
@@ -536,8 +562,8 @@ def count_fibers(
 
 
 def _count_shifted_modes(
-    n: int, a: float, mus: list[float], lam: float, bc: BoundaryCondition
-) -> list[int]:
+    n: int, a: float, mus: list[float], lam: float, bcs: Sequence[BoundaryCondition]
+) -> list[list[int]]:
     """count_fibers at delta = 1, in the shifted coordinate s = t + (1/2) ln mu."""
     alpha = 2.0 * math.log(a)
     starts = [alpha + 0.5 * math.log(mu) for mu in mus]
@@ -547,9 +573,10 @@ def _count_shifted_modes(
     shifted = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[0])
     end = _shoot_end(FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1]), lam)
     thetas = _shoot_back(shifted, lam, end, starts[::-1])[::-1]
+    fibers = [FiberPotential(n=n, delta=1.0, mu=mu, alpha=alpha) for mu in mus]
     return [
-        fiber_count(FiberPotential(n=n, delta=1.0, mu=mu, alpha=alpha), lam, bc, theta_decay=theta)
-        for mu, theta in zip(mus, thetas)
+        [fiber_count(f, lam, bc, theta_decay=theta) for f, theta in zip(fibers, thetas)]
+        for bc in bcs
     ]
 
 

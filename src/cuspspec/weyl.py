@@ -229,28 +229,51 @@ def cusp_count(
     spectrum but no discrete eigenvalues (constant potential for delta = 1,
     nonnegative decaying potential for delta < 1).
     """
-    cusp = model.cusps[j]
-    mus, mults = cusp_modes(model, j, lam)
-    counts = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, bc)
-    count = sum(mult * c for mult, c in zip(mults, counts))
-    leading = weyl_leading(cusp_volume(cusp, model.n), model.n, lam)
+    [count] = _cusp_counts(model, j, lam, [bc])
+    leading = weyl_leading(cusp_volume(model.cusps[j], model.n), model.n, lam)
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 
 
-def count_end(model: ManifoldModel, lam: float, bc: BoundaryCondition) -> int:
-    """One end of the whole-manifold bracket at lam: the compact core's Weyl
-    band floor plus every Dirichlet cusp count, or its ceiling plus every
-    cusp count under the Robin bc.  A model without a core adds nothing."""
+def _cusp_counts(
+    model: ManifoldModel, j: int, lam: float, bcs: Sequence[BoundaryCondition]
+) -> list[int]:
+    """cusp_count of cusp j under each of bcs, from one cusp_modes call and
+    one count_fibers call."""
+    cusp = model.cusps[j]
+    mus, mults = cusp_modes(model, j, lam)
+    return [
+        sum(mult * c for mult, c in zip(mults, counts))
+        for counts in count_fibers(model.n, cusp.delta, cusp.a, mus, lam, bcs)
+    ]
+
+
+def count_ends(model: ManifoldModel, lam: float, bcs: Sequence[BoundaryCondition]) -> list[int]:
+    """Ends of the whole-manifold bracket at lam, one per condition in bcs:
+    the compact core's Weyl band floor plus every Dirichlet cusp count, or
+    its ceiling plus every cusp count under a Robin condition.  A model
+    without a core adds nothing.
+
+    Each cusp lists its modes once and counts them under every condition in
+    one count_fibers call, so a delta = 1 cusp costs one backward shoot for
+    all of bcs.
+    """
+    ends = [_core_term(model, lam, bc) for bc in bcs]
+    for j in range(len(model.cusps)):
+        ends = [end + count for end, count in zip(ends, _cusp_counts(model, j, lam, bcs))]
+    return ends
+
+
+def _core_term(model: ManifoldModel, lam: float, bc: BoundaryCondition) -> int:
+    """The compact core's share of a bracket end: the floor of its Weyl band
+    for Dirichlet, the ceiling for Robin, 0 without a core."""
     core = model.core
-    core_term = 0
-    if core.volume > 0 or core.remainder_coeff > 0:
-        w_core = weyl_leading(core.volume, model.n, lam)
-        band = core.remainder_coeff * lam ** ((model.n - 1) / 2.0)
-        if bc.kind == "dirichlet":
-            core_term = max(0, math.floor(w_core - band))
-        else:
-            core_term = max(0, math.ceil(w_core + band))
-    return core_term + sum(cusp_count(model, j, lam, bc).count for j in range(len(model.cusps)))
+    if not (core.volume > 0 or core.remainder_coeff > 0):
+        return 0
+    w_core = weyl_leading(core.volume, model.n, lam)
+    band = core.remainder_coeff * lam ** ((model.n - 1) / 2.0)
+    if bc.kind == "dirichlet":
+        return max(0, math.floor(w_core - band))
+    return max(0, math.ceil(w_core + band))
 
 
 def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
@@ -258,12 +281,14 @@ def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
 
     low  = core Weyl band floor + sum_j Dirichlet cusp counts
     high = core Weyl band ceiling + sum_j Robin (default beta_j) cusp counts
-    For core volume 0 both ends are exact decoupled counts.
+    For core volume 0 both ends are exact decoupled counts.  Both ends come
+    from one count_ends call.
     """
+    low, high = count_ends(model, lam, (DIRICHLET, BoundaryCondition.robin()))
     return CountResult(
         lam=lam,
-        count_low=count_end(model, lam, DIRICHLET),
-        count_high=count_end(model, lam, BoundaryCondition.robin()),
+        count_low=low,
+        count_high=high,
         leading=weyl_leading(total_volume(model), model.n, lam),
     )
 
@@ -337,6 +362,6 @@ def remainder_fit(model: ManifoldModel, lambda_grid: Sequence[float]) -> FitRepo
         raise ValueError("remainder_fit needs core.volume = 0 (exact counts)")
     residuals = []
     for lam in lambda_grid:
-        count = count_end(model, lam, DIRICHLET)
+        [count] = count_ends(model, lam, [DIRICHLET])
         residuals.append(count - weyl_leading(total_volume(model), model.n, lam))
     return fit_remainder_samples(list(lambda_grid), residuals)

@@ -4,7 +4,9 @@ import math
 import warnings
 from pathlib import Path
 
+import hypothesis
 import pytest
+from hypothesis import given, strategies as st
 
 from cuspspec import cli, weyl
 from cuspspec import fiber_eigenvalues, FiberPotential, load_model, model_to_dict
@@ -386,3 +388,27 @@ class TestOtherVerbs:
         out = tmp_path / "table.csv"
         assert main(["count", model_path, "--lambda", "10", "--out", str(out)]) == 0
         assert out.read_text().startswith("lambda,")
+
+
+GOLDEN_MODELS = sorted((Path(__file__).parent / "golden" / "models").glob("*.json"))
+
+
+# count either succeeds or fails as a computation, with nothing on stdout
+# and one JSON error object on stderr
+@hypothesis.settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@given(
+    model=st.sampled_from(GOLDEN_MODELS),
+    lam=st.one_of(st.floats(-10.0, 1e3), st.sampled_from([math.nan, math.inf])),
+)
+def test_count_exit_codes_on_golden_models(capsys, model, lam):
+    code, out, err = run_cli(capsys, "count", str(model), f"--lambda={lam!r}")
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        [line] = err.splitlines()
+        assert set(json.loads(line)["error"]) == {"type", "message"}

@@ -26,7 +26,6 @@ from cuspspec import (
     total_count_bracket,
 )
 from cuspspec import weyl
-from cuspspec.fiber import DIRICHLET
 from conftest import circle_model
 
 
@@ -125,14 +124,14 @@ class TestEmbeddedBound:
         # makes is its own; the Dirichlet end of the bracket is never needed
         model = circle_model(core_volume=1.0, cusps=2)
         kinds = []
-        real = weyl.cusp_count
+        real = weyl.count_fibers
 
-        def counted(model, j, lam, bc=DIRICHLET):
-            kinds.append(bc.kind)
-            return real(model, j, lam, bc)
+        def counted(n, delta, a, mus, lam, bcs):
+            kinds.extend(bc.kind for bc in bcs)
+            return real(n, delta, a, mus, lam, bcs)
 
-        # embedded counts only through weyl.count_end, which reads this name
-        monkeypatch.setattr(weyl, "cusp_count", counted)
+        # embedded counts only through weyl.count_ends, which reads this name
+        monkeypatch.setattr(weyl, "count_fibers", counted)
         rep = embedded_upper_bound(model, 100.0)
         assert kinds == ["robin", "robin"]
         monkeypatch.undo()

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cuspspec import (
     potential_min,
     turning_point,
 )
-from cuspspec.fiber import allowed_interval
+from cuspspec.fiber import DIRICHLET, allowed_interval
 from cuspspec.weyl import mu_cutoff, phase_integral
 from conftest import circle_model, torus3_model
 
@@ -335,9 +336,10 @@ class TestMatchedShooting:
         calls = []
         real = fiber._prufer_theta
 
-        def kernel(g, level, t0, t1, theta0):
+        def kernel(g, level, t0, stops, theta0):
+            [t1] = stops
             calls.append((t0, t1))
-            return real(g, level, t0, t1, theta0)
+            return real(g, level, t0, stops, theta0)
 
         monkeypatch.setattr(fiber, "_prufer_theta", kernel)
         values = fiber_eigenvalues(f, lam, bc)
@@ -379,12 +381,49 @@ class TestMatchedShooting:
         assert math.ceil(read_off / math.pi) == fiber_count(f, lam, bc)
 
     @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
+    def test_one_shoot_through_many_stops(self, f):
+        # one kernel call that passes every stop gives the angle of a shoot
+        # that ends at each stop alone
+        lam = 200.0
+        t_end = fiber._shoot_end(f, lam)
+        stops = np.linspace(turning_point(f, lam), f.alpha, 9).tolist()
+        together = fiber._shoot_back(f, lam, t_end, stops)
+        alone = [fiber._shoot_back(f, lam, t_end, [stop])[0] for stop in stops]
+        assert abs(together[-1] - together[0]) > 4.0 * math.pi
+        assert together == pytest.approx(alone, rel=0.0, abs=1e-8)
+
+    def test_stop_does_not_shrink_the_next_step(self, monkeypatch):
+        # stops a hair apart force a tiny clipped step; the step after it
+        # resumes the size the clip cut down, so each stop adds about one
+        # DP5 step (six slope evaluations) to the shoot, not a ramp-up from
+        # the tiny step.  Each slope evaluation of a delta = 1 fiber calls
+        # exp once
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(fiber, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+        lam = 400.0
+        end = fiber._shoot_end(F_REF, lam)
+        points = np.linspace(turning_point(F_REF, lam), F_REF.alpha, 12)[:-1].tolist()
+        stops = [t for p in points for t in (p, p - 1e-9)] + [F_REF.alpha]
+        calls.clear()
+        [alone] = fiber._shoot_back(F_REF, lam, end, [F_REF.alpha])
+        single = len(calls)
+        calls.clear()
+        together = fiber._shoot_back(F_REF, lam, end, stops)
+        assert together[-1] == pytest.approx(alone, rel=0.0, abs=1e-9)
+        assert len(calls) - single <= 6 * len(stops)
+
+    @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
     def test_prufer_round_trip(self, f):
         lam, theta0 = 50.0, 0.3
         t0, t1 = f.alpha, turning_point(f, lam)
-        forward = fiber._prufer_theta(f, lam, t0, t1, theta0)
+        [forward] = fiber._prufer_theta(f, lam, t0, [t1], theta0)
         assert forward - theta0 > 2.0 * math.pi
-        back = fiber._prufer_theta(f, lam, t1, t0, forward)
+        [back] = fiber._prufer_theta(f, lam, t1, [t0], forward)
         assert abs(back - theta0) < 1e-9
 
 
@@ -418,7 +457,7 @@ class TestCountFibers:
         mus = distinct_modes(model, lam, tau)
         expected = per_mode_counts(model, mus, lam, self.BCS[bc])
         assert len(set(expected)) >= 3
-        got = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, self.BCS[bc])
+        [got] = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, [self.BCS[bc]])
         assert got == expected
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -431,7 +470,7 @@ class TestCountFibers:
         assert modes[0] == 0.0
         mus = modes[1:]
         expected = per_mode_counts(free, mus, lam, self.BCS[bc])
-        got = count_fibers(free.n, cusp.delta, cusp.a, mus, lam, self.BCS[bc])
+        [got] = count_fibers(free.n, cusp.delta, cusp.a, mus, lam, [self.BCS[bc]])
         assert got == expected
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -450,7 +489,7 @@ class TestCountFibers:
             return count + 1 if count > 0 else count
 
         monkeypatch.setattr(fiber, "fiber_count", off_by_one)
-        got = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, self.BCS[bc])
+        [got] = count_fibers(model.n, cusp.delta, cusp.a, mus, lam, [self.BCS[bc]])
         assert got == [c + 1 if c > 0 else c for c in expected]
 
     @pytest.mark.parametrize("delta", [1.0, 0.75])
@@ -468,18 +507,18 @@ class TestCountFibers:
             assert direct > 0
 
     def test_empty_and_single(self):
-        assert count_fibers(2, 1.0, 1.0, [], 50.0) == []
-        assert count_fibers(2, 1.0, 1.0, [1.0], 50.0) == [fiber_count(F_REF, 50.0)]
+        assert count_fibers(2, 1.0, 1.0, [], 50.0, [DIRICHLET])[0] == []
+        assert count_fibers(2, 1.0, 1.0, [1.0], 50.0, [DIRICHLET])[0] == [fiber_count(F_REF, 50.0)]
 
     @pytest.mark.parametrize("mus", [[0.0, 1.0], [-1.0], [1.0, 1.0], [2.0, 1.0]])
     def test_rejects_unsorted_or_nonpositive(self, mus):
         with pytest.raises(ValueError, match="count_fibers"):
-            count_fibers(2, 1.0, 1.0, mus, 50.0)
+            count_fibers(2, 1.0, 1.0, mus, 50.0, [DIRICHLET])
 
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
     def test_non_finite_level_raises(self, lam):
         with pytest.raises(ValueError, match="spectral level must be finite"):
-            count_fibers(2, 1.0, 1.0, [1.0, 4.0], lam)
+            count_fibers(2, 1.0, 1.0, [1.0, 4.0], lam, [DIRICHLET])
 
     # at delta = 1 one backward shoot counts every mode; draw levels below
     # (n-1)^2/4 too, where only Robin boundary states can be counted
@@ -499,7 +538,26 @@ class TestCountFibers:
         mus = sorted({math.exp(x) for x in mus})
         lam = math.exp(log_lam)
         expected = [fiber_count(FiberPotential.from_cusp(n, 1.0, a, mu), lam, bc) for mu in mus]
-        assert count_fibers(n, 1.0, a, mus, lam, bc) == expected
+        assert count_fibers(n, 1.0, a, mus, lam, [bc])[0] == expected
+
+    # one call counts both bracket ends; Dirichlet-Robin interlacing bounds
+    # the Robin count of each mode by the Dirichlet count plus one
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+        a=st.floats(0.5, 1.5),
+        mus=st.lists(st.floats(math.log(1e-2), math.log(100.0)), min_size=1, max_size=8),
+        lam=st.floats(0.5, 300.0),
+    )
+    def test_both_ends_equal_per_mode_loops(self, n, delta, a, mus, lam):
+        mus = sorted({math.exp(x) for x in mus})
+        bcs = (BoundaryCondition.dirichlet(), ROBIN)
+        fibers = [FiberPotential.from_cusp(n, delta, a, mu) for mu in mus]
+        got = count_fibers(n, delta, a, mus, lam, bcs)
+        assert got == [[fiber_count(f, lam, bc) for f in fibers] for bc in bcs]
+        for nd, nr in zip(*got):
+            assert nd <= nr <= nd + 1
 
     @pytest.mark.parametrize(
         "n,a,mus,lam",
@@ -524,7 +582,7 @@ class TestCountFibers:
             signs = [mpmath.sign(mpmath.besselk(1j * nu, y).real) for y in ys]
             expected.append(sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1))
         assert min(expected) > 0
-        assert count_fibers(n, 1.0, a, mus, lam) == expected
+        assert count_fibers(n, 1.0, a, mus, lam, [DIRICHLET])[0] == expected
 
 
 class TestMonotoneInMu:

@@ -373,6 +373,57 @@ class TestCuspCount:
 
 
 class TestBracket:
+    def test_delta1_bracket_one_shoot_for_both_ends(self, monkeypatch):
+        # both ends of a delta = 1 cusp read one backward shoot: one kernel
+        # call and one mode listing, where a shoot per end made two kernel
+        # calls for each of the 134 distinct modes
+        model = torus3_model()
+        lam = 66.0
+        calls = {"kernel": 0, "shoot": 0, "modes": 0}
+        real_kernel, real_shoot, real_modes = (
+            fiber._prufer_theta, fiber._shoot_count, weyl.cusp_modes
+        )
+
+        def counted(key, real):
+            def wrapper(*args):
+                calls[key] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(fiber, "_prufer_theta", counted("kernel", real_kernel))
+        monkeypatch.setattr(fiber, "_shoot_count", counted("shoot", real_shoot))
+        monkeypatch.setattr(weyl, "cusp_modes", counted("modes", real_modes))
+        res = total_count_bracket(model, lam)
+        assert calls == {"kernel": 1, "shoot": 0, "modes": 1}
+        monkeypatch.undo()
+        assert len(cusp_modes(model, 0, lam)[0]) == 134
+        assert res.count_low == cusp_count(model, 0, lam).count
+        assert res.count_high == cusp_count(model, 0, lam, BoundaryCondition.robin()).count
+
+    def test_delta075_cusp_shoots_as_two_single_ends(self, monkeypatch):
+        # next to a delta = 1 cusp, the delta = 0.75 cusp keeps one bisection
+        # per end: its shoots are those of its two single-condition counts
+        one, three_quarters = circle_model().cusps[0], circle_model(delta=0.75).cusps[0]
+        model = ManifoldModel(2, CompactCoreSurrogate(), (one, three_quarters))
+        lam = 120.0
+        robin = BoundaryCondition.robin()
+        shoots = []
+        real = fiber._shoot_count
+
+        def counted(f, level, theta0):
+            shoots.append((f, theta0))
+            return real(f, level, theta0)
+
+        monkeypatch.setattr(fiber, "_shoot_count", counted)
+        res = total_count_bracket(model, lam)
+        in_bracket = list(shoots)
+        shoots.clear()
+        low = [cusp_count(model, j, lam).count for j in (0, 1)]
+        high = [cusp_count(model, j, lam, robin).count for j in (0, 1)]
+        assert in_bracket == shoots
+        assert {f.delta for f, _ in in_bracket} == {0.75}
+        assert (res.count_low, res.count_high) == (sum(low), sum(high))
+
     def test_valid_and_tight(self, ref_model):
         lam = 100.0
         res = total_count_bracket(ref_model, lam)
