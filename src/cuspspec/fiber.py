@@ -26,8 +26,15 @@ The backward shoot runs the solution that decays at infinity from the
 forbidden region, where backward integration is stable, to the boundary.
 Its angle there gives the boundary read-off F(lambda) = theta0 -
 theta_dec(alpha; lambda), smooth and increasing with N(lambda) =
-ceil(F/pi).  Eigenvalues are listed as the roots of F = k pi, and a
-three-point finite-difference matrix provides an independent oracle.
+ceil(F/pi).  An angle error that the backward shoot makes deep in the
+forbidden region is damped by about exp(-2 D) before it is read, D the
+decay integral of sqrt(V - lambda) down to the nearest read point, so the
+shoot relaxes its error target there by up to ANGLE_TOL / ODE_ATOL.
+Eigenvalues are listed as the roots of F = k pi, each seeded from the
+phase integral (w = 3 pi/4 for the first Dirichlet root, one pi more than
+at the previous root for every later one) and refined by safeguarded
+secant steps, about four backward shoots per eigenvalue; a three-point
+finite-difference matrix provides an independent oracle.
 A cusp's fibers are counted together by count_fibers.  At delta = 1 the
 shift s = t + (1/2) ln mu turns every mode into the same equation
 -u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
@@ -44,21 +51,26 @@ modes.
 Bisection over the mode list then makes forward shoots only where the
 count changes: O(D log(M/D)) shoots for M modes with D distinct counts.
 The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
-local error of each step, T_MARGIN and ANGLE_TOL place the end point of a
-shoot, and REL_TOL is the accuracy of listed eigenvalues.
+local error of each step (relaxed as above in the damped tail of a backward
+shoot), T_MARGIN and ANGLE_TOL place the end point of a shoot and cap that
+relaxation, and REL_TOL is the accuracy of listed eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-# Local error target for each accepted step of the angle integration.
+# Local error target for each accepted step of the angle integration; a
+# backward shoot relaxes it by up to ANGLE_TOL / ODE_ATOL where the error is
+# damped before it is read (see _tail_scales).
 ODE_RTOL = 1e-12
 ODE_ATOL = 1e-12
 # Relative tolerance of listed eigenvalues, on the scale max(1, |lambda|);
@@ -177,6 +189,25 @@ def potential_eval(f: FiberPotential, t: float) -> float:
     return f.mu * ((1.0 - f.delta) * t) ** f.power + f.const_coeff / (t * t)
 
 
+def _potential_from(f: FiberPotential, t: float) -> Callable[[float], float]:
+    """x -> V(t + x), for a point t >= alpha and offsets x with t + x >= alpha.
+
+    Rounding t + x, or (1 - delta) t, moves the delta < 1 growth term by up
+    to power * 2^-53 relative, and power ~ 2 / (1 - delta) grows without
+    bound as delta -> 1.  Past power 1e3 the term is therefore taken at t
+    with (1 - delta) t summed exactly, and scaled from there by
+    (1 + x/t)^power, which no rounding of t + x reaches.  Below that power
+    the plain formula is exact to ~1e-13 relative.
+    """
+    if f.delta == 1.0 or f.power <= 1e3:
+        return lambda x: potential_eval(f, t + x)
+    p, c = f.power, f.const_coeff
+    base = (1.0 - f.delta) * t
+    err = float(Fraction(1.0 - f.delta) * Fraction(t) - Fraction(base))
+    grow = f.mu * base**p * math.exp(p * math.log1p(err / base))
+    return lambda x: grow * math.exp(p * math.log1p(x / t)) + c / ((t + x) * (t + x))
+
+
 def _potential_array(f: FiberPotential, t: np.ndarray) -> np.ndarray:
     if f.delta == 1.0:
         return f.mu * np.exp(2.0 * t) + f.const_coeff
@@ -284,7 +315,12 @@ def _rescale(angle: float, a: float, b: float) -> float:
 
 
 def _prufer_theta(
-    f: FiberPotential, lam: float, t0: float, stops: Sequence[float], theta0: float
+    f: FiberPotential,
+    lam: float,
+    t0: float,
+    stops: Sequence[float],
+    theta0: float,
+    tail: tuple[Sequence[float], Sequence[float]] = ((), (1.0,)),
 ) -> list[float]:
     """theta at each of stops, which run away from t0 in one direction, of
     the Prufer angle of fiber f at level lam, started at theta(t0) = theta0.
@@ -293,6 +329,10 @@ def _prufer_theta(
     and the step after it is no shorter than the one the clip cut down.  A
     forward shoot passes one stop and may return theta at an earlier point
     once its winding is trapped; every stop not yet reached gets that angle.
+    On a backward shoot, tail = (nodes, scales), nodes ascending,
+    multiplies the error target of a step that ends at x in
+    [nodes[i], nodes[i + 1]) by scales[i + 1], and of one that ends below
+    nodes[0] by scales[0]; see _tail_scales.
     """
     kind = 1 if f.delta == 1.0 else 0
     mu, c_pot = f.mu, f.const_coeff
@@ -327,6 +367,7 @@ def _prufer_theta(
     e5 = -2187.0 / 6784.0 + 92097.0 / 339200.0
     e6 = 11.0 / 84.0 - 187.0 / 2100.0
     e7 = -1.0 / 40.0
+    nodes, scales = tail
     pi = math.pi
     half_pi = 0.5 * pi
     sin, cos, sqrt, exp = math.sin, math.cos, math.sqrt, math.exp
@@ -377,7 +418,10 @@ def _prufer_theta(
             ph_new = ph + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
             k7, en_new, vp = slope(t + h, ph_new)
             err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
-            ratio = err / (atol + rtol * abs(ph_new))
+            tol = atol + rtol * abs(ph_new)
+            if nodes:
+                tol *= scales[bisect_right(nodes, t + h)]
+            ratio = err / tol
             accepted = ratio <= 1.0 or dirn * h <= h_min
             if accepted:
                 t = t + h
@@ -410,9 +454,16 @@ def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> 
     # a delta -> 1 fiber, where alpha ~ 1/(1 - delta) and V would overflow
     step = min(1e-3 * (1.0 + abs(start)), 1.0)
     f0 = math.sqrt(max(potential_eval(f, start) - lam, 0.0))
-    while acc < budget and m < 1e4:
+    while acc < budget * (1.0 - 1e-3) and m < 1e4:
         f1 = math.sqrt(max(potential_eval(f, start + m + step) - lam, 0.0))
-        acc += 0.5 * (f0 + f1) * step
+        gain = 0.5 * (f0 + f1) * step
+        if acc + gain > budget:
+            # a step past the budget is retried, shortened to end where the
+            # budget is met if the integrand were flat; V - lam increases,
+            # so the retry stays below the budget and the walk lands on it
+            step *= (budget - acc) / gain
+            continue
+        acc += gain
         m += step
         f0 = f1
         step *= 1.4
@@ -445,10 +496,72 @@ def _boundary_angle(f: FiberPotential, bc: BoundaryCondition) -> float:
 
 def _shoot_back(f: FiberPotential, lam: float, t_end: float, stops: Sequence[float]) -> list[float]:
     """Prufer angles at each of stops, descending and >= alpha, of the
-    solution that decays at infinity at level lam, shot back from t_end in
-    its forbidden region, where it starts at u'/u = -sqrt(V - lam)."""
+    solution that decays at infinity at level lam of a fiber with mu > 0,
+    shot back from t_end in its forbidden region, where it starts at
+    u'/u = -sqrt(V - lam).  Its error target is relaxed in the damped tail
+    past the first stop; see _tail_scales."""
     theta = math.atan2(1.0, -math.sqrt(max(potential_eval(f, t_end) - lam, 0.0)))
-    return _prufer_theta(f, lam, t_end, stops, theta)
+    return _prufer_theta(f, lam, t_end, stops, theta, _tail_scales(f, lam, stops[0], t_end))
+
+
+def _tail_scales(
+    f: FiberPotential, lam: float, first_stop: float, t_end: float
+) -> tuple[list[float], list[float]]:
+    """The tail argument of _prufer_theta for a backward shoot from t_end.
+
+    Nothing is read between t_end and the nearest read point r, the first
+    stop or the turning point, whichever lies further out (the minimum of V
+    when lam lies below it).  An angle error made at a point x past r is
+    damped by about exp(-2 D(x)) before it is read, D(x) the decay integral
+    of sqrt(V - lam) over [r, x].  So a step whose lower end has D >= d may
+    err min(exp(2 (d - 1)), ANGLE_TOL / ODE_ATOL) times more: damped, its
+    error stays below exp(-2) times the plain target, and it never exceeds
+    ANGLE_TOL.  The nodes are the points where _decay_bounds gives D > 1.
+    """
+    t_turn = turning_point(f, lam)
+    read = max(first_stop, _interior_min(f) if t_turn is None else t_turn)
+    cap = ANGLE_TOL / ODE_ATOL
+    nodes, scales = [], [1.0]
+    for t, decay in _decay_bounds(f, lam, read, t_end):
+        if decay > 1.0:
+            nodes.append(t)
+            scales.append(min(math.exp(2.0 * (decay - 1.0)), cap))
+            if scales[-1] == cap:
+                break
+    return nodes, scales
+
+
+def _decay_bounds(
+    f: FiberPotential, lam: float, read: float, t_end: float
+) -> Iterator[tuple[float, float]]:
+    """Points t walking out from read until t_end is passed, each with a
+    lower bound D on the decay integral of sqrt(V - lam) over [read, t].
+
+    read must lie where V - lam no longer decreases: at or past the turning
+    point, or past the minimum of V.  At delta = 1 D = Y(t) - Y(read) with
+    Y = y - sqrt(E0) atan(y / sqrt(E0)), y = sqrt(mu e^(2t) - E0) and
+    E0 = max(lam - (n-1)^2/4, 0), exact when E0 > 0; at delta < 1 it is the
+    left Riemann sum of the increasing integrand.  The steps grow
+    geometrically, as in _tail_extent.
+    """
+    step = min(1e-3 * (1.0 + abs(read)), 1.0)
+    t, decay = read, 0.0
+    if f.delta == 1.0:
+        e0 = max(lam - f.const_coeff, 0.0)
+
+        def antiderivative(t: float) -> float:
+            y = math.sqrt(max(f.mu * math.exp(2.0 * t) - e0, 0.0))
+            return y - math.sqrt(e0) * math.atan2(y, math.sqrt(e0))
+
+        start = antiderivative(read)
+    while t < t_end:
+        if f.delta == 1.0:
+            decay = antiderivative(t + step) - start
+        else:
+            decay += step * math.sqrt(max(potential_eval(f, t) - lam, 0.0))
+        t += step
+        step *= 1.4
+        yield t, decay
 
 
 def fiber_count(
@@ -588,47 +701,113 @@ def fiber_eigenvalues(
 
     Every backward shoot starts from the end point of the shoot at lam_max.
     The total is fiber_count's read-off ceil(F(lam_max) / pi), so each root
-    below it is bracketed by the F values already computed, and brentq
-    refines it; each F value is kept for the later roots.  A root within
-    REL_TOL of lam_max is a tie with the cutoff and is dropped.
+    below it is bracketed by the F values already computed; each F value is
+    kept for the later roots.  Each root is seeded from the phase integral
+    w of weyl.phase_integral: w(lam_0) = 3 pi/4 for the first Dirichlet
+    root and w(lam_k) = w(lam_(k-1)) + pi for every later root, under
+    either condition; the first Robin root has no seed.  _secant_root then
+    refines it from the seed, starting with the slope w' there.  The roots
+    are found on F read in the scaled angle phi at alpha (tan phi =
+    S tan theta, as in the kernel): it equals k pi exactly where F does and
+    lies on the same side of k pi, but it runs nearly linearly in lam, at
+    slope ~w', where theta climbs in stairs.  A root within REL_TOL of
+    lam_max is a tie with the cutoff and is dropped.
     """
+    from .weyl import phase_integral  # weyl imports this module
+
     if f.mu <= 0.0:
         raise ValueError("fiber_eigenvalues needs a confining fiber (mu > 0)")
     _require_finite(lam_max)
     theta0 = _boundary_angle(f, bc)
-    lo = potential_min(f)
+    v_min = potential_min(f)
+    v_alpha = potential_eval(f, f.alpha)
     # below the potential minimum, the end point of the shoot at the minimum
-    t_end = _shoot_end(f, max(lam_max, lo))
+    t_end = _shoot_end(f, max(lam_max, v_min))
     theta_dec: dict[float, float] = {}
 
     def read_off(lam: float) -> float:
+        """F(lam) in the scaled angle at alpha."""
         if lam not in theta_dec:
             theta_dec[lam] = _shoot_back(f, lam, t_end, [f.alpha])[0]
-        return theta0 - theta_dec[lam]
+        scale = _scale(lam - v_alpha)
+        return _rescale(theta0, scale, 1.0) - _rescale(theta_dec[lam], scale, 1.0)
 
     read_off(lam_max)
     total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
     if total == 0:
         return []
+    lo = v_min
     beta = _resolve_beta(f, bc)
     if bc.kind == "robin" and beta > 0.0:
         lo -= 2.0 * beta * beta + 1.0
     while read_off(lo) > 0.0:
         lo -= 2.0 * (abs(lo) + 1.0)
-    values = []
+    values: list[float] = []
+    phase = 0.75 * math.pi if bc.kind == "dirichlet" else None
+    w_max = phase_integral(f, lam_max)
     for k in range(total):
-        target = k * math.pi
-        lams = sorted(theta_dec)
-        # F increases with lam, so the first sample above the target and the
-        # one before it bracket the root; F(lo) <= 0 keeps i >= 1, and
-        # F(lam_max) > (total - 1) pi keeps i defined
-        i = next(i for i, lam in enumerate(lams) if read_off(lam) > target)
-        root = brentq(
-            lambda lam: read_off(lam) - target, lams[i - 1], lams[i], xtol=REL_TOL, rtol=REL_TOL
-        )
-        values.append(root)
+        seed = slope = None
+        if phase is not None and phase < w_max:
+            # w is 0 up to the potential minimum and increases past it
+            below = values[-1] if values else v_min
+            seed = brentq(
+                lambda lam: phase_integral(f, lam) - phase, below, lam_max, xtol=1e-9, rtol=1e-9
+            )
+            h = 1e-4 * max(1.0, abs(seed))
+            slope = (phase_integral(f, seed + h) - phase_integral(f, seed - h)) / (2.0 * h)
+        values.append(_secant_root(read_off, k * math.pi, list(theta_dec), seed, slope))
+        phase = phase_integral(f, values[-1]) + math.pi
     cut = lam_max - REL_TOL * max(1.0, abs(lam_max))
     return [v for v in values if v < cut]
+
+
+def _secant_root(
+    func: Callable[[float], float],
+    target: float,
+    known: Sequence[float],
+    seed: Optional[float],
+    slope: Optional[float],
+) -> float:
+    """The lam where func(lam) - target turns from <= 0 to > 0, func being
+    cheap to call again at the levels in known, which bracket that lam.
+
+    func is first taken at seed, and the step from there is Newton's with
+    the slope estimate; every later step is a secant step through the last
+    two points.  A missing seed or slope, a secant step not shorter than
+    half the step before it, and a step that leaves the tightest bracket
+    all bisect that bracket instead, so that the steps shrink at least
+    geometrically between bisections.  A step shorter than half the
+    stopping width is lengthened to that half, towards the root, so that
+    the bracket also closes from the far side.  The stopping rule is
+    brentq's at xtol = rtol = REL_TOL: the bracket is narrower than
+    REL_TOL (1 + |lam|), and the end with the smaller residual is returned.
+    """
+    lo = max(lam for lam in known if func(lam) <= target)
+    hi = min(lam for lam in known if func(lam) > target)
+    res_lo, res_hi = func(lo) - target, func(hi) - target
+    x, last = seed, None
+    while True:
+        if x is None or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        res = func(x) - target
+        if res <= 0.0:
+            lo, res_lo = x, res
+        else:
+            hi, res_hi = x, res
+        tol = REL_TOL * (1.0 + abs(x))
+        if res == 0.0 or hi - lo < tol:
+            return lo if -res_lo < res_hi else hi
+        if last is None:
+            step = -res / slope if slope else None
+        else:
+            step = -res * (x - last[0]) / (res - last[1]) if res != last[1] else None
+            if step is not None and abs(step) > 0.5 * abs(x - last[0]):
+                step = None
+        last = (x, res)
+        if step is None:
+            x = None
+        else:
+            x += math.copysign(max(abs(step), 0.5 * tol), -res)
 
 
 def fd_oracle(

@@ -24,6 +24,7 @@ from .fiber import (
     ContinuousSpectrumError,
     FiberPotential,
     _interior_min,
+    _potential_from,
     allowed_interval,
     count_fibers,
     potential_eval,
@@ -103,7 +104,9 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
 
     The square-root vanishing at a turning point t* is removed by the
     substitution t = t* -+ v^2, which restores smooth integrands for the
-    adaptive quadrature.  Returns 0 when lam never exceeds V.
+    adaptive quadrature.  V is taken at the offset -+v^2 from t*, so the
+    rounding of t* -+ v^2 costs no digits where t* is large (delta -> 1).
+    Returns 0 when lam never exceeds V.
     """
     if f.mu == 0.0:
         if lam <= f.ess_inf:
@@ -119,34 +122,30 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
     def g(t: float) -> float:
         return math.sqrt(max(lam - potential_eval(f, t), 0.0))
 
-    t_min = min(max(_interior_min(f), t_lo), t_hi)
-    total = 0.0
-    if t_lo < t_min and t_lo > f.alpha:
-        # both endpoints singular on [t_lo, t_min]; substitute at the left one
-        span = t_min - t_lo
+    def substituted(t_star: float, sign: float, span: float) -> float:
+        """integral of g over [t*, t* + span] (sign +1) or [t* - span, t*] (-1)."""
+        v_at = _potential_from(f, t_star)
         val, _ = quad(
-            lambda v: 2.0 * v * g(t_lo + v * v),
+            lambda v: 2.0 * v * math.sqrt(max(lam - v_at(sign * v * v), 0.0)),
             0.0,
             math.sqrt(span),
             epsabs=PHASE_QUAD_TOL,
             epsrel=1e-11,
             limit=200,
         )
-        total += val
+        return val
+
+    t_min = min(max(_interior_min(f), t_lo), t_hi)
+    total = 0.0
+    if t_lo < t_min and t_lo > f.alpha:
+        # both endpoints singular on [t_lo, t_min]; substitute at the left one
+        total += substituted(t_lo, 1.0, t_min - t_lo)
     elif t_lo < t_min:
         val, _ = quad(g, t_lo, t_min, epsabs=PHASE_QUAD_TOL, epsrel=1e-11, limit=200)
         total += val
     span = t_hi - t_min
     if span > 0:
-        val, _ = quad(
-            lambda v: 2.0 * v * g(t_hi - v * v),
-            0.0,
-            math.sqrt(span),
-            epsabs=PHASE_QUAD_TOL,
-            epsrel=1e-11,
-            limit=200,
-        )
-        total += val
+        total += substituted(t_hi, -1.0, span)
     return total
 
 

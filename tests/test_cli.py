@@ -84,6 +84,46 @@ class TestCountAndSweep:
         row = json.loads(out)["rows"][0]
         assert (row["count_low"], row["count_high"]) == (low, high)
 
+    @pytest.mark.parametrize("lam,low,high", [("20", 6, 10), ("60", 26, 32)])
+    def test_count_delta_nearer_one_phase_integral(self, capsys, tmp_path, lam, low, high):
+        # alpha ~ 1e9: rounding t to a double moves the growth term by up to
+        # power * 2^-53 ~ 2e-7 relative, which the phase integral must not see
+        # (no quadrature warning) and which theta_sum must not carry
+        import mpmath
+
+        model = circle_model(delta=1.0 - 1e-9)
+        path = tmp_path / "nearer_one.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "count", str(path), "--lambda", lam, "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["count_low"], row["count_high"]) == (low, high)
+
+        mpmath.mp.dps = 40
+        cusp = model.cusps[0]
+        level = mpmath.mpf(lam)
+        reference = mpmath.mpf(0)
+        for mu, mult in zip(*weyl.cusp_modes(model, 0, float(lam))):
+            f = FiberPotential.from_cusp(2, cusp.delta, cusp.a, mu)
+            sc = 1 - mpmath.mpf(f.delta)
+            power, alpha = 2 * mpmath.mpf(f.delta) / sc, mpmath.mpf(f.alpha)
+
+            def gap(x):
+                t = alpha + x
+                return level - mu * (sc * t) ** power - mpmath.mpf(f.const_coeff) / t**2
+
+            if gap(0) <= 0:
+                continue
+            right = mpmath.mpf(1)
+            while gap(right) > 0:
+                right *= 2
+            end = mpmath.findroot(gap, (0, right), solver="anderson")
+            reference += mult * mpmath.quad(lambda x: mpmath.sqrt(max(gap(x), 0)), [0, end])
+        reference /= mpmath.pi
+        assert row["theta_sum"] == pytest.approx(float(reference), rel=1e-8)
+
     def test_count_rejects_invalid_model(self, capsys, bad_flux_path):
         code, _, err = run_cli(capsys, "count", bad_flux_path, "--lambda", "10")
         assert code == 1

@@ -3,6 +3,8 @@ import types
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 import hypothesis
 from hypothesis import given, strategies as st
 
@@ -128,8 +130,8 @@ class TestCounting:
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     def test_margin_doubling_invariance(self, monkeypatch):
-        # on F_REF the last geometric step of the tail walk overshoots both
-        # budgets, so the delta < 1 fiber is the one whose end point moves
+        # the tail walk lands on its decay budget instead of overshooting it
+        # by a whole geometric step, so every end point moves with T_MARGIN
         cases = [
             (f, lam)
             for f in (F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0))
@@ -139,7 +141,15 @@ class TestCounting:
         ends = [fiber._shoot_end(f, lam) for f, lam in cases]
         monkeypatch.setattr(fiber, "T_MARGIN", 2 * fiber.T_MARGIN)
         assert [fiber_count(f, lam) for f, lam in cases] == counts
-        assert any(fiber._shoot_end(f, lam) > end for (f, lam), end in zip(cases, ends))
+        assert all(fiber._shoot_end(f, lam) > end for (f, lam), end in zip(cases, ends))
+
+    @pytest.mark.parametrize("lam", [9.2, 30.0, 77.0, 300.0])
+    def test_shoot_end_lands_on_the_decay_budget(self, lam):
+        t_turn = turning_point(F_REF, lam)
+        decay = quad(lambda t: math.sqrt(max(potential_eval(F_REF, t) - lam, 0.0)),
+                     t_turn, fiber._shoot_end(F_REF, lam), limit=200)[0]
+        budget = fiber.T_MARGIN + 0.5 * math.log(1.0 / (fiber.ANGLE_TOL * 1e-3))
+        assert budget * 0.97 < decay < budget * 1.01
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_level_raises(self, lam):
@@ -336,16 +346,61 @@ class TestMatchedShooting:
         calls = []
         real = fiber._prufer_theta
 
-        def kernel(g, level, t0, stops, theta0):
+        def kernel(g, level, t0, stops, theta0, tail):
             [t1] = stops
             calls.append((t0, t1))
-            return real(g, level, t0, stops, theta0)
+            return real(g, level, t0, stops, theta0, tail)
 
         monkeypatch.setattr(fiber, "_prufer_theta", kernel)
         values = fiber_eigenvalues(f, lam, bc)
         assert len(values) > 2
         assert len(calls) > len(values)
         assert all(t1 < t0 and t1 == f.alpha for t0, t1 in calls)
+
+    @pytest.mark.parametrize("f,lam", CASES)
+    def test_listing_shoots_per_eigenvalue(self, monkeypatch, f, lam):
+        # phase-integral seeds and secant steps: a Dirichlet listing costs at
+        # most 6 backward shoots per eigenvalue, plus the total and the bracket
+        calls = []
+        real = fiber._shoot_back
+
+        def shoot_back(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fiber, "_shoot_back", shoot_back)
+        values = fiber_eigenvalues(f, lam)
+        assert len(values) > 2
+        assert len(calls) <= 6 * len(values) + 3
+
+    # each listed value against the root of the read-off F of a backward
+    # shoot kept at the plain error target throughout, solved to 1e-14
+    @hypothesis.settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+        a=st.floats(0.3, 1.2),
+        mu=st.floats(0.01, 5.0),
+        lam=st.floats(20.0, 100.0),
+        robin=st.booleans(),
+    )
+    def test_listing_matches_tight_read_off_roots(self, n, delta, a, mu, lam, robin):
+        f = FiberPotential.from_cusp(n, delta, a, mu)
+        bc = ROBIN if robin else BoundaryCondition.dirichlet()
+        values = fiber_eigenvalues(f, lam, bc)
+        assert len(values) == fiber_count(f, lam, bc)
+        theta0 = fiber._boundary_angle(f, bc)
+        t_end = fiber._shoot_end(f, max(lam, potential_min(f)))
+
+        def read_off(level):
+            start = math.atan2(1.0, -math.sqrt(max(potential_eval(f, t_end) - level, 0.0)))
+            return theta0 - fiber._prufer_theta(f, level, t_end, [f.alpha], start)[0]
+
+        for k, v in enumerate(values):
+            width = 1e-8 * max(1.0, abs(v))
+            root = brentq(lambda level: read_off(level) - k * math.pi, v - width, v + width,
+                          xtol=1e-14, rtol=1e-14)
+            assert abs(v - root) <= fiber.REL_TOL * max(1.0, abs(v))
 
     @pytest.mark.parametrize("f,lam_max", CASES)
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
@@ -425,6 +480,55 @@ class TestMatchedShooting:
         assert forward - theta0 > 2.0 * math.pi
         [back] = fiber._prufer_theta(f, lam, t1, [t0], forward)
         assert abs(back - theta0) < 1e-9
+
+
+class TestBackwardTail:
+    # a backward shoot relaxes its error target past the nearest read point,
+    # by how much the decay integral D from there damps an angle error
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+        a=st.floats(0.3, 1.5),
+        mu=st.floats(0.01, 20.0),
+        lam=st.floats(-5.0, 400.0),
+    )
+    def test_decay_bound_below_quadrature(self, n, delta, a, mu, lam):
+        f = FiberPotential.from_cusp(n, delta, a, mu)
+        t_turn = turning_point(f, lam)
+        read = fiber._interior_min(f) if t_turn is None else t_turn
+        t_end = fiber._shoot_end(f, max(lam, potential_min(f)))
+        bounds = list(fiber._decay_bounds(f, lam, read, t_end))
+        assert bounds[-1][0] >= t_end
+        for t, decay in bounds:
+            exact = quad(lambda s: math.sqrt(max(potential_eval(f, s) - lam, 0.0)),
+                         read, t, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+            assert decay <= exact * (1.0 + 1e-9) + 1e-12
+
+    # at delta = 1 the decaying solution is K_{i nu}(sqrt(mu) e^t), nu^2 =
+    # lam - (n-1)^2/4 (a real order below that level), so the angle that the
+    # shoot reads off at alpha is atan(u / u') mod pi, u' = y K'(y) at
+    # y = sqrt(mu) e^alpha
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        a=st.floats(0.5, 1.5),
+        mu=st.floats(0.05, 20.0),
+        lam=st.floats(0.3, 300.0),
+    )
+    def test_read_off_matches_bessel_k(self, n, a, mu, lam):
+        import mpmath
+
+        mpmath.mp.dps = 30
+        f = FiberPotential.from_cusp(n, 1.0, a, mu)
+        [theta] = fiber._shoot_back(f, lam, fiber._shoot_end(f, lam), [f.alpha])
+        q = mpmath.mpf((n - 1) ** 2) / 4
+        order = mpmath.sqrt(q - lam) if lam < q else 1j * mpmath.sqrt(lam - q)
+        y = mpmath.sqrt(mu) * mpmath.exp(f.alpha)
+        u = mpmath.re(mpmath.besselk(order, y))
+        du = -y * mpmath.re(mpmath.besselk(order - 1, y) + mpmath.besselk(order + 1, y)) / 2
+        gap = (theta - float(mpmath.atan2(u, du)) + math.pi / 2) % math.pi - math.pi / 2
+        assert abs(gap) <= fiber.ANGLE_TOL
 
 
 def distinct_modes(model, lam, tau):
