@@ -48,6 +48,7 @@ from .fiber import (
 from .weyl import (
     CountResult,
     FitReport,
+    bracket_and_theta,
     cusp_count,
     cusp_modes,
     fit_remainder_samples,

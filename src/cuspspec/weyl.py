@@ -155,9 +155,16 @@ def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
     Each distinct mode is integrated once and its term repeated by its
     multiplicity.
     """
+    return _theta_sum(model, j, lam, cusp_modes(model, j, lam))
+
+
+def _theta_sum(
+    model: ManifoldModel, j: int, lam: float, modes: tuple[list[float], list[int]]
+) -> float:
+    """theta_sum of cusp j over modes, its cusp_modes at lam."""
     cusp = model.cusps[j]
     terms = []
-    for mu, mult in zip(*cusp_modes(model, j, lam)):
+    for mu, mult in zip(*modes):
         f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu)
         terms += [phase_integral(f, lam)] * mult
     return math.fsum(terms) / math.pi
@@ -171,31 +178,38 @@ def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, flo
     function, so the integral is a finite sum over jump intervals; a value
     starts a new jump when it lies more than 1e-12 above the first value of
     the current jump.  The residual is pure rounding noise.  Every term is a
-    correctly rounded sqrt and every sum an exactly rounded fsum, so the
-    result does not depend on the order of the terms.
+    correctly rounded sqrt and every sum the binned exact sum _exact_sum,
+    which equals math.fsum bit for bit, so the result does not depend on the
+    order of the terms.
     """
     if mu <= 0:
         return 0.0, 0.0
     values = mu_spectrum(x, tau, mu).values
-    roots = np.sqrt(mu - values)
-    left = math.fsum(roots)
+    if values.size == 0:
+        return 0.0, 0.0
+    # the jumps before the roots: _jumps' scratch is the largest, and no
+    # roots are held while it is live
     starts, ends = _jumps(values)
+    roots = np.sqrt(mu - values)
+    left = _exact_sum(roots)
     # N = ends[k] from the first value of jump k to the first value of the
     # next jump, or to mu past the last one, where the root is 0
-    closed = np.append(roots, 0.0)
-    right = math.fsum(ends * (roots[starts] - closed[ends]))
+    following = np.append(roots[starts[1:]], 0.0)
+    right = _exact_sum(ends * (roots[starts] - following))
     return left, abs(left - right)
 
 
 def _jumps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index and one-past-last index of each jump of N over sorted values.
+    """First index and one-past-last index of each jump of N over sorted,
+    non-empty values.
 
     A gap above 1e-12 between neighbours always starts a jump.  A run of
     neighbours closer than that can still span more than 1e-12 from its
     first value; only such runs are split by the sequential rule.
     """
-    opens = np.diff(values, prepend=-np.inf) > 1e-12
-    closes = np.diff(values, append=np.inf) > 1e-12
+    gaps = np.diff(values) > 1e-12
+    opens = np.concatenate(([True], gaps))
+    closes = np.concatenate((gaps, [True]))
     starts, lasts = np.flatnonzero(opens), np.flatnonzero(closes)
     wide = values[lasts] - values[starts] > 1e-12
     for a, b in zip(starts[wide].tolist(), lasts[wide].tolist()):
@@ -205,6 +219,68 @@ def _jumps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 opens[i] = closes[i - 1] = True
                 first = values[i]
     return np.flatnonzero(opens), np.flatnonzero(closes) + 1
+
+
+# _exact_sum works through its input in blocks of this many elements, so its
+# scratch arrays grow with the block, not with the input.
+_SUM_BLOCK = 1 << 15
+# Elements added into the float64 bins of _exact_sum before they are moved
+# into a Python int: 2**26 parts of magnitude at most 2**27 keep every bin an
+# integer of magnitude at most 2**53, which float64 holds exactly.
+_SUM_BIN_LIMIT = 1 << 26
+# Adding and then subtracting 1.5 * 2**78 rounds an integer of magnitude
+# below 2**53 to the nearest multiple of 2**26, exactly.
+_ROUND_26 = 1.5 * 2.0**78
+# One bin per binary exponent of a float64, -1073 (the smallest subnormal,
+# 0.5 * 2**-1073) to 1024, shifted by 1073 to start at 0.
+_SUM_BINS = 2098
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array, equal to math.fsum(x) bit
+    for bit.
+
+    Each value is m * 2**e with q = m * 2**53 an integer below 2**53 in
+    magnitude.  q splits exactly into 2**26 times an integer of magnitude at
+    most 2**27 and a remainder of magnitude at most 2**25, and np.bincount
+    adds each part into one float64 bin per exponent e.  Every bin stays an
+    exact integer (see _SUM_BIN_LIMIT).  The bins end in one Python int, in
+    units of 2**-1126, and one correctly rounded int/int division.  An input
+    that is not all finite, or whose running sums could overflow, goes to
+    math.fsum itself, so inf, nan and the errors raised are those of fsum.
+    """
+    x = np.ravel(x)
+    # below this exponent, no sum of len(x) values can reach 2**1023
+    top = 1023 - x.size.bit_length()
+    total, added = 0, 0
+    hi, lo = np.zeros(_SUM_BINS), np.zeros(_SUM_BINS)
+    for start in range(0, x.size, _SUM_BLOCK):
+        block = x[start : start + _SUM_BLOCK]
+        m, e = np.frexp(block)
+        if e.max() > top or not np.isfinite(block).all():
+            return math.fsum(x)
+        if added + block.size > _SUM_BIN_LIMIT:
+            total, added = _flush_bins(total, hi, lo), 0
+        m *= 2.0**53  # q
+        high = m + _ROUND_26
+        high -= _ROUND_26  # q rounded to a multiple of 2**26
+        m -= high  # the remainder, of magnitude at most 2**25
+        high *= 2.0**-26
+        e += 1073
+        hi += np.bincount(e, weights=high, minlength=_SUM_BINS)
+        lo += np.bincount(e, weights=m, minlength=_SUM_BINS)
+        added += block.size
+    return _flush_bins(total, hi, lo) / (1 << 1126)
+
+
+def _flush_bins(total: int, hi: np.ndarray, lo: np.ndarray) -> int:
+    """total plus the bins of _exact_sum, in units of 2**-1126; empties the bins."""
+    for k in np.flatnonzero(hi).tolist():
+        total += int(hi[k]) << (k + 26)
+    for k in np.flatnonzero(lo).tolist():
+        total += int(lo[k]) << k
+    hi[:] = lo[:] = 0.0
+    return total
 
 
 def rj_sum(x: TorusCrossSection, tau: float, mu: float) -> float:
@@ -228,18 +304,22 @@ def cusp_count(
     spectrum but no discrete eigenvalues (constant potential for delta = 1,
     nonnegative decaying potential for delta < 1).
     """
-    [count] = _cusp_counts(model, j, lam, [bc])
+    [count] = _cusp_counts(model, j, lam, [bc], cusp_modes(model, j, lam))
     leading = weyl_leading(cusp_volume(model.cusps[j], model.n), model.n, lam)
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 
 
 def _cusp_counts(
-    model: ManifoldModel, j: int, lam: float, bcs: Sequence[BoundaryCondition]
+    model: ManifoldModel,
+    j: int,
+    lam: float,
+    bcs: Sequence[BoundaryCondition],
+    modes: tuple[list[float], list[int]],
 ) -> list[int]:
-    """cusp_count of cusp j under each of bcs, from one cusp_modes call and
-    one count_fibers call."""
+    """cusp_count of cusp j under each of bcs, over modes, its cusp_modes at
+    lam, from one count_fibers call."""
     cusp = model.cusps[j]
-    mus, mults = cusp_modes(model, j, lam)
+    mus, mults = modes
     return [
         sum(mult * c for mult, c in zip(mults, counts))
         for counts in count_fibers(model.n, cusp.delta, cusp.a, mus, lam, bcs)
@@ -256,10 +336,26 @@ def count_ends(model: ManifoldModel, lam: float, bcs: Sequence[BoundaryCondition
     one count_fibers call, so a delta = 1 cusp costs one backward shoot for
     all of bcs.
     """
+    return _count_ends(model, lam, bcs, _every_cusp_modes(model, lam))
+
+
+def _count_ends(
+    model: ManifoldModel,
+    lam: float,
+    bcs: Sequence[BoundaryCondition],
+    modes: Sequence[tuple[list[float], list[int]]],
+) -> list[int]:
+    """count_ends over modes, the cusp_modes of every cusp at lam."""
     ends = [_core_term(model, lam, bc) for bc in bcs]
-    for j in range(len(model.cusps)):
-        ends = [end + count for end, count in zip(ends, _cusp_counts(model, j, lam, bcs))]
+    for j, cusp_j_modes in enumerate(modes):
+        counts = _cusp_counts(model, j, lam, bcs, cusp_j_modes)
+        ends = [end + count for end, count in zip(ends, counts)]
     return ends
+
+
+def _every_cusp_modes(model: ManifoldModel, lam: float) -> list[tuple[list[float], list[int]]]:
+    """cusp_modes of every cusp of model at lam, in cusp order."""
+    return [cusp_modes(model, j, lam) for j in range(len(model.cusps))]
 
 
 def _core_term(model: ManifoldModel, lam: float, bc: BoundaryCondition) -> int:
@@ -281,9 +377,28 @@ def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
     low  = core Weyl band floor + sum_j Dirichlet cusp counts
     high = core Weyl band ceiling + sum_j Robin (default beta_j) cusp counts
     For core volume 0 both ends are exact decoupled counts.  Both ends come
-    from one count_ends call.
+    from one listing of each cusp's modes, as in count_ends.
     """
-    low, high = count_ends(model, lam, (DIRICHLET, BoundaryCondition.robin()))
+    return _bracket(model, lam, _every_cusp_modes(model, lam))
+
+
+def bracket_and_theta(model: ManifoldModel, lam: float) -> tuple[CountResult, float]:
+    """total_count_bracket at lam and the fsum over cusps of theta_sum.
+
+    Each cusp lists its modes once, and the bracket and the phase sum read
+    the same list.
+    """
+    modes = _every_cusp_modes(model, lam)
+    bracket = _bracket(model, lam, modes)
+    theta = math.fsum(_theta_sum(model, j, lam, m) for j, m in enumerate(modes))
+    return bracket, theta
+
+
+def _bracket(
+    model: ManifoldModel, lam: float, modes: Sequence[tuple[list[float], list[int]]]
+) -> CountResult:
+    """total_count_bracket over modes, the cusp_modes of every cusp at lam."""
+    low, high = _count_ends(model, lam, (DIRICHLET, BoundaryCondition.robin()), modes)
     return CountResult(
         lam=lam,
         count_low=low,

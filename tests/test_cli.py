@@ -124,6 +124,33 @@ class TestCountAndSweep:
         reference /= mpmath.pi
         assert row["theta_sum"] == pytest.approx(float(reference), rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "argv, levels",
+        [
+            (["count", "--lambda", "66"], 1),
+            (["sweep", "--lambda-min", "10", "--lambda-max", "66", "--points", "3"], 3),
+        ],
+        ids=["count", "sweep"],
+    )
+    @pytest.mark.parametrize("model, cusps", [("torus3.json", 1), ("two_cusp.json", 2)])
+    def test_each_level_lists_each_cusps_modes_once(
+        self, capsys, monkeypatch, argv, levels, model, cusps
+    ):
+        # the bracket and the theta_sum column read one listing per cusp
+        calls = []
+        real = weyl.mu_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weyl, "mu_spectrum", counted)
+        path = Path(__file__).parent / "golden" / "models" / model
+        code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert len(out.strip().splitlines()) >= 1 + levels
+        assert len(calls) == cusps * levels
+
     def test_count_rejects_invalid_model(self, capsys, bad_flux_path):
         code, _, err = run_cli(capsys, "count", bad_flux_path, "--lambda", "10")
         assert code == 1

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from cuspspec import fiber, weyl
 from cuspspec import (
@@ -201,6 +204,8 @@ class TestRjIdentity:
         "torus3-wide-runs": ((TWO_PI, TWO_PI, TWO_PI), (0.5, 0.5, 0.25), 3000.0),
         "torus2-free": ((TWO_PI, TWO_PI), (0.0, 0.0), 5000.0),
         "torus2-benchmark": ((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3), 2.0e4),
+        # about 250k modes: each side is an exact sum over several blocks
+        "torus2-benchmark-multiblock": ((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3), 6.0e4),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -237,6 +242,116 @@ class TestRjIdentity:
             identity_residual(x, 1.0, mu)
 
 
+def sum_outcome(f, values):
+    """f(values), or the type of the exception it raises."""
+    try:
+        return f(values)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def same_float(a, b):
+    """Bit-for-bit equality of two floats (or outcomes), nan and -0.0 included."""
+    if isinstance(a, float) and isinstance(b, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+class TestExactSum:
+    BLOCK = weyl._SUM_BLOCK
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        blocks=st.integers(0, 2),
+        rest=st.integers(0, weyl._SUM_BLOCK),
+        seed=st.integers(0, 2**32 - 1),
+        lo_exp=st.integers(-300, 300),
+        span=st.integers(0, 600),
+        signs=st.sampled_from(["positive", "negative", "mixed"]),
+        subnormal=st.booleans(),
+        cancel=st.booleans(),
+    )
+    def test_equals_fsum_bit_for_bit(
+        self, blocks, rest, seed, lo_exp, span, signs, subnormal, cancel
+    ):
+        # lengths from 0 to three blocks
+        n = blocks * self.BLOCK + rest
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** rng.uniform(lo_exp, min(lo_exp + span, 300), n)
+        if signs == "negative":
+            x = -x
+        elif signs == "mixed":
+            x *= rng.choice([-1.0, 1.0], n)
+        if subnormal:
+            x[::3] = 5e-324 * rng.integers(-2**20, 2**20, x[::3].size)
+        if cancel:
+            # every value cancelled by its negation, as in [1e16, 1, -1e16]
+            x = np.concatenate([[1e16], x, -x[::-1], [1.0, -1e16]])
+        assert same_float(weyl._exact_sum(x), math.fsum(x))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    def test_small_lists_match_fsum_outcome(self, values):
+        x = np.array(values, dtype=float)
+        assert same_float(sum_outcome(weyl._exact_sum, x), sum_outcome(math.fsum, x))
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([], 0.0),
+            ([1e16, 1.0, -1e16], 1.0),
+            ([5e-324, 5e-324], 1e-323),
+            ([math.inf, 1.0], math.inf),
+            ([-math.inf, 1e300], -math.inf),
+            ([math.nan, 1.0], math.nan),
+            ([math.inf, -math.inf], ValueError),
+            ([1e308, 1e308], OverflowError),
+            ([1e308, 1e308, -1e308], OverflowError),  # fsum's running sum overflows
+        ],
+    )
+    def test_special_values_as_fsum(self, values, expected):
+        x = np.array(values, dtype=float)
+        assert same_float(sum_outcome(math.fsum, x), expected)
+        assert same_float(sum_outcome(weyl._exact_sum, x), expected)
+
+    def test_non_finite_in_a_late_block(self):
+        x = np.ones(3 * self.BLOCK)
+        x[-1] = math.inf
+        assert weyl._exact_sum(x) == math.inf
+        x[-2] = -math.inf
+        with pytest.raises(ValueError):
+            weyl._exact_sum(x)
+
+    def test_bins_flushed_before_the_limit(self, monkeypatch):
+        # the real limit (2**26 elements) is too large to build here; a
+        # small one must move the bins to the Python int once per limit
+        flushes = []
+        real = weyl._flush_bins
+
+        def counted(total, hi, lo):
+            flushes.append(int(np.count_nonzero(hi) + np.count_nonzero(lo)))
+            return real(total, hi, lo)
+
+        monkeypatch.setattr(weyl, "_SUM_BLOCK", 64)
+        monkeypatch.setattr(weyl, "_SUM_BIN_LIMIT", 128)
+        monkeypatch.setattr(weyl, "_flush_bins", counted)
+        x = np.random.default_rng(7).normal(scale=1e6, size=1000)
+        assert same_float(weyl._exact_sum(x), math.fsum(x))
+        assert len(flushes) == math.ceil(1000 / 128)
+        assert all(flushes)
+
+    def test_peak_memory_grows_with_the_block(self):
+        x = np.sqrt(np.random.default_rng(3).uniform(0.0, 2.5e5, 1_000_000))
+        tracemalloc.start()
+        try:
+            total = weyl._exact_sum(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == math.fsum(x)
+        assert peak < 4_000_000  # x alone is 8 MB
+
+
 def sequential_jumps(values):
     """(first value, multiplicity) of each jump of N, by the per-mode loop.
 
@@ -263,6 +378,66 @@ def sequential_rj_identity(values, mu):
         s_next = jumps[k + 1][0] if k + 1 < len(jumps) else mu
         terms.append(cumulative * (math.sqrt(mu - s_k) - math.sqrt(mu - s_next)))
     return left, abs(left - math.fsum(terms))
+
+
+class TestGaugeInvariance:
+    """omega_k -> omega_k + 2 pi / L_k relabels the lattice m_k -> m_k + 1, so
+    the cross-section spectrum, R(mu) and every count keep their values up
+    to the rounding of the shifted offsets."""
+
+    @staticmethod
+    def shifted(x, axis):
+        magnetic = list(x.magnetic)
+        magnetic[axis] += TWO_PI / x.lengths[axis]
+        return TorusCrossSection(x.lengths, tuple(magnetic))
+
+    @staticmethod
+    def cross_section(dims, omega):
+        lengths = (TWO_PI, 1.3 * TWO_PI)[:dims]
+        return TorusCrossSection(lengths, tuple(omega[:dims]))
+
+    @staticmethod
+    def clear_of_the_spectrum(x, level):
+        """No eigenvalue within rounding of level, where membership could flip."""
+        values = mu_spectrum(x, 1.0, 2.0 * level + 1.0).values
+        return values.size == 0 or np.min(np.abs(values - level)) > 1e-9 * max(1.0, level)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dims=st.sampled_from([1, 2]),
+        omega=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        axis=st.integers(0, 1),
+        mu=st.floats(0.5, 3000.0),
+    )
+    def test_spectrum_and_rj_sum(self, dims, omega, axis, mu):
+        x = self.cross_section(dims, omega)
+        y = self.shifted(x, axis % dims)
+        assume(self.clear_of_the_spectrum(x, mu))
+        a, b = mu_spectrum(x, 1.0, mu).values, mu_spectrum(y, 1.0, mu).values
+        assert a.size == b.size
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, a))
+        assert rj_sum(y, 1.0, mu) == pytest.approx(rj_sum(x, 1.0, mu), rel=1e-12, abs=0.0)
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([(1, 1.0), (1, 0.75), (2, 1.0)]),
+        omega=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        axis=st.integers(0, 1),
+        lam=st.floats(1.0, 60.0),
+    )
+    def test_bracket_ends(self, shape, omega, axis, lam):
+        dims, delta = shape
+        x = self.cross_section(dims, omega)
+        assume(self.clear_of_the_spectrum(x, lam))
+
+        def model(section):
+            return ManifoldModel(
+                dims + 1, CompactCoreSurrogate(), (CuspEnd(section, a=1.0, delta=delta),)
+            )
+
+        res = total_count_bracket(model(x), lam)
+        gauged = total_count_bracket(model(self.shifted(x, axis % dims)), lam)
+        assert (gauged.count_low, gauged.count_high) == (res.count_low, res.count_high)
 
 
 class TestCuspCount:
