@@ -48,7 +48,6 @@ from .fiber import (
 from .weyl import (
     CountResult,
     FitReport,
-    bracket_and_theta,
     cusp_count,
     cusp_modes,
     fit_remainder_samples,

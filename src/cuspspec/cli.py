@@ -33,11 +33,12 @@ from .fiber import (
 from .model import FLUX_TOL, load_model, validate_model
 from .weyl import (
     PHASE_QUAD_TOL,
-    bracket_and_theta,
     fit_remainder_samples,
     phase_integral,
     remainder_model,
     rj_identity,
+    theta_sum,
+    total_count_bracket,
 )
 
 SWEEP_COLUMNS = (
@@ -176,16 +177,16 @@ def _validate(model, args, meta):
 
 
 def _sweep(model, args, meta):
-    """count is sweep at one level, without the fit.  Each level lists every
-    cusp's modes once, for the bracket and the theta_sum column alike."""
+    """count is sweep at one level, without the fit."""
     lams = _lambda_grid(args)
     if lams[0] < 0.0:
         flag = "--lambda" if args.verb == "count" else "--lambda-min"
         raise ValueError(f"{flag} must be >= 0, got {lams[0]}")
     rows = []
     for lam in lams:
-        bracket, theta = bracket_and_theta(model, lam)
+        bracket = total_count_bracket(model, lam)
         counts = (getattr(bracket, c) for c in SWEEP_COLUMNS[1:6])
+        theta = math.fsum(theta_sum(model, j, lam) for j in range(len(model.cusps)))
         rows.append((lam, *counts, theta, remainder_model(model.n, model.delta, lam)))
     if args.verb == "count":
         return SWEEP_COLUMNS, rows, ()

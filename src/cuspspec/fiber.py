@@ -598,7 +598,10 @@ def fiber_count(
             # at q - beta^2, present exactly when beta > 0
             q = f.const_coeff
             return 1 if (beta > 0.0 and q - beta * beta < lam) else 0
-        if beta <= 0.0:
+        # V = c / t^2: the decaying zero-energy solution meets the Robin
+        # condition exactly at the default beta (the image of the constant
+        # mode, eigenvalue 0), so a state below lam <= 0 needs a larger beta
+        if beta <= default_robin_beta(f):
             return 0
         return _shoot_count(f, lam, _boundary_angle(f, bc))
     vmin = potential_min(f)
@@ -831,8 +834,6 @@ def fd_oracle(
     h = (right - f.alpha) / grid
     beta = _resolve_beta(f, bc)
     nodes = f.alpha + h * np.arange(grid + 1)
-    if f.delta < 1.0 and nodes[0] <= 0.0:
-        raise ValueError("delta < 1 fiber needs alpha > 0")
     v = _potential_array(f, nodes)
     if bc.kind == "dirichlet":
         diag = 2.0 / h**2 + v[1:grid]

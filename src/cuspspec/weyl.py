@@ -155,16 +155,9 @@ def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
     Each distinct mode is integrated once and its term repeated by its
     multiplicity.
     """
-    return _theta_sum(model, j, lam, cusp_modes(model, j, lam))
-
-
-def _theta_sum(
-    model: ManifoldModel, j: int, lam: float, modes: tuple[list[float], list[int]]
-) -> float:
-    """theta_sum of cusp j over modes, its cusp_modes at lam."""
     cusp = model.cusps[j]
     terms = []
-    for mu, mult in zip(*modes):
+    for mu, mult in zip(*cusp_modes(model, j, lam)):
         f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu)
         terms += [phase_integral(f, lam)] * mult
     return math.fsum(terms) / math.pi
@@ -304,22 +297,18 @@ def cusp_count(
     spectrum but no discrete eigenvalues (constant potential for delta = 1,
     nonnegative decaying potential for delta < 1).
     """
-    [count] = _cusp_counts(model, j, lam, [bc], cusp_modes(model, j, lam))
+    [count] = _cusp_counts(model, j, lam, [bc])
     leading = weyl_leading(cusp_volume(model.cusps[j], model.n), model.n, lam)
     return CountResult(lam=lam, count_low=count, count_high=count, leading=leading)
 
 
 def _cusp_counts(
-    model: ManifoldModel,
-    j: int,
-    lam: float,
-    bcs: Sequence[BoundaryCondition],
-    modes: tuple[list[float], list[int]],
+    model: ManifoldModel, j: int, lam: float, bcs: Sequence[BoundaryCondition]
 ) -> list[int]:
-    """cusp_count of cusp j under each of bcs, over modes, its cusp_modes at
-    lam, from one count_fibers call."""
+    """cusp_count of cusp j under each of bcs, from one cusp_modes call and
+    one count_fibers call."""
     cusp = model.cusps[j]
-    mus, mults = modes
+    mus, mults = cusp_modes(model, j, lam)
     return [
         sum(mult * c for mult, c in zip(mults, counts))
         for counts in count_fibers(model.n, cusp.delta, cusp.a, mus, lam, bcs)
@@ -336,26 +325,10 @@ def count_ends(model: ManifoldModel, lam: float, bcs: Sequence[BoundaryCondition
     one count_fibers call, so a delta = 1 cusp costs one backward shoot for
     all of bcs.
     """
-    return _count_ends(model, lam, bcs, _every_cusp_modes(model, lam))
-
-
-def _count_ends(
-    model: ManifoldModel,
-    lam: float,
-    bcs: Sequence[BoundaryCondition],
-    modes: Sequence[tuple[list[float], list[int]]],
-) -> list[int]:
-    """count_ends over modes, the cusp_modes of every cusp at lam."""
     ends = [_core_term(model, lam, bc) for bc in bcs]
-    for j, cusp_j_modes in enumerate(modes):
-        counts = _cusp_counts(model, j, lam, bcs, cusp_j_modes)
-        ends = [end + count for end, count in zip(ends, counts)]
+    for j in range(len(model.cusps)):
+        ends = [end + count for end, count in zip(ends, _cusp_counts(model, j, lam, bcs))]
     return ends
-
-
-def _every_cusp_modes(model: ManifoldModel, lam: float) -> list[tuple[list[float], list[int]]]:
-    """cusp_modes of every cusp of model at lam, in cusp order."""
-    return [cusp_modes(model, j, lam) for j in range(len(model.cusps))]
 
 
 def _core_term(model: ManifoldModel, lam: float, bc: BoundaryCondition) -> int:
@@ -377,28 +350,9 @@ def total_count_bracket(model: ManifoldModel, lam: float) -> CountResult:
     low  = core Weyl band floor + sum_j Dirichlet cusp counts
     high = core Weyl band ceiling + sum_j Robin (default beta_j) cusp counts
     For core volume 0 both ends are exact decoupled counts.  Both ends come
-    from one listing of each cusp's modes, as in count_ends.
+    from one count_ends call.
     """
-    return _bracket(model, lam, _every_cusp_modes(model, lam))
-
-
-def bracket_and_theta(model: ManifoldModel, lam: float) -> tuple[CountResult, float]:
-    """total_count_bracket at lam and the fsum over cusps of theta_sum.
-
-    Each cusp lists its modes once, and the bracket and the phase sum read
-    the same list.
-    """
-    modes = _every_cusp_modes(model, lam)
-    bracket = _bracket(model, lam, modes)
-    theta = math.fsum(_theta_sum(model, j, lam, m) for j, m in enumerate(modes))
-    return bracket, theta
-
-
-def _bracket(
-    model: ManifoldModel, lam: float, modes: Sequence[tuple[list[float], list[int]]]
-) -> CountResult:
-    """total_count_bracket over modes, the cusp_modes of every cusp at lam."""
-    low, high = _count_ends(model, lam, (DIRICHLET, BoundaryCondition.robin()), modes)
+    low, high = count_ends(model, lam, (DIRICHLET, BoundaryCondition.robin()))
     return CountResult(
         lam=lam,
         count_low=low,

@@ -244,7 +244,9 @@ class TestEigenvalues:
 class TestEdgeFibers:
     # regimes that stress the shooting machinery: tiny mu (scaled-field
     # ground channel), steep delta -> 1 powers, a dominant 1/t^2 wall,
-    # boundaries at positive and negative alpha, higher dimension
+    # boundaries at positive and negative alpha, higher dimension, and an
+    # interior minimum (0.418) below V(alpha) = 0.5, at levels between the
+    # two and above V(alpha)
     CASES = (
         (FiberPotential.from_cusp(2, 1.00, 1.0, 2.5e-5), 120.0),
         (FiberPotential.from_cusp(2, 0.95, 1.0, 1.0), 60.0),
@@ -252,6 +254,8 @@ class TestEdgeFibers:
         (FiberPotential.from_cusp(2, 1.00, 2.0, 1.0), 200.0),
         (FiberPotential.from_cusp(2, 1.00, 0.5, 1.0), 60.0),
         (FiberPotential.from_cusp(5, 0.60, 1.0, 2.0), 80.0),
+    ) + tuple(
+        (FiberPotential.from_cusp(2, 0.75, 0.5, 0.25), lam) for lam in (0.42, 0.45, 0.49, 0.6, 3.0)
     )
 
     @pytest.mark.parametrize("f,lam", CASES)
@@ -731,6 +735,19 @@ class TestFdOracle:
         vals = fd_oracle(flat, 0.2, bc, grid=1 << 13)
         assert len(vals) == 1
         assert abs(vals[0]) < 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("delta", [0.6, 0.75])
+    def test_robin_count_of_free_channel_below_zero(self, n, delta):
+        # mu = 0, delta < 1: V = c / t^2, whose decaying zero-energy solution
+        # meets the default Robin condition exactly, an eigenvalue at 0 that
+        # a strict count at 0 leaves out; larger beta binds a state below 0
+        f = FiberPotential.from_cusp(n, delta, 1.0, 0.0)
+        for beta in (None, 0.2, 1.0, 3.0):
+            bc = BoundaryCondition.robin(beta)
+            for lam in (-1.0, -0.1, -1e-3, 0.0):
+                assert fiber_count(f, lam, bc) == len(fd_oracle(f, lam, bc, grid=1 << 13))
+        assert fiber_count(f, 0.0, ROBIN) == 0
 
 
 def test_default_robin_beta_values():

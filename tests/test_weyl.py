@@ -6,6 +6,7 @@ import hypothesis
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.integrate import quad
 
 from cuspspec import fiber, weyl
 from cuspspec import (
@@ -94,6 +95,24 @@ class TestPhaseIntegral:
         assert phase_integral(flat, 0.2) == 0.0
         with pytest.raises(ContinuousSpectrumError):
             phase_integral(flat, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.42, 0.45, 0.49, 0.6, 3.0])
+    def test_interior_minimum_against_quad(self, lam):
+        # alpha = 2.828, V(alpha) = 0.5, and V dips to 0.418 at t = 3.459:
+        # below V(alpha) the allowed interval starts at an interior root
+        # t_lo > alpha, and the integral substitutes at both turning points
+        f = FiberPotential.from_cusp(2, 0.75, 0.5, 0.25)
+        t_lo, t_hi = fiber.allowed_interval(f, lam)
+        if lam < fiber.potential_eval(f, f.alpha):
+            assert t_lo > f.alpha
+            assert fiber.potential_eval(f, t_lo) == pytest.approx(lam, rel=1e-12)
+        else:
+            assert t_lo == f.alpha
+        direct, _ = quad(
+            lambda t: math.sqrt(max(lam - fiber.potential_eval(f, t), 0.0)),
+            t_lo, t_hi, epsabs=1e-13, epsrel=1e-13, limit=500,
+        )
+        assert phase_integral(f, lam) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 class TestAdmissible:
