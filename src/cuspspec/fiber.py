@@ -525,9 +525,13 @@ def _tail_scales(
     for t, decay in _decay_bounds(f, lam, read, t_end):
         if decay > 1.0:
             nodes.append(t)
-            scales.append(min(math.exp(2.0 * (decay - 1.0)), cap))
-            if scales[-1] == cap:
+            exponent = 2.0 * (decay - 1.0)
+            # compared in log space: one step of _decay_bounds can jump the
+            # decay bound far enough for exp to overflow
+            if exponent >= math.log(cap):
+                scales.append(cap)
                 break
+            scales.append(math.exp(exponent))
     return nodes, scales
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
@@ -45,6 +46,9 @@ class TorusCrossSection:
         """True iff some loop holonomy omega_k * L_k is not in 2*pi*Z (within FLUX_TOL)."""
         for length, omega in zip(self.lengths, self.magnetic):
             flux = omega * length
+            if not math.isfinite(flux):
+                # beyond the float range no fractional part of the flux is left
+                continue
             nearest = 2.0 * math.pi * round(flux / (2.0 * math.pi))
             if abs(flux - nearest) > FLUX_TOL:
                 return True
@@ -116,8 +120,12 @@ def validate_model(model: ManifoldModel) -> list[str]:
     """
     violations: list[str] = []
     n = model.n
+    # an int beyond the float range would overflow 1.0 / n below
+    sized = 2 <= n <= sys.float_info.max
     if n < 2:
         violations.append(f"dimension n = {n} must be >= 2")
+    elif not sized:
+        violations.append(f"dimension n = {n} is too large for a float")
     if len(model.cusps) < 1:
         violations.append("model must have at least one cusp end (J >= 1)")
     if not 0 <= model.core.volume < math.inf:
@@ -147,7 +155,7 @@ def validate_model(model: ManifoldModel) -> list[str]:
             violations.append(f"cusp {j}: a = {cusp.a} must be finite and > 0")
         if math.isnan(cusp.delta):
             violations.append(f"cusp {j}: delta must be a number, got nan")
-        elif n >= 2 and not (1.0 / n < cusp.delta <= 1.0):
+        elif sized and not (1.0 / n < cusp.delta <= 1.0):
             if cusp.delta <= 1.0 / n:
                 violations.append(
                     f"cusp {j}: delta <= 1/n ({cusp.delta} <= {1.0 / n:g})"
@@ -203,6 +211,8 @@ def _number(value, name: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{name} = {value!r} is too large for a float") from None
 
 
 def _numbers(values, name: str) -> tuple[float, ...]:

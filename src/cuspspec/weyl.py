@@ -5,7 +5,8 @@ finitely many cross-section modes that cusp_modes lists, with the field the
 model carries (a scaled field is a scaled model); the whole-manifold count is
 bracketed between Dirichlet and Neumann-like (Robin) decoupled counts plus
 a Weyl band for the compact core.  Phase integrals give the semiclassical
-term whose sum tracks the cusp Weyl volume.
+term whose sum tracks the cusp Weyl volume; each is one quadrature over the
+allowed interval in a variable that removes both turning-point square roots.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from .fiber import (
     BoundaryCondition,
     ContinuousSpectrumError,
     FiberPotential,
-    _interior_min,
     _potential_from,
     allowed_interval,
     count_fibers,
-    potential_eval,
 )
 from .model import ManifoldModel, TorusCrossSection, cusp_volume, total_volume
 
@@ -102,11 +101,16 @@ def cusp_modes(model: ManifoldModel, j: int, lam: float) -> tuple[list[float], l
 def phase_integral(f: FiberPotential, lam: float) -> float:
     """w(lam) = integral of sqrt([lam - V]_+) over the classically allowed region.
 
-    The square-root vanishing at a turning point t* is removed by the
-    substitution t = t* -+ v^2, which restores smooth integrands for the
-    adaptive quadrature.  V is taken at the offset -+v^2 from t*, so the
-    rounding of t* -+ v^2 costs no digits where t* is large (delta -> 1).
-    Returns 0 when lam never exceeds V.
+    One substitution, t = t_lo + (t_hi - t_lo)(1 - cos theta)/2 over
+    theta in [0, pi], serves every shape of the allowed interval [t_lo, t_hi]:
+    the factor sin(theta) of dt/dtheta cancels the square-root vanishing at
+    either turning point, and the integrand stays smooth where an end sits at
+    the boundary alpha or the interval holds the minimum of V.  The offset
+    (1 - cos theta)/2 is taken as sin^2(theta/2), which keeps its digits near
+    theta = 0.  V is taken at that offset from t_lo through _potential_from:
+    as delta -> 1, t_lo ~ alpha ~ 1/(1 - delta) grows and the exponent of the
+    growth term with it, so rounding t_lo + x would move V by far more than
+    the quadrature tolerance.  Returns 0 when lam never exceeds V.
     """
     if f.mu == 0.0:
         if lam <= f.ess_inf:
@@ -118,35 +122,16 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
     if interval is None:
         return 0.0
     t_lo, t_hi = interval
+    width = t_hi - t_lo
+    half = 0.5 * width
+    v_at = _potential_from(f, t_lo)
 
-    def g(t: float) -> float:
-        return math.sqrt(max(lam - potential_eval(f, t), 0.0))
+    def integrand(theta: float) -> float:
+        s = math.sin(0.5 * theta)
+        return math.sqrt(max(lam - v_at(width * s * s), 0.0)) * math.sin(theta) * half
 
-    def substituted(t_star: float, sign: float, span: float) -> float:
-        """integral of g over [t*, t* + span] (sign +1) or [t* - span, t*] (-1)."""
-        v_at = _potential_from(f, t_star)
-        val, _ = quad(
-            lambda v: 2.0 * v * math.sqrt(max(lam - v_at(sign * v * v), 0.0)),
-            0.0,
-            math.sqrt(span),
-            epsabs=PHASE_QUAD_TOL,
-            epsrel=1e-11,
-            limit=200,
-        )
-        return val
-
-    t_min = min(max(_interior_min(f), t_lo), t_hi)
-    total = 0.0
-    if t_lo < t_min and t_lo > f.alpha:
-        # both endpoints singular on [t_lo, t_min]; substitute at the left one
-        total += substituted(t_lo, 1.0, t_min - t_lo)
-    elif t_lo < t_min:
-        val, _ = quad(g, t_lo, t_min, epsabs=PHASE_QUAD_TOL, epsrel=1e-11, limit=200)
-        total += val
-    span = t_hi - t_min
-    if span > 0:
-        total += substituted(t_hi, -1.0, span)
-    return total
+    val, _ = quad(integrand, 0.0, math.pi, epsabs=PHASE_QUAD_TOL, epsrel=1e-11, limit=200)
+    return val
 
 
 def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:

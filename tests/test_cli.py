@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import given, strategies as st
 from cuspspec import cli, weyl
 from cuspspec import fiber_eigenvalues, FiberPotential, load_model, model_to_dict
 from cuspspec.cli import main
-from conftest import circle_model
+from conftest import circle_model, model_dicts
 
 
 @pytest.fixture
@@ -58,6 +61,41 @@ class TestValidateVerb:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 1
         assert "unknown model fields" in json.loads(err)["error"]["message"]
+
+
+class TestDrawnModelFiles:
+    # exit 0, 1 or 2 on any model file; a non-zero exit always says why: a
+    # JSON error object on stderr, or validate's table of violations
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=model_dicts(), verb=st.sampled_from([["validate"], ["count", "--lambda", "1"]]))
+    def test_exit_code_and_error_object(self, data, verb):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(json.dumps(data))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([verb[0], str(path), *verb[1:]])
+        assert code in (0, 1, 2)
+        if code == 0:
+            return
+        if verb == ["validate"] and not err.getvalue():
+            assert code == 1 and len(out.getvalue().splitlines()) > 1
+        else:
+            assert set(json.loads(err.getvalue())["error"]) == {"type", "message"}
+
+    @pytest.mark.parametrize("verb", [["validate"], ["count", "--lambda", "1"]])
+    @pytest.mark.parametrize("field", ["a", "dimension"])
+    def test_huge_int_exits_1(self, capsys, tmp_path, verb, field):
+        data = model_to_dict(circle_model())
+        (data["cusps"][0] if field == "a" else data)[field] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, verb[0], str(path), *verb[1:])
+        assert code == 1
+        if verb == ["validate"] and field == "dimension":
+            assert "dimension n = 1" in out
+        else:
+            assert json.loads(err)["error"]["type"] in ("model-load", "validation")
 
 
 class TestCountAndSweep:

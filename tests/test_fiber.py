@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 
 import numpy as np
@@ -508,6 +509,18 @@ class TestBackwardTail:
             exact = quad(lambda s: math.sqrt(max(potential_eval(f, s) - lam, 0.0)),
                          read, t, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
             assert decay <= exact * (1.0 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize("lam", [1e12, 1e14])
+    def test_scales_end_at_the_cap_where_exp_overflows(self, lam):
+        # the first decay bound past 1 is already so large that
+        # exp(2 (D - 1)) overflows; the scales still end at the cap
+        t_end = fiber._shoot_end(F_REF, lam)
+        read = turning_point(F_REF, lam)
+        first = next(d for _, d in fiber._decay_bounds(F_REF, lam, read, t_end) if d > 1.0)
+        assert 2.0 * (first - 1.0) > math.log(sys.float_info.max)
+        nodes, scales = fiber._tail_scales(F_REF, lam, F_REF.alpha, t_end)
+        assert len(scales) == len(nodes) + 1
+        assert scales[-1] == fiber.ANGLE_TOL / fiber.ODE_ATOL
 
     # at delta = 1 the decaying solution is K_{i nu}(sqrt(mu) e^t), nu^2 =
     # lam - (n-1)^2/4 (a real order below that level), so the angle that the

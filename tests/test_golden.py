@@ -6,11 +6,17 @@ the exit code and any Python warnings with the record in
 is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, before writing, each case whose output changed, whether any
+integer token in it changed, and the largest relative change of its float
+tokens, so that a regeneration can be reviewed from its log.
 """
 
 import contextlib
 import io
 import json
+import math
+import re
 import warnings
 from pathlib import Path
 
@@ -54,6 +60,9 @@ def _case_id(model: str, verb: str, fmt: str) -> str:
 
 CASES = [(m, v, f) for m in MODELS for v in VERBS for f in FORMATS]
 
+# a decimal number; a token without "." or an exponent is an integer
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
 
 def run_case(model: str, verb: str, fmt: str) -> dict:
     path = GOLDEN / "models" / f"{model}.json"
@@ -83,7 +92,93 @@ def test_cli_output_unchanged(golden, model, verb, fmt):
     assert run_case(model, verb, fmt) == golden[_case_id(model, verb, fmt)]
 
 
+def _is_int(token: str) -> bool:
+    return not any(c in token for c in ".eE")
+
+
+def _field_change(before, after) -> tuple[bool, bool, float]:
+    """(text outside the numbers changed, an integer token changed, largest
+    relative change of a float token) between two values of a record field."""
+    a, b = (v if isinstance(v, str) else json.dumps(v) for v in (before, after))
+    nums_a, nums_b = NUMBER.findall(a), NUMBER.findall(b)
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b) or len(nums_a) != len(nums_b):
+        return True, False, 0.0
+    ints, worst = False, 0.0
+    for x, y in zip(nums_a, nums_b):
+        if x == y:
+            continue
+        if _is_int(x) or _is_int(y):
+            ints = True
+        else:
+            fx, fy = float(x), float(y)
+            worst = max(worst, abs(fy - fx) / abs(fx) if fx else math.inf)
+    return False, ints, worst
+
+
+def change_report(old: dict, new: dict) -> list[str]:
+    """One line per case of new whose record differs from old, then a summary."""
+    lines, any_text, any_ints, worst = [], False, False, 0.0
+    for case, after in new.items():
+        before = old.get(case)
+        if before == after:
+            continue
+        if before is None:
+            lines.append(f"{case}: new case")
+            any_text = True
+            continue
+        fields = [k for k in after if after[k] != before.get(k)]
+        text, ints, rel = False, False, 0.0
+        for k in fields:
+            t, i, r = _field_change(before.get(k), after[k])
+            text, ints, rel = text or t, ints or i, max(rel, r)
+        any_text, any_ints, worst = any_text or text, any_ints or ints, max(worst, rel)
+        lines.append(
+            f"{case}: {', '.join(fields)} changed; text {'CHANGED' if text else 'unchanged'}; "
+            f"integers {'CHANGED' if ints else 'unchanged'}; largest float change {rel:.2e}"
+        )
+    for case in sorted(old.keys() - new.keys()):
+        lines.append(f"{case}: case removed")
+        any_text = True
+    lines.append(
+        f"{len(lines)} cases differ from the old record, of {len(new)}; text {'CHANGED' if any_text else 'unchanged'}; "
+        f"integers {'CHANGED' if any_ints else 'unchanged'}; largest float change {worst:.2e}"
+    )
+    return lines
+
+
+def test_change_report_names_every_kind_of_change():
+    old = {
+        "same": {"exit": 0, "stdout": "lam,count\n30.0,7\n"},
+        "float": {"exit": 0, "stdout": "w,1.5\n"},
+        "int": {"exit": 0, "stdout": "count,7\n"},
+        "text": {"exit": 1, "stdout": "a\n"},
+        "gone": {"exit": 0, "stdout": ""},
+    }
+    new = {
+        "same": old["same"],
+        "float": {"exit": 0, "stdout": "w,1.5000000000003\n"},
+        "int": {"exit": 0, "stdout": "count,8\n"},
+        "text": {"exit": 1, "stdout": "b\n"},
+        "added": {"exit": 0, "stdout": ""},
+    }
+    lines = change_report(old, new)
+    assert lines[0].startswith("float: stdout changed; text unchanged; integers unchanged")
+    assert lines[0].endswith("largest float change 2.00e-13")
+    assert lines[1].startswith("int: stdout changed; text unchanged; integers CHANGED")
+    assert lines[2].startswith("text: stdout changed; text CHANGED")
+    assert lines[3:5] == ["added: new case", "gone: case removed"]
+    assert lines[5].startswith(
+        "5 cases differ from the old record, of 5; text CHANGED; integers CHANGED"
+    )
+    assert change_report(old, old)[-1].startswith(
+        "0 cases differ from the old record, of 5; text unchanged; integers unchanged"
+    )
+
+
 if __name__ == "__main__":
+    path = GOLDEN / "cli.json"
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     record = {_case_id(*case): run_case(*case) for case in CASES}
-    (GOLDEN / "cli.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(change_report(old, record)))
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(record)} cases")

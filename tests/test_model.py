@@ -1,7 +1,9 @@
 import json
 import math
 
+import hypothesis
 import pytest
+from hypothesis import given
 
 from cuspspec import (
     CompactCoreSurrogate,
@@ -16,7 +18,7 @@ from cuspspec import (
     total_volume,
     validate_model,
 )
-from conftest import TWO_PI, circle_model
+from conftest import TWO_PI, circle_model, model_dicts
 
 
 def make(n, lengths, magnetic, a=1.0, delta=1.0, core=0.0):
@@ -207,3 +209,32 @@ class TestWronglyTypedFields:
         data = model_to_dict(circle_model())
         data["cusps"][0]["a"] = "1.5"
         assert model_from_dict(data).cusps[0].a == 1.5
+
+
+class TestDrawnModelFiles:
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=model_dicts())
+    def test_parse_raises_only_value_error_and_validate_never_raises(self, data):
+        try:
+            model = model_from_dict(data)
+        except ValueError:
+            return
+        assert all(isinstance(v, str) for v in validate_model(model))
+
+    @pytest.mark.parametrize("field", ["a", "volume"])
+    def test_huge_int_field_is_a_value_error(self, field):
+        data = model_to_dict(circle_model())
+        target = data["cusps"][0] if field == "a" else data["core"]
+        target[field] = 10**400
+        with pytest.raises(ValueError, match="too large for a float"):
+            model_from_dict(data)
+
+    def test_huge_dimension_is_a_violation(self):
+        data = model_to_dict(circle_model())
+        data["dimension"] = 10**400
+        violations = validate_model(model_from_dict(data))
+        assert violations[0].endswith("is too large for a float")
+
+    def test_flux_beyond_float_range_is_a_violation(self):
+        # omega * L overflows to inf; no fractional part of it is left
+        assert "integer flux" in validate_model(circle_model(omega=1e308))[0]

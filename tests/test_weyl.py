@@ -3,6 +3,7 @@ import math
 import tracemalloc
 
 import hypothesis
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -44,11 +45,29 @@ def all_modes(model, lam):
 
 
 def closed_form_w_delta1(f: FiberPotential, lam: float) -> float:
-    """Antiderivative of sqrt(lam - q - mu e^(2t)) via x = e^t (test oracle)."""
-    c = lam - f.const_coeff
-    x_alpha = math.exp(f.alpha)
-    s0 = math.sqrt(c - f.mu * x_alpha**2)
-    return math.sqrt(c) * math.atanh(s0 / math.sqrt(c)) - s0
+    """The delta = 1 phase integral in closed form, to 30 digits (test oracle).
+
+    With E = lam - (n-1)^2/4, floor = mu e^(2 alpha) and y0 = sqrt(E - floor),
+    w = sqrt(E) ln((sqrt(E) + y0) / sqrt(floor)) - y0 for E > floor, else 0.
+    """
+    with mpmath.workdps(30):
+        e = mpmath.mpf(lam) - mpmath.mpf(f.const_coeff)
+        floor = mpmath.mpf(f.mu) * mpmath.exp(2 * mpmath.mpf(f.alpha))
+        if e <= floor:
+            return 0.0
+        y0, root = mpmath.sqrt(e - floor), mpmath.sqrt(e)
+        return float(root * mpmath.log((root + y0) / mpmath.sqrt(floor)) - y0)
+
+
+def mpmath_w(f: FiberPotential, lam: float, points) -> float:
+    """integral of sqrt([lam - V]_+) for delta < 1 over the breakpoints points,
+    by tanh-sinh quadrature in t itself, to 25 digits (test oracle)."""
+    with mpmath.workdps(25):
+        d = mpmath.mpf(f.delta)
+        p, c = 2 * d / (1 - d), (f.n - 1) * d * ((f.n - 3) * d + 2) / (4 * (1 - d) ** 2)
+        return float(mpmath.quad(
+            lambda t: mpmath.sqrt(max(lam - f.mu * ((1 - d) * t) ** p - c / t**2, 0)), points
+        ))
 
 
 class TestPhaseIntegral:
@@ -67,17 +86,19 @@ class TestPhaseIntegral:
         values = [phase_integral(f, lam) for lam in (5.0, 20.0, 80.0, 320.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_closed_form_delta1(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            mu = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            a = float(rng.uniform(0.5, 2.0))
-            f = FiberPotential.from_cusp(2, 1.0, a, mu)
-            v_alpha = mu * math.exp(2 * f.alpha) + f.const_coeff
-            lam = v_alpha + float(np.exp(rng.uniform(0.0, 5.0)))
-            assert phase_integral(f, lam) == pytest.approx(
-                closed_form_w_delta1(f, lam), abs=1e-8
-            )
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        a=st.floats(0.5, 1.5),
+        log_mu=st.floats(-5.0, 6.0),
+        log_lam=st.floats(0.0, 9.0),
+    )
+    def test_closed_form_delta1(self, n, a, log_mu, log_lam):
+        f = FiberPotential.from_cusp(n, 1.0, a, math.exp(log_mu))
+        lam = math.exp(log_lam)
+        expected = closed_form_w_delta1(f, lam)
+        assume(expected > 0.0)
+        assert phase_integral(f, lam) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
     def test_brute_force_delta_075(self):
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 1.0)
@@ -113,6 +134,34 @@ class TestPhaseIntegral:
             t_lo, t_hi, epsabs=1e-13, epsrel=1e-13, limit=500,
         )
         assert phase_integral(f, lam) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        delta=st.floats(0.55, 0.95),
+        a=st.floats(0.3, 1.5),
+        log_mu=st.floats(-4.0, 4.0),
+        below_alpha=st.booleans(),
+        u=st.floats(0.01, 0.99),
+    )
+    def test_drawn_interval_shapes_against_mpmath(self, n, delta, a, log_mu, below_alpha, u):
+        # three shapes of [t_lo, t_hi]: t_lo = alpha with V increasing
+        # (minimum at alpha), t_lo = alpha with V dipping to an interior
+        # minimum, and t_lo > alpha with a turning point at each end
+        f = FiberPotential.from_cusp(n, delta, a, math.exp(log_mu))
+        t_min = fiber._interior_min(f)
+        v_alpha, v_min = fiber.potential_eval(f, f.alpha), fiber.potential_eval(f, t_min)
+        if below_alpha:
+            assume(t_min > f.alpha)
+            lam = v_min + u * (v_alpha - v_min)
+        else:
+            lam = v_alpha + math.exp(7.0 * u - 3.0)
+        t_lo, t_hi = fiber.allowed_interval(f, lam)
+        assert (t_lo > f.alpha) == below_alpha
+        points = [t_lo, t_min, t_hi] if t_lo < t_min < t_hi else [t_lo, t_hi]
+        assert phase_integral(f, lam) == pytest.approx(
+            mpmath_w(f, lam, points), rel=1e-10, abs=0.0
+        )
 
 
 class TestAdmissible:
