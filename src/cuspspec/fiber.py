@@ -190,7 +190,8 @@ def potential_eval(f: FiberPotential, t: float) -> float:
 
 
 def _potential_from(f: FiberPotential, t: float) -> Callable[[float], float]:
-    """x -> V(t + x), for a point t >= alpha and offsets x with t + x >= alpha.
+    """x -> V(t + x) of a delta < 1 fiber, for a point t >= alpha and offsets
+    x with t + x >= alpha.
 
     Rounding t + x, or (1 - delta) t, moves the delta < 1 growth term by up
     to power * 2^-53 relative, and power ~ 2 / (1 - delta) grows without
@@ -199,7 +200,7 @@ def _potential_from(f: FiberPotential, t: float) -> Callable[[float], float]:
     (1 + x/t)^power, which no rounding of t + x reaches.  Below that power
     the plain formula is exact to ~1e-13 relative.
     """
-    if f.delta == 1.0 or f.power <= 1e3:
+    if f.power <= 1e3:
         return lambda x: potential_eval(f, t + x)
     p, c = f.power, f.const_coeff
     base = (1.0 - f.delta) * t

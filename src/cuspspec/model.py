@@ -123,9 +123,9 @@ def validate_model(model: ManifoldModel) -> list[str]:
     # an int beyond the float range would overflow 1.0 / n below
     sized = 2 <= n <= sys.float_info.max
     if n < 2:
-        violations.append(f"dimension n = {n} must be >= 2")
+        violations.append(f"dimension n = {_int_text(n)} must be >= 2")
     elif not sized:
-        violations.append(f"dimension n = {n} is too large for a float")
+        violations.append(f"dimension n = {_int_text(n)} is too large for a float")
     if len(model.cusps) < 1:
         violations.append("model must have at least one cusp end (J >= 1)")
     if not 0 <= model.core.volume < math.inf:
@@ -139,7 +139,8 @@ def validate_model(model: ManifoldModel) -> list[str]:
         x = cusp.cross_section
         if len(x.lengths) != n - 1:
             violations.append(
-                f"cusp {j}: torus has {len(x.lengths)} lengths, expected n-1 = {n - 1}"
+                f"cusp {j}: torus has {len(x.lengths)} lengths, "
+                f"expected n-1 = {_int_text(n - 1)}"
             )
         if len(x.magnetic) != len(x.lengths):
             violations.append(
@@ -174,6 +175,16 @@ def validate_model(model: ManifoldModel) -> list[str]:
                 "magnetic mode needs non-integer flux on every cusp"
             )
     return violations
+
+
+def _int_text(k: int) -> str:
+    """k in decimal, or its bit length where Python's int-to-str digit limit
+    refuses the decimal."""
+    try:
+        return str(k)
+    except ValueError:
+        sign = "negative " if k < 0 else ""
+        return f"a {sign}{k.bit_length()}-bit integer"
 
 
 def cusp_volume(cusp: CuspEnd, n: int) -> float:

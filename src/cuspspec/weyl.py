@@ -5,8 +5,10 @@ finitely many cross-section modes that cusp_modes lists, with the field the
 model carries (a scaled field is a scaled model); the whole-manifold count is
 bracketed between Dirichlet and Neumann-like (Robin) decoupled counts plus
 a Weyl band for the compact core.  Phase integrals give the semiclassical
-term whose sum tracks the cusp Weyl volume; each is one quadrature over the
-allowed interval in a variable that removes both turning-point square roots.
+term whose sum tracks the cusp Weyl volume.  At delta = 1 they have a closed
+form, taken in one numpy pass over a cusp's modes; at delta < 1 each is one
+quadrature over the allowed interval in a variable that removes both
+turning-point square roots.
 """
 
 from __future__ import annotations
@@ -32,8 +34,15 @@ from .model import ManifoldModel, TorusCrossSection, cusp_volume, total_volume
 
 TWO_PI = 2.0 * math.pi
 
-# Absolute error target of each phase-integral quadrature.
+# Absolute error target of each phase-integral quadrature (delta < 1 only;
+# delta = 1 phase integrals are closed-form).
 PHASE_QUAD_TOL = 1e-9
+
+# Below x = 1/4, atanh x - x is summed as its odd series x^3/3 + x^5/5 + ...
+# up to x^27/27, whose first omitted term is below 2^-53 relative there; above
+# it, log1p(x) + ln(E/floor)/2 - x cancels at most 50-fold.
+_SERIES_X = 0.25
+_SERIES = 1.0 / np.arange(3.0, 29.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,8 @@ def cusp_modes(model: ManifoldModel, j: int, lam: float) -> tuple[list[float], l
 def phase_integral(f: FiberPotential, lam: float) -> float:
     """w(lam) = integral of sqrt([lam - V]_+) over the classically allowed region.
 
-    One substitution, t = t_lo + (t_hi - t_lo)(1 - cos theta)/2 over
+    At delta = 1, w is the closed form of _phase_delta1.  At delta < 1 one
+    substitution, t = t_lo + (t_hi - t_lo)(1 - cos theta)/2 over
     theta in [0, pi], serves every shape of the allowed interval [t_lo, t_hi]:
     the factor sin(theta) of dt/dtheta cancels the square-root vanishing at
     either turning point, and the integrand stays smooth where an end sits at
@@ -118,6 +128,8 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
         raise ContinuousSpectrumError(
             "phase integral of a mu = 0 channel diverges above the essential infimum"
         )
+    if f.delta == 1.0:
+        return float(_phase_delta1(f.n, f.alpha, np.array([f.mu]), lam)[0])
     interval = allowed_interval(f, lam)
     if interval is None:
         return 0.0
@@ -134,18 +146,66 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
     return val
 
 
+def _phase_delta1(n: int, alpha: float, mus: np.ndarray, lam: float) -> np.ndarray:
+    """phase_integral of the delta = 1 fiber (n, alpha, mu) at lam, for every
+    mu > 0 in mus, in closed form.
+
+    With E = lam - (n-1)^2/4 and floor = mu e^(2 alpha), the substitution
+    y = sqrt(E - mu e^(2t)) gives w = sqrt(E) (atanh x - x) with
+    x = sqrt(E - floor) / sqrt(E) for E > floor, and w = 0 otherwise;
+    atanh x = log1p(x) + ln(E/floor)/2.
+
+    ln(E/floor) is log1p((E - floor)/floor) where floor lies within a factor
+    e^600 of E, with floor taken as (mu e^alpha) e^alpha: a few ulps from
+    exact, and no product leaves the range between mu and floor.  Farther
+    below E, floor may underflow, and ln E - 2 alpha - ln mu, off by a few
+    ulps of the logs, is exact enough next to its value.  Modes whose logs
+    put floor more than a factor e above E get w = 0 without floor, which
+    could overflow.
+    """
+    w = np.zeros(mus.shape)
+    e = lam - (n - 1) ** 2 / 4.0
+    if not e > 0.0:
+        return w
+    log_ratio = (math.log(e) - 2.0 * alpha) - np.log(mus)
+    live = log_ratio > -1.0
+    log_ratio = log_ratio[live]
+    finite = abs(alpha) < 700.0  # exp(alpha) is finite and non-zero
+    ea = math.exp(alpha) if finite else 0.0
+    floor = mus[live] * ea * ea
+    near = (log_ratio < 600.0) & finite
+    gap = np.maximum(e - floor, 0.0)
+    x = np.sqrt(np.where(near, gap / e, -np.expm1(-log_ratio)))
+    log_ratio = np.where(near, np.log1p(gap / np.where(near, floor, 1.0)), log_ratio)
+    small = x < _SERIES_X
+    terms = np.where(small, 0.0, np.log1p(x) + 0.5 * log_ratio - x)
+    xs = x[small]
+    x2 = xs * xs
+    series = np.full(xs.shape, _SERIES[-1])
+    for c in _SERIES[-2::-1]:
+        series = series * x2 + c
+    terms[small] = xs * x2 * series
+    w[live] = math.sqrt(e) * terms
+    return w
+
+
 def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
     """Sum of phase integrals / pi over the modes of cusp j.
 
     Each distinct mode is integrated once and its term repeated by its
-    multiplicity.
+    multiplicity; a delta = 1 cusp takes every mode in one _phase_delta1 call.
     """
     cusp = model.cusps[j]
-    terms = []
-    for mu, mult in zip(*cusp_modes(model, j, lam)):
-        f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu)
-        terms += [phase_integral(f, lam)] * mult
-    return math.fsum(terms) / math.pi
+    mus, mults = cusp_modes(model, j, lam)
+    if cusp.delta == 1.0:
+        alpha = FiberPotential.from_cusp(model.n, 1.0, cusp.a, 0.0).alpha
+        terms = _phase_delta1(model.n, alpha, np.array(mus), lam)
+    else:
+        terms = [
+            phase_integral(FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu), lam)
+            for mu in mus
+        ]
+    return _exact_sum(np.repeat(terms, mults)) / math.pi
 
 
 def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, float]:
@@ -190,6 +250,8 @@ def _jumps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     closes = np.concatenate((gaps, [True]))
     starts, lasts = np.flatnonzero(opens), np.flatnonzero(closes)
     wide = values[lasts] - values[starts] > 1e-12
+    if not wide.any():
+        return starts, lasts + 1
     for a, b in zip(starts[wide].tolist(), lasts[wide].tolist()):
         first = values[a]
         for i in range(a + 1, b + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -234,6 +235,15 @@ class TestDrawnModelFiles:
         data["dimension"] = 10**400
         violations = validate_model(model_from_dict(data))
         assert violations[0].endswith("is too large for a float")
+
+    @pytest.mark.parametrize("n", [10**5000, -(10**5000)], ids=["huge", "negative"])
+    def test_dimension_beyond_the_int_to_str_limit(self, n):
+        # str(n) would raise past Python's 4300-digit limit
+        model = dataclasses.replace(circle_model(), n=n)
+        violations = validate_model(model)
+        assert violations[0].startswith("dimension n = a ")
+        assert "16610-bit integer" in violations[0]
+        assert any("expected n-1 = " in v for v in violations)
 
     def test_flux_beyond_float_range_is_a_violation(self):
         # omega * L overflows to inf; no fractional part of it is left

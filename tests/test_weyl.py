@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import hypothesis
 import mpmath
@@ -59,6 +60,16 @@ def closed_form_w_delta1(f: FiberPotential, lam: float) -> float:
         return float(root * mpmath.log((root + y0) / mpmath.sqrt(floor)) - y0)
 
 
+def closed_form_bound_delta1(f: FiberPotential, lam: float) -> float:
+    """Relative error allowed of the delta = 1 closed form: 1e-13, plus
+    1e-15 E / (E - floor) for the rounding of E = lam - (n-1)^2/4, which
+    E - floor amplifies near the floor."""
+    with mpmath.workdps(30):
+        e = mpmath.mpf(lam) - mpmath.mpf(f.const_coeff)
+        floor = mpmath.mpf(f.mu) * mpmath.exp(2 * mpmath.mpf(f.alpha))
+        return 1e-13 + 1e-15 * float(e / (e - floor))
+
+
 def mpmath_w(f: FiberPotential, lam: float, points) -> float:
     """integral of sqrt([lam - V]_+) for delta < 1 over the breakpoints points,
     by tanh-sinh quadrature in t itself, to 25 digits (test oracle)."""
@@ -99,6 +110,68 @@ class TestPhaseIntegral:
         expected = closed_form_w_delta1(f, lam)
         assume(expected > 0.0)
         assert phase_integral(f, lam) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    def _assert_closed_form(self, fibers, lam):
+        # one batched pass equals the single-mode values bit for bit, and no
+        # numpy warning (divide, invalid, overflow) is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [phase_integral(f, lam) for f in fibers]
+            n, alpha = fibers[0].n, fibers[0].alpha
+            batch = weyl._phase_delta1(n, alpha, np.array([f.mu for f in fibers]), lam)
+        assert batch.tolist() == got
+        for f, w in zip(fibers, got):
+            expected = closed_form_w_delta1(f, lam)
+            if expected == 0.0:
+                assert w == 0.0
+            else:
+                assert abs(w - expected) <= closed_form_bound_delta1(f, lam) * expected
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        alpha=st.floats(-400.0, 400.0),
+        log10_mus=st.lists(st.floats(-300.0, 6.0), min_size=1, max_size=4),
+        log10_lam=st.floats(-1.0, 15.0),
+    )
+    def test_closed_form_delta1_wide_range(self, n, alpha, log10_mus, log10_lam):
+        # mu down to 1e-300, so that mu e^(2 alpha) may lie below the
+        # smallest double, or far above lam; lam up to 1e15
+        fibers = [FiberPotential(n, 1.0, 10.0**x, alpha) for x in log10_mus]
+        self._assert_closed_form(fibers, 10.0**log10_lam)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        log10_mu=st.floats(-300.0, 6.0),
+        log10_lam=st.floats(1.0, 15.0),
+        log10_rel=st.floats(-6.0, -1.0),
+    )
+    def test_closed_form_delta1_near_the_floor(self, n, log10_mu, log10_lam, log10_rel):
+        # E from 1e-6 to 1e-1 relative above floor = mu e^(2 alpha)
+        lam, mu = 10.0**log10_lam, 10.0**log10_mu
+        e = lam - (n - 1) ** 2 / 4.0
+        floor = e / (1.0 + 10.0**log10_rel)
+        alpha = 0.5 * (math.log(floor) - math.log(mu))
+        self._assert_closed_form([FiberPotential(n, 1.0, mu, alpha)], lam)
+
+    @pytest.mark.parametrize(
+        "n,alpha,mu,lam",
+        [
+            (2, 0.0, 1.0, 0.25),  # E = 0
+            (3, 0.0, 1.0, 0.5),  # E < 0
+            (2, 0.0, 1.0, -3.0),
+            (2, 0.0, 99.75, 100.0),  # E = floor exactly
+            (3, 0.0, 1e15 - 1.0, 1e15),  # E = floor exactly at lam = 1e15
+            (2, -800.0, 1.0, 100.0),  # e^alpha underflows
+            (2, 705.0, 5e-324, 1e300),  # e^alpha overflows, floor ~ 1e289 < E
+            (2, 705.0, 1e-300, 1e15),  # floor beyond the float range
+            (4, 3.0, 1e300, 1e15),  # mu e^(2 alpha) overflows
+            (2, -345.0, 1e-300, 1e15),  # floor below the smallest double
+        ],
+    )
+    def test_closed_form_delta1_edges(self, n, alpha, mu, lam):
+        self._assert_closed_form([FiberPotential(n, 1.0, mu, alpha)], lam)
 
     def test_brute_force_delta_075(self):
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 1.0)
@@ -210,10 +283,29 @@ class TestThetaSum:
         assert theta_sum(model, 0, lam) == phase_integral(f, lam) / math.pi
 
     def test_one_phase_integral_per_distinct_mode(self, ref_model, monkeypatch):
-        # omega = 0.5 pairs the modes (k + 1/2)^2 and (-k - 1/2)^2
+        # omega = 0.5 pairs the modes (k + 1/2)^2 and (-k - 1/2)^2; at
+        # delta = 1 one closed-form pass takes each distinct mode once
         lam = 100.0
         fibers = all_modes(ref_model, lam)
         terms = [phase_integral(FiberPotential.from_cusp(2, 1.0, 1.0, mu), lam) for mu in fibers]
+        passes = []
+        real = weyl._phase_delta1
+
+        def counted(n, alpha, mus, lam):
+            passes.append(mus.tolist())
+            return real(n, alpha, mus, lam)
+
+        monkeypatch.setattr(weyl, "_phase_delta1", counted)
+        assert theta_sum(ref_model, 0, lam) == math.fsum(terms) / math.pi
+        assert passes == [sorted(set(fibers))]
+        assert len(passes[0]) == len(fibers) // 2
+
+    def test_one_quadrature_per_distinct_mode_delta075(self, ref_model_075, monkeypatch):
+        lam = 100.0
+        fibers = all_modes(ref_model_075, lam)
+        terms = [
+            phase_integral(FiberPotential.from_cusp(2, 0.75, 1.0, mu), lam) for mu in fibers
+        ]
         calls = []
         real = weyl.phase_integral
 
@@ -222,9 +314,30 @@ class TestThetaSum:
             return real(f, lam)
 
         monkeypatch.setattr(weyl, "phase_integral", counted)
-        assert theta_sum(ref_model, 0, lam) == math.fsum(terms) / math.pi
+        assert theta_sum(ref_model_075, 0, lam) == math.fsum(terms) / math.pi
         assert sorted(calls) == sorted(set(fibers))
         assert len(calls) == len(fibers) // 2
+
+    @pytest.mark.parametrize("lam", [66.0, 1e3])
+    def test_torus3_against_per_mode_quad(self, lam):
+        # w = integral over [alpha, t_hi] of sqrt(E - mu e^(2t)), taken by
+        # quad with the weight sqrt(t_hi - t) of the turning point
+        model = torus3_model()
+        alpha = FiberPotential.from_cusp(3, 1.0, model.cusps[0].a, 0.0).alpha
+        e = lam - 1.0
+        terms = []
+        for mu, mult in zip(*cusp_modes(model, 0, lam)):
+            t_hi = 0.5 * math.log(e / mu)
+            if t_hi <= alpha:
+                continue
+
+            def smooth(t, t_hi=t_hi):
+                d = t_hi - t
+                return math.sqrt(-e * math.expm1(-2.0 * d) / d) if d > 0.0 else math.sqrt(2.0 * e)
+
+            w, _ = quad(smooth, alpha, t_hi, weight="alg", wvar=(0.0, 0.5), epsabs=0.0, epsrel=1e-13)
+            terms += [w] * mult
+        assert theta_sum(model, 0, lam) == pytest.approx(math.fsum(terms) / math.pi, rel=1e-10, abs=0.0)
 
     def test_zero_below_all_minima(self, ref_model):
         assert theta_sum(ref_model, 0, 0.3) == 0.0
