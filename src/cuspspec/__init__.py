@@ -36,6 +36,7 @@ from .fiber import (
     BoundaryCondition,
     ContinuousSpectrumError,
     FiberPotential,
+    MeshBudgetError,
     count_fibers,
     default_robin_beta,
     fd_oracle,

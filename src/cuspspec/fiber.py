@@ -8,22 +8,25 @@ one-dimensional operator -d^2/dt^2 + V(t) on (alpha, oo), where
                             + (n-1) delta ((n-3) delta + 2) / (4 (1-delta)^2 t^2),
                      alpha = a^(2(1-delta)) / (1-delta)
 
-with mu >= 0 the cross-section eigenvalue.  The Prufer angle theta of
-(u, u') = r (sin theta, cos theta) is shot two ways.  The forward shoot
-starts from the boundary condition at alpha; its winding floor(theta/pi)
-counts the eigenvalues below the spectral level lambda.  The kernel
-integrates the scaled angle phi of SLEIGN2 and SLEDGE, tan(phi) =
-S tan(theta) with E = lambda - V(t) and S = (E^2 + 1)^(1/4):
+with mu >= 0 the cross-section eigenvalue.  Counts and listings rest on
+two propagators.  A forward count takes the solution that meets the
+boundary condition at alpha and counts its zeros on (alpha, t_end], t_end a
+point safely inside the classically forbidden region; by Sturm oscillation
+that is the number of eigenvalues below the spectral level lambda.  It
+propagates (u, u') with a sixth-order Magnus rule over a uniform mesh of
+offsets x = t - alpha, whose steps are not tied to the local wavelength,
+and reads each step's zeros from that step's own flow; see _shoot_count.
+The backward shoot integrates the Prufer angle theta of (u, u') =
+r (sin theta, cos theta) with an adaptive DP5 kernel, which is used only
+backward.  It integrates the scaled angle phi of SLEIGN2 and SLEDGE,
+tan(phi) = S tan(theta) with E = lambda - V(t) and S = (E^2 + 1)^(1/4):
 
     phi' = S cos^2(phi) + (E/S) sin^2(phi) - (E V' / (2 (E^2 + 1))) sin(phi) cos(phi)
 
 phi and theta cross every multiple of pi together, and phi turns at a
-nearly steady rate where theta climbs in stairs.  A count stops as soon as
-phi is trapped in [k pi, k pi + pi/2] past the turning point, where no
-further winding is possible, or at the latest at a point safely inside the
-classically forbidden region.
-The backward shoot runs the solution that decays at infinity from the
-forbidden region, where backward integration is stable, to the boundary.
+nearly steady rate where theta climbs in stairs.  The shoot runs the
+solution that decays at infinity from the forbidden region, where backward
+integration is stable, to the boundary.
 Its angle there gives the boundary read-off F(lambda) = theta0 -
 theta_dec(alpha; lambda), smooth and increasing with N(lambda) =
 ceil(F/pi).  An angle error that the backward shoot makes deep in the
@@ -48,12 +51,13 @@ There V is pointwise non-decreasing in mu, while alpha and the Robin beta
 depend only on (n, delta, a), so by min-max every fiber eigenvalue is
 non-decreasing in mu and N(lambda; mu) is non-increasing along the sorted
 modes.
-Bisection over the mode list then makes forward shoots only where the
-count changes: O(D log(M/D)) shoots for M modes with D distinct counts.
+Bisection over the mode list then makes forward counts only where the
+count changes: O(D log(M/D)) counts for M modes with D distinct counts.
 The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
-local error of each step (relaxed as above in the damped tail of a backward
-shoot), T_MARGIN and ANGLE_TOL place the end point of a shoot and cap that
-relaxation, and REL_TOL is the accuracy of listed eigenvalues.
+local error of each DP5 step (relaxed as above in the damped tail of a
+backward shoot), T_MARGIN and ANGLE_TOL place the end point of a shoot and
+cap that relaxation, MAGNUS_K sets the forward mesh, MESH_BUDGET bounds the
+forward work of one cusp, and REL_TOL is the accuracy of listed eigenvalues.
 """
 
 from __future__ import annotations
@@ -81,10 +85,29 @@ ANGLE_TOL = 1e-9
 # Decay budget, in WKB units (the integral of sqrt(V - lambda)), added past
 # the turning point before the tail-size rule driven by ANGLE_TOL takes over.
 T_MARGIN = 5.0
+# Steps per unit length of the forward Magnus mesh at lam = 0.  The mesh
+# refines as (1 + |lam|)^0.27, because the count error of the order-6 rule
+# was measured to grow as h^6 lam^1.6.
+MAGNUS_K = 20.0
+# Steps of the forward Magnus mesh per local length scale of a delta < 1
+# potential, t / max(power, 2) at t = alpha + x, wherever that scale is
+# short next to the level rule's step (near a small alpha, whose c/t^2 wall
+# the level rule does not resolve).
+MAGNUS_SCALE_STEPS = 10.0
+# Mesh steps propagated in one numpy pass of a forward count; (u, u') is
+# carried from block to block, so memory does not grow with lam.
+MAGNUS_BLOCK = 4096
+# Most forward mesh steps one delta < 1 count_fibers call may plan; see
+# MeshBudgetError.
+MESH_BUDGET = 10**10
 
 
 class ContinuousSpectrumError(ValueError):
     """Counting was requested inside the continuous spectrum of a mu = 0 fiber."""
+
+
+class MeshBudgetError(RuntimeError):
+    """Forward counts of a delta < 1 cusp would exceed the mesh-step budget."""
 
 
 @dataclass(frozen=True)
@@ -189,30 +212,42 @@ def potential_eval(f: FiberPotential, t: float) -> float:
     return f.mu * ((1.0 - f.delta) * t) ** f.power + f.const_coeff / (t * t)
 
 
+def _growth_at(f: FiberPotential, t: float) -> float:
+    """mu ((1 - delta) t)^power of a delta < 1 fiber, with (1 - delta) t
+    summed exactly: rounding it would move the term by up to power * 2^-53
+    relative, and power ~ 2 / (1 - delta) grows without bound as delta -> 1."""
+    p = f.power
+    base = (1.0 - f.delta) * t
+    err = float(Fraction(1.0 - f.delta) * Fraction(t) - Fraction(base))
+    return f.mu * base**p * math.exp(p * math.log1p(err / base))
+
+
 def _potential_from(f: FiberPotential, t: float) -> Callable[[float], float]:
     """x -> V(t + x) of a delta < 1 fiber, for a point t >= alpha and offsets
     x with t + x >= alpha.
 
-    Rounding t + x, or (1 - delta) t, moves the delta < 1 growth term by up
-    to power * 2^-53 relative, and power ~ 2 / (1 - delta) grows without
-    bound as delta -> 1.  Past power 1e3 the term is therefore taken at t
-    with (1 - delta) t summed exactly, and scaled from there by
-    (1 + x/t)^power, which no rounding of t + x reaches.  Below that power
-    the plain formula is exact to ~1e-13 relative.
+    Rounding t + x moves the delta < 1 growth term by up to power * 2^-53
+    relative.  Past power 1e3 the term is therefore taken at t by _growth_at
+    and scaled from there by (1 + x/t)^power, which no rounding of t + x
+    reaches.  Below that power the plain formula is exact to ~1e-13 relative.
     """
     if f.power <= 1e3:
         return lambda x: potential_eval(f, t + x)
     p, c = f.power, f.const_coeff
-    base = (1.0 - f.delta) * t
-    err = float(Fraction(1.0 - f.delta) * Fraction(t) - Fraction(base))
-    grow = f.mu * base**p * math.exp(p * math.log1p(err / base))
+    grow = _growth_at(f, t)
     return lambda x: grow * math.exp(p * math.log1p(x / t)) + c / ((t + x) * (t + x))
 
 
-def _potential_array(f: FiberPotential, t: np.ndarray) -> np.ndarray:
+def _potential_array(f: FiberPotential, x: np.ndarray) -> np.ndarray:
+    """V(alpha + x) at offsets x >= 0 from the boundary: mu a^4 e^(2x) + c at
+    delta = 1, mu a^(4 delta) (1 + x/alpha)^power + c/(alpha + x)^2 below,
+    the power taken as exp(power log1p(x/alpha)) so that no rounding of
+    alpha + x reaches the growth term as delta -> 1."""
     if f.delta == 1.0:
-        return f.mu * np.exp(2.0 * t) + f.const_coeff
-    return f.mu * ((1.0 - f.delta) * t) ** f.power + f.const_coeff / (t * t)
+        return f.mu * math.exp(2.0 * f.alpha) * np.exp(2.0 * x) + f.const_coeff
+    t = f.alpha + x
+    growth = _growth_at(f, f.alpha) * np.exp(f.power * np.log1p(x / f.alpha))
+    return growth + f.const_coeff / (t * t)
 
 
 def _interior_min(f: FiberPotential) -> float:
@@ -294,12 +329,9 @@ def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
 #
 # phi = k pi exactly where theta = k pi, and phi moves almost linearly where
 # theta climbs in stairs, so an adaptive Dormand-Prince 5(4) pair takes far
-# fewer steps on it.  theta is mapped to phi at t0 and back at the stop point.
-# A forward shoot also stops at the first accepted point where E < 0, V' > 0
-# and phi mod pi <= pi/2.  V has a single minimum, so it increases from there
-# on and E stays negative; phi' = S > 0 at k pi and phi' = E/S < 0 at
-# k pi + pi/2 then trap phi in [k pi, k pi + pi/2] for good, and
-# floor(theta/pi) = k is final.  Backward shoots run to their last stop.
+# fewer steps on it.  theta is mapped to phi at t0 and back at each stop.
+# The kernel runs either way; the counts and listings use it only backward,
+# for the solution that decays at infinity.
 
 
 def _scale(en: float) -> float:
@@ -327,9 +359,7 @@ def _prufer_theta(
     the Prufer angle of fiber f at level lam, started at theta(t0) = theta0.
 
     One integration passes every stop: a step is clipped to land on a stop,
-    and the step after it is no shorter than the one the clip cut down.  A
-    forward shoot passes one stop and may return theta at an earlier point
-    once its winding is trapped; every stop not yet reached gets that angle.
+    and the step after it is no shorter than the one the clip cut down.
     On a backward shoot, tail = (nodes, scales), nodes ascending,
     multiplies the error target of a step that ends at x in
     [nodes[i], nodes[i + 1]) by scales[i + 1], and of one that ends below
@@ -369,12 +399,10 @@ def _prufer_theta(
     e6 = 11.0 / 84.0 - 187.0 / 2100.0
     e7 = -1.0 / 40.0
     nodes, scales = tail
-    pi = math.pi
-    half_pi = 0.5 * pi
     sin, cos, sqrt, exp = math.sin, math.cos, math.sqrt, math.exp
 
     def slope(t, ph):
-        """(phi', E, V') at (t, phi); the one place V and V' are evaluated."""
+        """(phi', E) at (t, phi); the one place V and V' are evaluated."""
         if kind == 1:
             w = mu * exp(2.0 * t)
             en = lam - w - c_pot
@@ -388,7 +416,7 @@ def _prufer_theta(
         sq = sqrt(sqrt(en2))  # S
         s = sin(ph)
         c = cos(ph)
-        return sq * c * c + (en / sq) * s * s - 0.5 * en * vp / en2 * s * c, en, vp
+        return sq * c * c + (en / sq) * s * s - 0.5 * en * vp / en2 * s * c, en
 
     t1 = stops[-1]
     if t1 == t0:
@@ -398,7 +426,7 @@ def _prufer_theta(
 
     t = t0
     ph = _rescale(theta0, _scale(slope(t, 0.0)[1]), 1.0)
-    k1, en, _ = slope(t, ph)
+    k1, en = slope(t, ph)
     h = dirn * min(dirn * (t1 - t0), 0.1 / sqrt(abs(en) + 1.0))
     h_min = 1e-12 * (1.0 + abs(max(t0, t1)) - min(0.0, t0, t1))
     angles = []
@@ -417,7 +445,7 @@ def _prufer_theta(
             )[0]
             k6 = slope(t + h, ph + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))[0]
             ph_new = ph + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            k7, en_new, vp = slope(t + h, ph_new)
+            k7, en_new = slope(t + h, ph_new)
             err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
             tol = atol + rtol * abs(ph_new)
             if nodes:
@@ -428,9 +456,6 @@ def _prufer_theta(
                 t = t + h
                 ph = ph_new
                 k1, en = k7, en_new
-                if dirn > 0.0 and en < 0.0 and vp > 0.0 and ph % pi <= half_pi:
-                    theta = _rescale(ph, 1.0, _scale(en))
-                    return angles + [theta] * (len(stops) - len(angles))
             fac = 0.9 * (ratio + 1e-16) ** -0.2
             if fac > 5.0:
                 fac = 5.0
@@ -479,9 +504,114 @@ def _shoot_end(f: FiberPotential, lam: float) -> float:
     return start + _tail_extent(f, start, lam, budget)
 
 
+# Forward counts.  The solution of u'' = (V - lam) u with (u, u')(alpha) =
+# (sin theta0, cos theta0) is propagated over a mesh of offsets x = t - alpha
+# (see _mesh) by the order-6 Magnus rule of Blanes, Casas and Ros (BIT 40,
+# 2000) on three Gauss nodes.  With A = [[0, 1], [q, 0]], q = V - lam, a
+# step's generator Omega = [[oa, ob], [oc, -oa]] is traceless, so Omega^2 =
+# disc I with disc = oa^2 + ob oc, and exp(Omega) = C I + S Omega takes C, S
+# from cos/sin (an oscillatory step, disc < 0) or cosh/sinh.  On its step the
+# flow exp(s Omega), s in [0, 1], gives u = A sin(s w + g) with w^2 = -disc
+# on an oscillatory step, whose zeros are the multiples of pi that s w + g
+# passes, and at most one zero, where u changes sign, on a hyperbolic one.
+_GAUSS = np.array([[0.5 - math.sqrt(15.0) / 10.0], [0.5], [0.5 + math.sqrt(15.0) / 10.0]])
+
+
+def _mesh(f: FiberPotential, lam: float, span: float) -> tuple[np.ndarray, int]:
+    """The forward Magnus mesh over offsets [0, span]: the edges of its
+    graded steps, from 0 to the offset x_g where the uniform steps take over,
+    and the number of uniform steps on [x_g, span].
+
+    The uniform step is 1 / (MAGNUS_K (1 + |lam|)^0.27).  At delta < 1,
+    where the local scale of V is shorter than MAGNUS_SCALE_STEPS of those
+    steps, the steps grow geometrically from alpha, each at most that scale
+    over MAGNUS_SCALE_STEPS.
+    """
+    per_length = MAGNUS_K * (1.0 + abs(lam)) ** 0.27
+    edges = np.zeros(1)
+    if f.delta < 1.0:
+        rate = MAGNUS_SCALE_STEPS * max(f.power, 2.0)
+        t_g = min(rate / per_length, f.alpha + span)
+        if t_g > f.alpha:
+            ratio = math.log(t_g / f.alpha)
+            graded = math.ceil(ratio / math.log1p(1.0 / rate))
+            edges = f.alpha * np.expm1(ratio / graded * np.arange(graded + 1))
+            edges[-1] = min(t_g - f.alpha, span)
+    rest = span - edges[-1]
+    return edges, math.ceil(per_length * rest) if rest > 0.0 else 0
+
+
+def _mesh_blocks(
+    f: FiberPotential, lam: float, span: float
+) -> Iterator[tuple[np.ndarray, np.ndarray | float]]:
+    """(x, h) of at most MAGNUS_BLOCK consecutive steps of _mesh: their
+    left ends and their widths, an array on the graded part and one float
+    on the uniform part."""
+    edges, steps = _mesh(f, lam, span)
+    for first in range(0, len(edges) - 1, MAGNUS_BLOCK):
+        part = edges[first : first + MAGNUS_BLOCK + 1]
+        yield part[:-1], np.diff(part)
+    start = float(edges[-1])
+    h = (span - start) / steps if steps else 0.0
+    for first in range(0, steps, MAGNUS_BLOCK):
+        yield start + h * np.arange(first, min(first + MAGNUS_BLOCK, steps), dtype=np.float64), h
+
+
 def _shoot_count(f: FiberPotential, lam: float, theta0: float) -> int:
-    [theta] = _prufer_theta(f, lam, f.alpha, [_shoot_end(f, lam)], theta0)
-    return int(math.floor(theta / math.pi))
+    """Zeros in (alpha, t_end], t_end = _shoot_end(f, lam), of the solution
+    of u'' = (V - lam) u with (u, u')(alpha) = (sin theta0, cos theta0), by
+    the Magnus rule above."""
+    u, du = math.sin(theta0), math.cos(theta0)
+    zeros = 0
+    for x, h in _mesh_blocks(f, lam, _shoot_end(f, lam) - f.alpha):
+        v1, v2, v3 = _potential_array(f, x + h * _GAUSS)
+        q = v2 - lam
+        # h (A3 - A1) sqrt(15)/3 and h (A3 - 2 A2 + A1) 10/3 hold V only
+        d1 = (math.sqrt(15.0) / 3.0 * h) * (v3 - v1)
+        d2 = (10.0 / 3.0 * h) * ((v3 - v2) - (v2 - v1))
+        oa = (h / 240.0) * d1 * ((4.0 / 3.0) * h * h * q + h * d2 / 30.0 - 20.0)
+        ob = h + (h * h / 240.0) * (h * d1 * d1 / 15.0 - (4.0 / 3.0) * d2)
+        oc = (
+            h * q
+            + d2 / 12.0
+            + (h / 240.0)
+            * ((4.0 / 3.0) * h * q * d2 + d2 * d2 / 15.0 + d1 * d1 * (h * h * q / 15.0 - 2.0))
+        )
+        disc = oa * oa + ob * oc
+        osc = disc < 0.0
+        w = np.sqrt(np.abs(disc))
+        cc = np.cos(w)
+        ss = np.sinc(w / math.pi)  # sin(w) / w
+        hyp = ~osc
+        if hyp.any():
+            k = w[hyp]
+            cc[hyp] = np.cosh(k)
+            ss[hyp] = np.divide(np.sinh(k), k, out=np.ones_like(k), where=k > 0.0)
+        # step matrices, then their running products P_i = M_i ... M_0 by
+        # doubling: after the pass at shift s each P_i spans 2 s steps
+        m00, m01, m10, m11 = cc + ss * oa, ss * ob, ss * oc, cc - ss * oa
+        shift = 1
+        while shift < len(x):
+            hi, lo = slice(shift, None), slice(None, -shift)
+            p00 = m00[hi] * m00[lo] + m01[hi] * m10[lo]
+            p01 = m00[hi] * m01[lo] + m01[hi] * m11[lo]
+            p10 = m10[hi] * m00[lo] + m11[hi] * m10[lo]
+            p11 = m10[hi] * m01[lo] + m11[hi] * m11[lo]
+            m00[hi], m01[hi], m10[hi], m11[hi] = p00, p01, p10, p11
+            shift *= 2
+        ends = m00 * u + m01 * du
+        d_ends = m10 * u + m11 * du
+        starts = np.concatenate(([u], ends[:-1]))
+        d_starts = np.concatenate(([du], d_ends[:-1]))
+        # oscillatory: u = A sin(s w + g), A sin g = u(0), A cos g w = (Omega y)_1
+        g = np.arctan2(starts * w, oa * starts + ob * d_starts)
+        turns = np.floor((g + w) / math.pi) - np.floor(g / math.pi)
+        crossed = (starts * ends < 0.0) | ((ends == 0.0) & (starts != 0.0))
+        zeros += int(np.where(osc, turns, crossed).sum())
+        # rescaled: only the direction of (u, u') decides later zeros
+        scale = max(abs(ends[-1]), abs(d_ends[-1]))
+        u, du = float(ends[-1]) / scale, float(d_ends[-1]) / scale
+    return zeros
 
 
 def _require_finite(lam: float) -> None:
@@ -576,13 +706,14 @@ def fiber_count(
     *,
     theta_decay: Optional[float] = None,
 ) -> int:
-    """Number of eigenvalues strictly below lam (Prufer winding count).
+    """Number of eigenvalues strictly below lam: the zeros of the forward
+    Magnus solution on (alpha, t_end] (see _shoot_count).
 
     theta_decay, when given, is the Prufer angle at alpha of the solution
     that decays at infinity at level lam, already shot elsewhere (count_fibers
     shares one such shoot among the modes of a delta = 1 cusp).  The count is
-    then the boundary read-off ceil((theta0 - theta_decay) / pi), and no
-    shoot is made.
+    then the boundary read-off ceil((theta0 - theta_decay) / pi), and
+    nothing is propagated.
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
     asking for a count there raises ContinuousSpectrumError.  A non-finite
@@ -641,7 +772,10 @@ def count_fibers(
     delta < 1: N(lam; mu) is non-increasing in mu, so when the counts at both
     ends of an index range agree, every mode between them has that count too.
     Such a range is filled without shooting; any other range is split at its
-    midpoint.  Each condition runs its own bisection.
+    midpoint.  Each condition runs its own bisection of forward counts.
+    Before the first of them, the work is estimated as the number of modes
+    times the Magnus mesh of the lowest mode, whose allowed region is the
+    longest; above MESH_BUDGET steps MeshBudgetError is raised.
     """
     _require_finite(lam)
     mus = list(mus)
@@ -653,6 +787,14 @@ def count_fibers(
         return [[] for _ in bcs]
     if delta == 1.0:
         return _count_shifted_modes(n, a, mus, lam, bcs)
+    lowest = FiberPotential.from_cusp(n, delta, a, mus[0])
+    edges, uniform = _mesh(lowest, lam, _shoot_end(lowest, lam) - lowest.alpha)
+    steps = len(mus) * (len(edges) - 1 + uniform)
+    if steps > MESH_BUDGET:
+        raise MeshBudgetError(
+            f"forward counts of {len(mus)} modes at lambda = {lam} plan {steps} "
+            f"mesh steps, budget is {MESH_BUDGET}"
+        )
     return [_bisect_modes(n, delta, a, mus, lam, bc) for bc in bcs]
 
 
@@ -838,8 +980,7 @@ def fd_oracle(
     right = (f.alpha if t_turn is None else t_turn) + 8.0
     h = (right - f.alpha) / grid
     beta = _resolve_beta(f, bc)
-    nodes = f.alpha + h * np.arange(grid + 1)
-    v = _potential_array(f, nodes)
+    v = _potential_array(f, h * np.arange(grid + 1))
     if bc.kind == "dirichlet":
         diag = 2.0 / h**2 + v[1:grid]
         off = np.full(grid - 2, -1.0 / h**2)

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import types
 
 import numpy as np
@@ -14,6 +15,7 @@ from cuspspec import (
     BoundaryCondition,
     ContinuousSpectrumError,
     FiberPotential,
+    MeshBudgetError,
     count_fibers,
     default_robin_beta,
     demagnetize,
@@ -423,7 +425,7 @@ class TestMatchedShooting:
         assert len(counts) >= 4
 
     # the backward shoot starts in the forbidden region and is never cut
-    # short, so ceil(F/pi) checks the count of a trapped forward shoot
+    # short, so ceil(F/pi) checks the forward Magnus count
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         n=st.sampled_from([2, 3]),
@@ -704,6 +706,120 @@ class TestCountFibers:
             expected.append(sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1))
         assert min(expected) > 0
         assert count_fibers(n, 1.0, a, mus, lam, [DIRICHLET])[0] == expected
+
+
+# a fiber drawn over the range the counts serve: delta < 1 and delta = 1,
+# mu log-uniform from 1e-2 to 300
+DRAWN_FIBER = dict(
+    n=st.sampled_from([2, 3]),
+    delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+    a=st.floats(0.3, 1.5),
+    log_mu=st.floats(math.log(1e-2), math.log(300.0)),
+)
+
+
+class TestForwardCount:
+    # the forward count, zeros of a Magnus-propagated solution, against the
+    # DP5 backward read-off: two independent integrators of one fiber
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        **DRAWN_FIBER,
+        lam=st.floats(0.0, 3000.0),
+        bc=st.one_of(
+            st.just(DIRICHLET),
+            st.just(ROBIN),
+            st.floats(-3.0, 3.0).map(BoundaryCondition.robin),
+        ),
+    )
+    def test_equals_backward_read_off(self, n, delta, a, log_mu, lam, bc):
+        f = FiberPotential.from_cusp(n, delta, a, math.exp(log_mu))
+        [theta] = fiber._shoot_back(f, lam, fiber._shoot_end(f, lam), [f.alpha])
+        assert fiber_count(f, lam, bc) == fiber_count(f, lam, bc, theta_decay=theta)
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**DRAWN_FIBER, lam=st.floats(0.0, 1000.0), rise=st.floats(0.0, 60.0),
+           beta=st.floats(-3.0, 3.0))
+    def test_non_decreasing_in_lambda(self, n, delta, a, log_mu, lam, rise, beta):
+        f = FiberPotential.from_cusp(n, delta, a, math.exp(log_mu))
+        for bc in (DIRICHLET, ROBIN, BoundaryCondition.robin(beta)):
+            assert fiber_count(f, lam, bc) <= fiber_count(f, lam + rise, bc)
+
+    # the Dirichlet form domain has codimension 1 in the Robin one, so by
+    # min-max N_D <= N_R <= N_D + 1 under every beta
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**DRAWN_FIBER, lam=st.floats(0.0, 1000.0), beta=st.floats(-3.0, 3.0))
+    def test_dirichlet_robin_interlacing(self, n, delta, a, log_mu, lam, beta):
+        f = FiberPotential.from_cusp(n, delta, a, math.exp(log_mu))
+        nd = fiber_count(f, lam)
+        for bc in (ROBIN, BoundaryCondition.robin(beta)):
+            assert nd <= fiber_count(f, lam, bc) <= nd + 1
+
+    @pytest.mark.parametrize("n,a,mu", [(2, 1.0, 0.25), (3, 0.7, 2.0)])
+    @pytest.mark.parametrize("bc", [DIRICHLET, ROBIN], ids=["D", "R"])
+    def test_delta_near_one_counts_at_delta1_eigenvalues(self, n, a, mu, bc):
+        # at delta = 1 - 1e-9, alpha ~ 1e9: doubles near alpha lie 1.2e-7
+        # apart, which the growth power ~2e9 would turn into noise in V, so
+        # the mesh runs in offsets x = t - alpha.  The eigenvalues sit far
+        # closer to those of delta = 1 than the probes 1e-5 either side
+        at_one = FiberPotential.from_cusp(n, 1.0, a, mu)
+        near = FiberPotential.from_cusp(n, 1.0 - 1e-9, a, mu)
+        values = fiber_eigenvalues(at_one, 300.0, bc)
+        assert len(values) >= 10
+        for k, v in enumerate(values):
+            for lam, want in ((v - 1e-5, k), (v + 1e-5, k + 1)):
+                assert fiber_count(near, lam, bc) == fiber_count(at_one, lam, bc) == want
+
+    @pytest.mark.parametrize("n,delta,a", [(3, 0.4, 1e-3), (2, 0.55, 1e-4), (3, 0.4, 0.05)])
+    @pytest.mark.parametrize("bc", [DIRICHLET, ROBIN], ids=["D", "R"])
+    def test_small_alpha_wall(self, n, delta, a, bc):
+        # a small alpha raises a c/t^2 wall of up to ~6e6 at the boundary,
+        # which the level rule's steps do not resolve; the graded steps from
+        # alpha follow its scale t / max(power, 2)
+        f = FiberPotential.from_cusp(n, delta, a, 1.0)
+        assert potential_eval(f, f.alpha) > 500.0
+        assert len(fiber._mesh(f, 5.0, 1.0)[0]) > 20  # graded steps
+        for lam in (5.0, 50.0, 500.0):
+            [theta] = fiber._shoot_back(f, lam, fiber._shoot_end(f, lam), [f.alpha])
+            assert fiber_count(f, lam, bc) == fiber_count(f, lam, bc, theta_decay=theta)
+
+    def test_blocks_carry_the_solution(self, monkeypatch):
+        # a mesh cut into blocks of 61 steps counts as one block does
+        cases = [
+            (f, lam, bc)
+            for f in (
+                F_REF,
+                FiberPotential.from_cusp(3, 0.6, 0.5, 2.0),
+                FiberPotential.from_cusp(3, 0.4, 1e-3, 1.0),  # graded steps too
+            )
+            for lam in (30.0, 900.0)
+            for bc in (DIRICHLET, ROBIN)
+        ]
+        counts = [fiber_count(f, lam, bc) for f, lam, bc in cases]
+        monkeypatch.setattr(fiber, "MAGNUS_BLOCK", 61)
+        assert [fiber_count(f, lam, bc) for f, lam, bc in cases] == counts
+        assert min(counts) >= 2
+
+
+class TestMeshBudget:
+    MODEL = circle_model(delta=0.75)
+
+    def test_raised_before_any_forward_count(self, monkeypatch):
+        def count(*args):
+            raise AssertionError("a forward count was made")
+
+        monkeypatch.setattr(fiber, "_shoot_count", count)
+        mus = distinct_modes(self.MODEL, 1e11, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(MeshBudgetError, match=f"budget is {fiber.MESH_BUDGET}$"):
+            count_fibers(2, 0.75, 1.0, mus, 1e11, [DIRICHLET, ROBIN])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("lam", [1e3, 1e7])
+    def test_levels_in_reach_are_counted(self, monkeypatch, lam):
+        # lambda = 1e7 plans 4.3e8 steps and counts in seconds
+        monkeypatch.setattr(fiber, "_bisect_modes", lambda *args: "counted")
+        mus = distinct_modes(self.MODEL, lam, 1.0)
+        assert count_fibers(2, 0.75, 1.0, mus, lam, [DIRICHLET]) == ["counted"]
 
 
 class TestMonotoneInMu:
