@@ -9,74 +9,59 @@ one-dimensional operator -d^2/dt^2 + V(t) on (alpha, oo), where
                      alpha = a^(2(1-delta)) / (1-delta)
 
 with mu >= 0 the cross-section eigenvalue.  Counts and listings rest on
-two propagators.  A forward count takes the solution that meets the
-boundary condition at alpha and counts its zeros on (alpha, t_end], t_end a
-point safely inside the classically forbidden region; by Sturm oscillation
-that is the number of eigenvalues below the spectral level lambda.  It
-propagates (u, u') with a sixth-order Magnus rule over a uniform mesh of
-offsets x = t - alpha, whose steps are not tied to the local wavelength,
-and reads each step's zeros from that step's own flow; see _shoot_count.
-The backward shoot integrates the Prufer angle theta of (u, u') =
-r (sin theta, cos theta) with an adaptive DP5 kernel, which is used only
-backward.  It integrates the scaled angle phi of SLEIGN2 and SLEDGE,
-tan(phi) = S tan(theta) with E = lambda - V(t) and S = (E^2 + 1)^(1/4):
-
-    phi' = S cos^2(phi) + (E/S) sin^2(phi) - (E V' / (2 (E^2 + 1))) sin(phi) cos(phi)
-
-phi and theta cross every multiple of pi together, and phi turns at a
-nearly steady rate where theta climbs in stairs.  The shoot runs the
-solution that decays at infinity from the forbidden region, where backward
-integration is stable, to the boundary.
-Its angle there gives the boundary read-off F(lambda) = theta0 -
-theta_dec(alpha; lambda), smooth and increasing with N(lambda) =
-ceil(F/pi).  An angle error that the backward shoot makes deep in the
-forbidden region is damped by about exp(-2 D) before it is read, D the
-decay integral of sqrt(V - lambda) down to the nearest read point, so the
-shoot relaxes its error target there by up to ANGLE_TOL / ODE_ATOL.
-Eigenvalues are listed as the roots of F = k pi, each seeded from the
-phase integral (w = 3 pi/4 for the first Dirichlet root, one pi more than
-at the previous root for every later one) and refined by safeguarded
-secant steps, about four backward shoots per eigenvalue; a three-point
-finite-difference matrix provides an independent oracle.
+one propagator: a sixth-order Magnus rule that carries the solution
+(u, u') of u'' = (V - lambda) u over a mesh of offsets x = t - alpha,
+whose steps are not tied to the local wavelength, and reads each step's
+zeros from that step's own flow (see _magnus_block).  A forward count
+takes the solution that meets the boundary condition at alpha and counts
+its zeros on (alpha, t_end], t_end a point safely inside the classically
+forbidden region; by Sturm oscillation that is the number of eigenvalues
+below the spectral level lambda; see _shoot_count.  A backward shoot runs
+the solution that decays at infinity from t_end, where backward
+propagation is stable, down to the boundary, and reads its Prufer angle
+theta, (u, u') = r (sin theta, cos theta), from the zeros it passed and
+its direction there; see _back_angles.  That angle gives the boundary
+read-off F(lambda) = theta0 - theta_dec(alpha; lambda), smooth and
+increasing with N(lambda) = ceil(F/pi).
+Eigenvalues are listed as the roots of F = k pi, every F read off one mesh
+built for the listing, each root seeded from the phase integral (w =
+3 pi/4 for the first Dirichlet root, one pi more than at the previous root
+for every later one) and refined by safeguarded secant steps, about four
+backward shoots per eigenvalue; a three-point finite-difference matrix
+provides an independent oracle.
 A cusp's fibers are counted together by count_fibers.  At delta = 1 the
 shift s = t + (1/2) ln mu turns every mode into the same equation
 -u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
 (1/2) ln mu, and beta does not depend on mu.  One backward shoot, a
-single kernel call that stops at each s_mu in turn, then counts every mode
-by the boundary read-off N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi);
-fiber_count applies it to an angle it is given.  Only theta0 depends on the
-boundary condition, so that one shoot per cusp and level serves the
-Dirichlet and the Robin count alike.  For delta < 1 no such shift exists.
-There V is pointwise non-decreasing in mu, while alpha and the Robin beta
-depend only on (n, delta, a), so by min-max every fiber eigenvalue is
-non-decreasing in mu and N(lambda; mu) is non-increasing along the sorted
-modes.
+single propagation whose mesh has an edge at each s_mu, then counts every
+mode by the boundary read-off N(lambda; mu) = ceil((theta0 - theta(s_mu))
+/ pi); fiber_count applies it to an angle it is given.  Only theta0
+depends on the boundary condition, so that one shoot per cusp and level
+serves the Dirichlet and the Robin count alike.  For delta < 1 no such
+shift exists.  There V is pointwise non-decreasing in mu, while alpha and
+the Robin beta depend only on (n, delta, a), so by min-max every fiber
+eigenvalue is non-decreasing in mu and N(lambda; mu) is non-increasing
+along the sorted modes.
 Bisection over the mode list then makes forward counts only where the
 count changes: O(D log(M/D)) counts for M modes with D distinct counts.
-The tolerances are fixed module constants: ODE_RTOL and ODE_ATOL bound the
-local error of each DP5 step (relaxed as above in the damped tail of a
-backward shoot), T_MARGIN and ANGLE_TOL place the end point of a shoot and
-cap that relaxation, MAGNUS_K sets the forward mesh, MESH_BUDGET bounds the
-forward work of one cusp, and REL_TOL is the accuracy of listed eigenvalues.
+The tolerances are fixed module constants: T_MARGIN and ANGLE_TOL place
+the end point of a shoot, MAGNUS_K and MAGNUS_K_BACK set the forward and
+the backward mesh, MESH_BUDGET bounds the work of one cusp count or one
+listing, and REL_TOL is the accuracy of listed eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-# Local error target for each accepted step of the angle integration; a
-# backward shoot relaxes it by up to ANGLE_TOL / ODE_ATOL where the error is
-# damped before it is read (see _tail_scales).
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-12
 # Relative tolerance of listed eigenvalues, on the scale max(1, |lambda|);
 # eigenvalues within it of the cutoff are ties and are dropped.
 REL_TOL = 1e-10
@@ -85,19 +70,23 @@ ANGLE_TOL = 1e-9
 # Decay budget, in WKB units (the integral of sqrt(V - lambda)), added past
 # the turning point before the tail-size rule driven by ANGLE_TOL takes over.
 T_MARGIN = 5.0
-# Steps per unit length of the forward Magnus mesh at lam = 0.  The mesh
-# refines as (1 + |lam|)^0.27, because the count error of the order-6 rule
-# was measured to grow as h^6 lam^1.6.
+# Steps per unit length of the Magnus mesh of a forward count at lam = 0.
+# The mesh refines as (1 + |lam|)^0.27, because the count error of the
+# order-6 rule was measured to grow as h^6 lam^1.6.
 MAGNUS_K = 20.0
-# Steps of the forward Magnus mesh per local length scale of a delta < 1
+# The same for a backward shoot, which reads an angle, not a count: at
+# MAGNUS_K the angle at alpha erred by up to 1.4e-9 on fibers at lam ~ 160,
+# and the error falls as K^-6.
+MAGNUS_K_BACK = 30.0
+# Steps of the Magnus mesh per local length scale of a delta < 1
 # potential, t / max(power, 2) at t = alpha + x, wherever that scale is
 # short next to the level rule's step (near a small alpha, whose c/t^2 wall
 # the level rule does not resolve).
 MAGNUS_SCALE_STEPS = 10.0
-# Mesh steps propagated in one numpy pass of a forward count; (u, u') is
-# carried from block to block, so memory does not grow with lam.
+# Mesh steps propagated in one numpy pass; (u, u') is carried from block to
+# block, so memory does not grow with lam.
 MAGNUS_BLOCK = 4096
-# Most forward mesh steps one delta < 1 count_fibers call may plan; see
+# Most mesh steps one count_fibers call or one listing may plan; see
 # MeshBudgetError.
 MESH_BUDGET = 10**10
 
@@ -107,7 +96,7 @@ class ContinuousSpectrumError(ValueError):
 
 
 class MeshBudgetError(RuntimeError):
-    """Forward counts of a delta < 1 cusp would exceed the mesh-step budget."""
+    """The counts of a cusp, or a listing, would exceed the mesh-step budget."""
 
 
 @dataclass(frozen=True)
@@ -321,19 +310,6 @@ def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
     return (t_lo, t_hi)
 
 
-# ---------------------------------------------------------------------------
-# Prufer shooting.  With E = lam - V and S = (E^2 + 1)^(1/4), the kernel
-# integrates the scaled angle phi, tan(phi) = S tan(theta) branch by branch:
-#
-#     phi' = S cos^2(phi) + (E/S) sin^2(phi) - (E V' / (2 (E^2 + 1))) sin(phi) cos(phi)
-#
-# phi = k pi exactly where theta = k pi, and phi moves almost linearly where
-# theta climbs in stairs, so an adaptive Dormand-Prince 5(4) pair takes far
-# fewer steps on it.  theta is mapped to phi at t0 and back at each stop.
-# The kernel runs either way; the counts and listings use it only backward,
-# for the solution that decays at infinity.
-
-
 def _scale(en: float) -> float:
     """S = (E^2 + 1)^(1/4)."""
     return math.sqrt(math.sqrt(en * en + 1.0))
@@ -345,130 +321,6 @@ def _rescale(angle: float, a: float, b: float) -> float:
     base = math.floor(angle / math.pi) * math.pi
     psi = angle - base
     return base + math.atan2(a * math.sin(psi), b * math.cos(psi))
-
-
-def _prufer_theta(
-    f: FiberPotential,
-    lam: float,
-    t0: float,
-    stops: Sequence[float],
-    theta0: float,
-    tail: tuple[Sequence[float], Sequence[float]] = ((), (1.0,)),
-) -> list[float]:
-    """theta at each of stops, which run away from t0 in one direction, of
-    the Prufer angle of fiber f at level lam, started at theta(t0) = theta0.
-
-    One integration passes every stop: a step is clipped to land on a stop,
-    and the step after it is no shorter than the one the clip cut down.
-    On a backward shoot, tail = (nodes, scales), nodes ascending,
-    multiplies the error target of a step that ends at x in
-    [nodes[i], nodes[i + 1]) by scales[i + 1], and of one that ends below
-    nodes[0] by scales[0]; see _tail_scales.
-    """
-    kind = 1 if f.delta == 1.0 else 0
-    mu, c_pot = f.mu, f.const_coeff
-    pw, sc = (0.0, 0.0) if kind == 1 else (f.power, 1.0 - f.delta)
-    rtol, atol = ODE_RTOL, ODE_ATOL
-    a21 = 1.0 / 5.0
-    a31, a32 = 3.0 / 40.0, 9.0 / 40.0
-    a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-    a51, a52, a53, a54 = (
-        19372.0 / 6561.0,
-        -25360.0 / 2187.0,
-        64448.0 / 6561.0,
-        -212.0 / 729.0,
-    )
-    a61, a62, a63, a64, a65 = (
-        9017.0 / 3168.0,
-        -355.0 / 33.0,
-        46732.0 / 5247.0,
-        49.0 / 176.0,
-        -5103.0 / 18656.0,
-    )
-    b1, b3, b4, b5, b6 = (
-        35.0 / 384.0,
-        500.0 / 1113.0,
-        125.0 / 192.0,
-        -2187.0 / 6784.0,
-        11.0 / 84.0,
-    )
-    e1 = 35.0 / 384.0 - 5179.0 / 57600.0
-    e3 = 500.0 / 1113.0 - 7571.0 / 16695.0
-    e4 = 125.0 / 192.0 - 393.0 / 640.0
-    e5 = -2187.0 / 6784.0 + 92097.0 / 339200.0
-    e6 = 11.0 / 84.0 - 187.0 / 2100.0
-    e7 = -1.0 / 40.0
-    nodes, scales = tail
-    sin, cos, sqrt, exp = math.sin, math.cos, math.sqrt, math.exp
-
-    def slope(t, ph):
-        """(phi', E) at (t, phi); the one place V and V' are evaluated."""
-        if kind == 1:
-            w = mu * exp(2.0 * t)
-            en = lam - w - c_pot
-            vp = 2.0 * w
-        else:
-            w = mu * (sc * t) ** pw
-            q = c_pot / (t * t)
-            en = lam - w - q
-            vp = (pw * w - 2.0 * q) / t
-        en2 = en * en + 1.0
-        sq = sqrt(sqrt(en2))  # S
-        s = sin(ph)
-        c = cos(ph)
-        return sq * c * c + (en / sq) * s * s - 0.5 * en * vp / en2 * s * c, en
-
-    t1 = stops[-1]
-    if t1 == t0:
-        return [theta0] * len(stops)
-    # the step h carries the direction: +1 integrates forward, -1 backward
-    dirn = 1.0 if t1 > t0 else -1.0
-
-    t = t0
-    ph = _rescale(theta0, _scale(slope(t, 0.0)[1]), 1.0)
-    k1, en = slope(t, ph)
-    h = dirn * min(dirn * (t1 - t0), 0.1 / sqrt(abs(en) + 1.0))
-    h_min = 1e-12 * (1.0 + abs(max(t0, t1)) - min(0.0, t0, t1))
-    angles = []
-    for stop in stops:
-        t_stop = dirn * stop
-        while dirn * t < t_stop:
-            h_free = h
-            clipped = dirn * (t + h) > t_stop
-            if clipped:
-                h = stop - t
-            k2 = slope(t + 0.2 * h, ph + h * a21 * k1)[0]
-            k3 = slope(t + 0.3 * h, ph + h * (a31 * k1 + a32 * k2))[0]
-            k4 = slope(t + 0.8 * h, ph + h * (a41 * k1 + a42 * k2 + a43 * k3))[0]
-            k5 = slope(
-                t + (8.0 / 9.0) * h, ph + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-            )[0]
-            k6 = slope(t + h, ph + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))[0]
-            ph_new = ph + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            k7, en_new = slope(t + h, ph_new)
-            err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
-            tol = atol + rtol * abs(ph_new)
-            if nodes:
-                tol *= scales[bisect_right(nodes, t + h)]
-            ratio = err / tol
-            accepted = ratio <= 1.0 or dirn * h <= h_min
-            if accepted:
-                t = t + h
-                ph = ph_new
-                k1, en = k7, en_new
-            fac = 0.9 * (ratio + 1e-16) ** -0.2
-            if fac > 5.0:
-                fac = 5.0
-            elif fac < 0.2:
-                fac = 0.2
-            h = h * fac
-            if clipped and accepted and dirn * h < dirn * h_free:
-                # a step cut short to land on a stop does not shrink the next
-                h = h_free
-            if dirn * h < h_min:
-                h = dirn * h_min
-        angles.append(_rescale(ph, 1.0, _scale(en)))
-    return angles
 
 
 def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> float:
@@ -504,30 +356,37 @@ def _shoot_end(f: FiberPotential, lam: float) -> float:
     return start + _tail_extent(f, start, lam, budget)
 
 
-# Forward counts.  The solution of u'' = (V - lam) u with (u, u')(alpha) =
-# (sin theta0, cos theta0) is propagated over a mesh of offsets x = t - alpha
-# (see _mesh) by the order-6 Magnus rule of Blanes, Casas and Ros (BIT 40,
-# 2000) on three Gauss nodes.  With A = [[0, 1], [q, 0]], q = V - lam, a
-# step's generator Omega = [[oa, ob], [oc, -oa]] is traceless, so Omega^2 =
-# disc I with disc = oa^2 + ob oc, and exp(Omega) = C I + S Omega takes C, S
-# from cos/sin (an oscillatory step, disc < 0) or cosh/sinh.  On its step the
-# flow exp(s Omega), s in [0, 1], gives u = A sin(s w + g) with w^2 = -disc
-# on an oscillatory step, whose zeros are the multiples of pi that s w + g
-# passes, and at most one zero, where u changes sign, on a hyperbolic one.
+# Magnus propagation.  Counts and read-offs carry the solution (u, u') of
+# u'' = (V - lam) u over a mesh of offsets x = t - alpha (see _mesh) by the
+# order-6 Magnus rule of Blanes, Casas and Ros (BIT 40, 2000) on three Gauss
+# nodes.  With A = [[0, 1], [q, 0]], q = V - lam, a step's generator Omega =
+# [[oa, ob], [oc, -oa]] is traceless, so Omega^2 = disc I with disc = oa^2 +
+# ob oc, and exp(+-Omega) = C I +- S Omega takes C, S from cos/sin (an
+# oscillatory step, disc < 0) or cosh/sinh.  A hyperbolic step is taken
+# divided by its cosh: that keeps the products of many such steps finite and
+# leaves the direction of (u, u'), and with it every zero and angle, as it
+# was.  On its step the flow exp(s Omega), s in [0, 1], gives u = A sin(s w + g) with
+# w^2 = -disc on an oscillatory step, whose zeros are the multiples of pi
+# that s w + g passes, and at most one zero, where u changes sign, on a
+# hyperbolic one.  The forward count runs exp(Omega) from alpha; the
+# backward shoot runs exp(-Omega) down from t_end.
 _GAUSS = np.array([[0.5 - math.sqrt(15.0) / 10.0], [0.5], [0.5 + math.sqrt(15.0) / 10.0]])
 
 
-def _mesh(f: FiberPotential, lam: float, span: float) -> tuple[np.ndarray, int]:
-    """The forward Magnus mesh over offsets [0, span]: the edges of its
-    graded steps, from 0 to the offset x_g where the uniform steps take over,
-    and the number of uniform steps on [x_g, span].
+def _mesh(f: FiberPotential, lam: float, span: float, k: float) -> tuple[np.ndarray, int]:
+    """The Magnus mesh over offsets [0, span]: the edges of its graded
+    steps, from 0 to the offset x_g where the uniform steps take over, and
+    the number of uniform steps on [x_g, span].
 
-    The uniform step is 1 / (MAGNUS_K (1 + |lam|)^0.27).  At delta < 1,
-    where the local scale of V is shorter than MAGNUS_SCALE_STEPS of those
-    steps, the steps grow geometrically from alpha, each at most that scale
-    over MAGNUS_SCALE_STEPS.
+    At delta < 1, where the local scale of V is shorter than
+    MAGNUS_SCALE_STEPS steps of 1 / (k (1 + |lam|)^0.27), the steps grow
+    geometrically from alpha, each at most that scale over
+    MAGNUS_SCALE_STEPS.  The uniform step is 1 / (k (1 + d)^0.27) with d
+    the larger of |lam| and the depth V - lam at x_g: the angle error of a
+    step deep in the forbidden region grows with V - lam there as the count
+    error does with lam, and a read-off at alpha sees it.
     """
-    per_length = MAGNUS_K * (1.0 + abs(lam)) ** 0.27
+    per_length = k * (1.0 + abs(lam)) ** 0.27
     edges = np.zeros(1)
     if f.delta < 1.0:
         rate = MAGNUS_SCALE_STEPS * max(f.power, 2.0)
@@ -538,23 +397,113 @@ def _mesh(f: FiberPotential, lam: float, span: float) -> tuple[np.ndarray, int]:
             edges = f.alpha * np.expm1(ratio / graded * np.arange(graded + 1))
             edges[-1] = min(t_g - f.alpha, span)
     rest = span - edges[-1]
-    return edges, math.ceil(per_length * rest) if rest > 0.0 else 0
+    if not rest > 0.0:
+        return edges, 0
+    depth = float(_potential_array(f, edges[-1])) - lam
+    if depth > abs(lam):
+        per_length = k * (1.0 + depth) ** 0.27
+    return edges, math.ceil(per_length * rest)
+
+
+def _mesh_steps(f: FiberPotential, lam: float, span: float, k: float) -> int:
+    edges, uniform = _mesh(f, lam, span, k)
+    return len(edges) - 1 + uniform
 
 
 def _mesh_blocks(
-    f: FiberPotential, lam: float, span: float
+    f: FiberPotential, lam: float, span: float, k: float, reverse: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray | float]]:
     """(x, h) of at most MAGNUS_BLOCK consecutive steps of _mesh: their
     left ends and their widths, an array on the graded part and one float
-    on the uniform part."""
-    edges, steps = _mesh(f, lam, span)
-    for first in range(0, len(edges) - 1, MAGNUS_BLOCK):
-        part = edges[first : first + MAGNUS_BLOCK + 1]
-        yield part[:-1], np.diff(part)
+    on the uniform part; blocks ascend, or with reverse descend."""
+    edges, steps = _mesh(f, lam, span, k)
     start = float(edges[-1])
     h = (span - start) / steps if steps else 0.0
-    for first in range(0, steps, MAGNUS_BLOCK):
-        yield start + h * np.arange(first, min(first + MAGNUS_BLOCK, steps), dtype=np.float64), h
+
+    def graded(first: int) -> tuple[np.ndarray, np.ndarray]:
+        part = edges[first : first + MAGNUS_BLOCK + 1]
+        return part[:-1], np.diff(part)
+
+    def uniform(first: int) -> tuple[np.ndarray, float]:
+        last = min(first + MAGNUS_BLOCK, steps)
+        return start + h * np.arange(first, last, dtype=np.float64), h
+
+    graded_firsts = range(0, len(edges) - 1, MAGNUS_BLOCK)
+    uniform_firsts = range(0, steps, MAGNUS_BLOCK)
+    if reverse:
+        return chain(map(uniform, reversed(uniform_firsts)), map(graded, reversed(graded_firsts)))
+    return chain(map(graded, graded_firsts), map(uniform, uniform_firsts))
+
+
+def _nodal(f: FiberPotential, x: np.ndarray, h) -> tuple:
+    """What Omega takes from V on the steps with left ends x and widths h:
+    (h, V at the middle node, h (A3 - A1) sqrt(15)/3, h (A3 - 2 A2 + A1) 10/3).
+    The last two hold V only, so no digits are lost to lam."""
+    v1, v2, v3 = _potential_array(f, x + h * _GAUSS)
+    d1 = (math.sqrt(15.0) / 3.0 * h) * (v3 - v1)
+    d2 = (10.0 / 3.0 * h) * ((v3 - v2) - (v2 - v1))
+    return h, v2, d1, d2
+
+
+def _magnus_block(
+    nodal: tuple, lam: float, u: float, du: float, backward: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, u') at every edge of one block of steps, ascending, and the zeros
+    of u on each step (left, right], propagated from (u, du) at the bottom
+    edge, or with backward at the top edge."""
+    h, v2, d1, d2 = nodal
+    q = v2 - lam
+    oa = (h / 240.0) * d1 * ((4.0 / 3.0) * h * h * q + h * d2 / 30.0 - 20.0)
+    ob = h + (h * h / 240.0) * (h * d1 * d1 / 15.0 - (4.0 / 3.0) * d2)
+    oc = (
+        h * q
+        + d2 / 12.0
+        + (h / 240.0) * ((4.0 / 3.0) * h * q * d2 + d2 * d2 / 15.0 + d1 * d1 * (h * h * q / 15.0 - 2.0))
+    )
+    disc = oa * oa + ob * oc
+    osc = disc < 0.0
+    w = np.sqrt(np.abs(disc))
+    cc = np.cos(w)
+    ss = np.sinc(w / math.pi)  # sin(w) / w
+    hyp = ~osc
+    if hyp.any():
+        k = w[hyp]
+        cc[hyp] = 1.0
+        ss[hyp] = np.divide(np.tanh(k), k, out=np.ones_like(k), where=k > 0.0)
+    if backward:
+        ss = -ss  # exp(-Omega) = C I - S Omega
+    m00, m01, m10, m11 = cc + ss * oa, ss * ob, ss * oc, cc - ss * oa
+    if backward:  # taken from the top edge down
+        m00, m01, m10, m11 = m00[::-1], m01[::-1], m10[::-1], m11[::-1]
+    # running products P_i = M_i ... M_0 of the steps in the order they are
+    # taken, by doubling: after the pass at shift s each P_i spans 2 s steps
+    shift = 1
+    while shift < len(w):
+        hi, lo = slice(shift, None), slice(None, -shift)
+        p00 = m00[hi] * m00[lo] + m01[hi] * m10[lo]
+        p01 = m00[hi] * m01[lo] + m01[hi] * m11[lo]
+        p10 = m10[hi] * m00[lo] + m11[hi] * m10[lo]
+        p11 = m10[hi] * m01[lo] + m11[hi] * m11[lo]
+        m00[hi], m01[hi], m10[hi], m11[hi] = p00, p01, p10, p11
+        shift *= 2
+    ends, d_ends = m00 * u + m01 * du, m10 * u + m11 * du
+    if backward:
+        us, dus = np.append(ends[::-1], u), np.append(d_ends[::-1], du)
+    else:
+        us, dus = np.insert(ends, 0, u), np.insert(d_ends, 0, du)
+    left, d_left, right = us[:-1], dus[:-1], us[1:]
+    # oscillatory: u = A sin(s w + g), A sin g = u(0), A cos g w = (Omega y)_1
+    g = np.arctan2(left * w, oa * left + ob * d_left)
+    turns = np.floor((g + w) / math.pi) - np.floor(g / math.pi)
+    crossed = (left * right < 0.0) | ((right == 0.0) & (left != 0.0))
+    return us, dus, np.where(osc, turns, crossed)
+
+
+def _unit(u: float, du: float) -> tuple[float, float]:
+    """(u, du) rescaled to max(|u|, |du|) = 1: only its direction decides
+    later zeros and angles."""
+    scale = max(abs(u), abs(du))
+    return float(u) / scale, float(du) / scale
 
 
 def _shoot_count(f: FiberPotential, lam: float, theta0: float) -> int:
@@ -563,55 +512,65 @@ def _shoot_count(f: FiberPotential, lam: float, theta0: float) -> int:
     the Magnus rule above."""
     u, du = math.sin(theta0), math.cos(theta0)
     zeros = 0
-    for x, h in _mesh_blocks(f, lam, _shoot_end(f, lam) - f.alpha):
-        v1, v2, v3 = _potential_array(f, x + h * _GAUSS)
-        q = v2 - lam
-        # h (A3 - A1) sqrt(15)/3 and h (A3 - 2 A2 + A1) 10/3 hold V only
-        d1 = (math.sqrt(15.0) / 3.0 * h) * (v3 - v1)
-        d2 = (10.0 / 3.0 * h) * ((v3 - v2) - (v2 - v1))
-        oa = (h / 240.0) * d1 * ((4.0 / 3.0) * h * h * q + h * d2 / 30.0 - 20.0)
-        ob = h + (h * h / 240.0) * (h * d1 * d1 / 15.0 - (4.0 / 3.0) * d2)
-        oc = (
-            h * q
-            + d2 / 12.0
-            + (h / 240.0)
-            * ((4.0 / 3.0) * h * q * d2 + d2 * d2 / 15.0 + d1 * d1 * (h * h * q / 15.0 - 2.0))
-        )
-        disc = oa * oa + ob * oc
-        osc = disc < 0.0
-        w = np.sqrt(np.abs(disc))
-        cc = np.cos(w)
-        ss = np.sinc(w / math.pi)  # sin(w) / w
-        hyp = ~osc
-        if hyp.any():
-            k = w[hyp]
-            cc[hyp] = np.cosh(k)
-            ss[hyp] = np.divide(np.sinh(k), k, out=np.ones_like(k), where=k > 0.0)
-        # step matrices, then their running products P_i = M_i ... M_0 by
-        # doubling: after the pass at shift s each P_i spans 2 s steps
-        m00, m01, m10, m11 = cc + ss * oa, ss * ob, ss * oc, cc - ss * oa
-        shift = 1
-        while shift < len(x):
-            hi, lo = slice(shift, None), slice(None, -shift)
-            p00 = m00[hi] * m00[lo] + m01[hi] * m10[lo]
-            p01 = m00[hi] * m01[lo] + m01[hi] * m11[lo]
-            p10 = m10[hi] * m00[lo] + m11[hi] * m10[lo]
-            p11 = m10[hi] * m01[lo] + m11[hi] * m11[lo]
-            m00[hi], m01[hi], m10[hi], m11[hi] = p00, p01, p10, p11
-            shift *= 2
-        ends = m00 * u + m01 * du
-        d_ends = m10 * u + m11 * du
-        starts = np.concatenate(([u], ends[:-1]))
-        d_starts = np.concatenate(([du], d_ends[:-1]))
-        # oscillatory: u = A sin(s w + g), A sin g = u(0), A cos g w = (Omega y)_1
-        g = np.arctan2(starts * w, oa * starts + ob * d_starts)
-        turns = np.floor((g + w) / math.pi) - np.floor(g / math.pi)
-        crossed = (starts * ends < 0.0) | ((ends == 0.0) & (starts != 0.0))
-        zeros += int(np.where(osc, turns, crossed).sum())
-        # rescaled: only the direction of (u, u') decides later zeros
-        scale = max(abs(ends[-1]), abs(d_ends[-1]))
-        u, du = float(ends[-1]) / scale, float(d_ends[-1]) / scale
+    for x, h in _mesh_blocks(f, lam, _shoot_end(f, lam) - f.alpha, MAGNUS_K):
+        us, dus, steps = _magnus_block(_nodal(f, x, h), lam, u, du)
+        zeros += int(steps.sum())
+        u, du = _unit(us[-1], dus[-1])
     return zeros
+
+
+def _back_blocks(
+    f: FiberPotential, lam: float, span: float, stops: Sequence[float]
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    """The blocks of _mesh(f, lam, span, MAGNUS_K_BACK) over offsets
+    [stops[-1], span], top block first, with every stop below span inserted
+    as an edge: each as its _nodal data and the indices of its stop edges,
+    in the order of stops.
+
+    stops are offsets from alpha, descending; each stop in [bottom, top) of
+    a block is placed in that block."""
+    ascending = np.asarray(stops, dtype=np.float64)[::-1]
+    lowest = ascending[0]
+    for x, h in _mesh_blocks(f, lam, span, MAGNUS_K_BACK, reverse=True):
+        top = float(x[-1] + (h if np.isscalar(h) else h[-1]))
+        if top <= lowest:
+            return
+        placed = ascending[np.searchsorted(ascending, x[0]) : np.searchsorted(ascending, top)]
+        marks = np.zeros(0, dtype=np.intp)
+        if len(placed):
+            edges = np.append(x, top)
+            edges = np.union1d(edges[edges > lowest], placed)
+            x, h = edges[:-1], np.diff(edges)
+            marks = np.searchsorted(edges, placed)[::-1]
+        yield _nodal(f, x, h), marks
+
+
+def _back_angles(blocks, lam: float, v_top: float, count: int) -> list[float]:
+    """Prufer angles at count stops, descending, of the solution that
+    decays at infinity at level lam, propagated down the blocks of
+    _back_blocks from u'/u = -sqrt(V - lam) at the top, where V = v_top.
+
+    The top angle lies in [pi/2, pi), so the angle at a stop is psi - pi Z,
+    with Z the zeros of u in (stop, top] and psi in [0, pi] the angle of
+    (u, u') or of (-u, -u'), whichever has u > 0 (psi = 0 where u = 0).
+    A psi taken mod pi would lose pi where the rounding of atan2 lands a
+    tiny u > 0 on pi.  A stop at or above the top gets the top angle."""
+    theta = math.atan2(1.0, -math.sqrt(max(v_top - lam, 0.0)))
+    u, du = math.sin(theta), math.cos(theta)
+    zeros = 0
+    angles: list[float] = []
+    for nodal, marks in blocks:
+        us, dus, steps = _magnus_block(nodal, lam, u, du, backward=True)
+        if len(marks):
+            # zeros of u on (edge i, top of the block]
+            above = np.append(np.cumsum(steps[::-1])[::-1], 0.0)[marks] + zeros
+            u_at = us[marks]
+            psi = np.arctan2(u_at, dus[marks])
+            psi = np.where(u_at == 0.0, 0.0, np.where(psi < 0.0, psi + math.pi, psi))
+            angles += (psi - math.pi * above).tolist()
+        zeros += int(steps.sum())
+        u, du = _unit(us[0], dus[0])
+    return [theta] * (count - len(angles)) + angles
 
 
 def _require_finite(lam: float) -> None:
@@ -629,74 +588,11 @@ def _shoot_back(f: FiberPotential, lam: float, t_end: float, stops: Sequence[flo
     """Prufer angles at each of stops, descending and >= alpha, of the
     solution that decays at infinity at level lam of a fiber with mu > 0,
     shot back from t_end in its forbidden region, where it starts at
-    u'/u = -sqrt(V - lam).  Its error target is relaxed in the damped tail
-    past the first stop; see _tail_scales."""
-    theta = math.atan2(1.0, -math.sqrt(max(potential_eval(f, t_end) - lam, 0.0)))
-    return _prufer_theta(f, lam, t_end, stops, theta, _tail_scales(f, lam, stops[0], t_end))
-
-
-def _tail_scales(
-    f: FiberPotential, lam: float, first_stop: float, t_end: float
-) -> tuple[list[float], list[float]]:
-    """The tail argument of _prufer_theta for a backward shoot from t_end.
-
-    Nothing is read between t_end and the nearest read point r, the first
-    stop or the turning point, whichever lies further out (the minimum of V
-    when lam lies below it).  An angle error made at a point x past r is
-    damped by about exp(-2 D(x)) before it is read, D(x) the decay integral
-    of sqrt(V - lam) over [r, x].  So a step whose lower end has D >= d may
-    err min(exp(2 (d - 1)), ANGLE_TOL / ODE_ATOL) times more: damped, its
-    error stays below exp(-2) times the plain target, and it never exceeds
-    ANGLE_TOL.  The nodes are the points where _decay_bounds gives D > 1.
-    """
-    t_turn = turning_point(f, lam)
-    read = max(first_stop, _interior_min(f) if t_turn is None else t_turn)
-    cap = ANGLE_TOL / ODE_ATOL
-    nodes, scales = [], [1.0]
-    for t, decay in _decay_bounds(f, lam, read, t_end):
-        if decay > 1.0:
-            nodes.append(t)
-            exponent = 2.0 * (decay - 1.0)
-            # compared in log space: one step of _decay_bounds can jump the
-            # decay bound far enough for exp to overflow
-            if exponent >= math.log(cap):
-                scales.append(cap)
-                break
-            scales.append(math.exp(exponent))
-    return nodes, scales
-
-
-def _decay_bounds(
-    f: FiberPotential, lam: float, read: float, t_end: float
-) -> Iterator[tuple[float, float]]:
-    """Points t walking out from read until t_end is passed, each with a
-    lower bound D on the decay integral of sqrt(V - lam) over [read, t].
-
-    read must lie where V - lam no longer decreases: at or past the turning
-    point, or past the minimum of V.  At delta = 1 D = Y(t) - Y(read) with
-    Y = y - sqrt(E0) atan(y / sqrt(E0)), y = sqrt(mu e^(2t) - E0) and
-    E0 = max(lam - (n-1)^2/4, 0), exact when E0 > 0; at delta < 1 it is the
-    left Riemann sum of the increasing integrand.  The steps grow
-    geometrically, as in _tail_extent.
-    """
-    step = min(1e-3 * (1.0 + abs(read)), 1.0)
-    t, decay = read, 0.0
-    if f.delta == 1.0:
-        e0 = max(lam - f.const_coeff, 0.0)
-
-        def antiderivative(t: float) -> float:
-            y = math.sqrt(max(f.mu * math.exp(2.0 * t) - e0, 0.0))
-            return y - math.sqrt(e0) * math.atan2(y, math.sqrt(e0))
-
-        start = antiderivative(read)
-    while t < t_end:
-        if f.delta == 1.0:
-            decay = antiderivative(t + step) - start
-        else:
-            decay += step * math.sqrt(max(potential_eval(f, t) - lam, 0.0))
-        t += step
-        step *= 1.4
-        yield t, decay
+    u'/u = -sqrt(V - lam): one backward Magnus propagation down the mesh of
+    (f, lam) with every stop inserted as an edge (see _back_angles)."""
+    span = t_end - f.alpha
+    blocks = _back_blocks(f, lam, span, [stop - f.alpha for stop in stops])
+    return _back_angles(blocks, lam, float(_potential_array(f, span)), len(stops))
 
 
 def fiber_count(
@@ -763,11 +659,13 @@ def count_fibers(
     delta = 1: every mode is the mu = 1 fiber shifted to start at s_mu (see
     the module docstring), so one backward shoot of its decaying solution,
     from the shoot end of the mode with the largest s_mu, passes every s_mu in
-    descending order, in one kernel call.  The angle theta(s_mu) does not
-    depend on the boundary condition, so that one shoot serves every one of
-    bcs: each mode's angle goes to fiber_count as theta_decay once per
-    condition, which reads off N = ceil((theta0 - theta(s_mu)) / pi).  The
-    total length is that of one shoot of the smallest mode.
+    descending order, in one propagation with an edge of its mesh at each.
+    The angle theta(s_mu) does not depend on the boundary condition, so that
+    one shoot serves every one of bcs: each mode's angle goes to fiber_count
+    as theta_decay once per condition, which reads off N = ceil((theta0 -
+    theta(s_mu)) / pi).  The total length is that of one shoot of the
+    smallest mode.  Its plan, the mesh steps plus one per mode, is held to
+    MESH_BUDGET before it runs.
 
     delta < 1: N(lam; mu) is non-increasing in mu, so when the counts at both
     ends of an index range agree, every mode between them has that count too.
@@ -775,7 +673,9 @@ def count_fibers(
     midpoint.  Each condition runs its own bisection of forward counts.
     Before the first of them, the work is estimated as the number of modes
     times the Magnus mesh of the lowest mode, whose allowed region is the
-    longest; above MESH_BUDGET steps MeshBudgetError is raised.
+    longest.
+
+    Above MESH_BUDGET planned steps MeshBudgetError is raised.
     """
     _require_finite(lam)
     mus = list(mus)
@@ -788,14 +688,14 @@ def count_fibers(
     if delta == 1.0:
         return _count_shifted_modes(n, a, mus, lam, bcs)
     lowest = FiberPotential.from_cusp(n, delta, a, mus[0])
-    edges, uniform = _mesh(lowest, lam, _shoot_end(lowest, lam) - lowest.alpha)
-    steps = len(mus) * (len(edges) - 1 + uniform)
-    if steps > MESH_BUDGET:
-        raise MeshBudgetError(
-            f"forward counts of {len(mus)} modes at lambda = {lam} plan {steps} "
-            f"mesh steps, budget is {MESH_BUDGET}"
-        )
+    steps = _mesh_steps(lowest, lam, _shoot_end(lowest, lam) - lowest.alpha, MAGNUS_K)
+    _check_budget(len(mus) * steps, f"forward counts of {len(mus)} modes at lambda = {lam}")
     return [_bisect_modes(n, delta, a, mus, lam, bc) for bc in bcs]
+
+
+def _check_budget(steps: int, work: str) -> None:
+    if steps > MESH_BUDGET:
+        raise MeshBudgetError(f"{work} plan {steps} mesh steps, budget is {MESH_BUDGET}")
 
 
 def _bisect_modes(
@@ -835,6 +735,8 @@ def _count_shifted_modes(
     # where the top mode's shoot would, in the forbidden region of them all
     shifted = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[0])
     end = _shoot_end(FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1]), lam)
+    steps = _mesh_steps(shifted, lam, end - starts[0], MAGNUS_K_BACK) + len(starts)
+    _check_budget(steps, f"counts of {len(mus)} modes from one backward shoot at lambda = {lam}")
     thetas = _shoot_back(shifted, lam, end, starts[::-1])[::-1]
     fibers = [FiberPotential(n=n, delta=1.0, mu=mu, alpha=alpha) for mu in mus]
     return [
@@ -849,16 +751,22 @@ def fiber_eigenvalues(
     """All eigenvalues below lam_max, to REL_TOL, as the roots of the
     boundary read-off F(lam) = theta0 - theta_dec(alpha; lam) = k pi.
 
-    Every backward shoot starts from the end point of the shoot at lam_max.
-    The total is fiber_count's read-off ceil(F(lam_max) / pi), so each root
-    below it is bracketed by the F values already computed; each F value is
-    kept for the later roots.  Each root is seeded from the phase integral
+    Every backward shoot starts from the end point of the shoot at lam_max
+    and runs down one mesh, built with its nodal V at max(lam_max, min V)
+    and reused for every level, so that only V - lam changes between shoots
+    and F is smooth in lam.  The total is fiber_count's read-off
+    ceil(F(lam_max) / pi).  The listing then plans the mesh steps times 6
+    shoots per eigenvalue plus 3 and raises MeshBudgetError above
+    MESH_BUDGET.  Each root below the total is bracketed by the F values
+    already computed; each F value is kept for the later roots.  Each root
+    is seeded from the phase integral
     w of weyl.phase_integral: w(lam_0) = 3 pi/4 for the first Dirichlet
     root and w(lam_k) = w(lam_(k-1)) + pi for every later root, under
     either condition; the first Robin root has no seed.  _secant_root then
     refines it from the seed, starting with the slope w' there.  The roots
-    are found on F read in the scaled angle phi at alpha (tan phi =
-    S tan theta, as in the kernel): it equals k pi exactly where F does and
+    are found on F read in the scaled angle phi of SLEIGN2 and SLEDGE at
+    alpha, tan phi = S tan theta with S = ((lam - V)^2 + 1)^(1/4), which
+    equals k pi exactly where F does and
     lies on the same side of k pi, but it runs nearly linearly in lam, at
     slope ~w', where theta climbs in stairs.  A root within REL_TOL of
     lam_max is a tie with the cutoff and is dropped.
@@ -871,21 +779,29 @@ def fiber_eigenvalues(
     theta0 = _boundary_angle(f, bc)
     v_min = potential_min(f)
     v_alpha = potential_eval(f, f.alpha)
-    # below the potential minimum, the end point of the shoot at the minimum
-    t_end = _shoot_end(f, max(lam_max, v_min))
-    theta_dec: dict[float, float] = {}
+    # below the potential minimum, the shoot and the mesh at the minimum
+    level = max(lam_max, v_min)
+    span = _shoot_end(f, level) - f.alpha
+    v_top = float(_potential_array(f, span))
+    # the shoot at lam_max streams its mesh; it is kept only once the
+    # total is known to fit the budget
+    theta_dec = {lam_max: _back_angles(_back_blocks(f, level, span, [0.0]), lam_max, v_top, 1)[0]}
+    total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
+    if total == 0:
+        return []
+    _check_budget(
+        _mesh_steps(f, level, span, MAGNUS_K_BACK) * (6 * total + 3),
+        f"backward shoots of a listing of {total} eigenvalues",
+    )
+    blocks = list(_back_blocks(f, level, span, [0.0]))
 
     def read_off(lam: float) -> float:
         """F(lam) in the scaled angle at alpha."""
         if lam not in theta_dec:
-            theta_dec[lam] = _shoot_back(f, lam, t_end, [f.alpha])[0]
+            theta_dec[lam] = _back_angles(blocks, lam, v_top, 1)[0]
         scale = _scale(lam - v_alpha)
         return _rescale(theta0, scale, 1.0) - _rescale(theta_dec[lam], scale, 1.0)
 
-    read_off(lam_max)
-    total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
-    if total == 0:
-        return []
     lo = v_min
     beta = _resolve_beta(f, bc)
     if bc.kind == "robin" and beta > 0.0:

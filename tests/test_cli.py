@@ -512,3 +512,26 @@ def test_count_over_the_mesh_budget_exits_2(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "MeshBudgetError"
     assert error["message"].endswith("budget is 10000000000")
+
+
+def assert_over_the_mesh_budget(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "MeshBudgetError"
+    assert error["message"].endswith("budget is 10000000000")
+
+
+def test_delta1_count_over_the_mesh_budget_exits_2(capsys, tmp_path):
+    # with a = 1e7 only 126 modes lie below lambda = 1e32, but the one
+    # backward shoot past all of them would plan 6.9e10 mesh steps
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(model_to_dict(circle_model(a=1e7))))
+    assert_over_the_mesh_budget(capsys, "count", str(path), "--lambda", "1e32")
+
+
+def test_fiber_listing_over_the_mesh_budget_exits_2(capsys):
+    # the bottom fiber of the delta = 1 circle has 108,187 eigenvalues below
+    # 1e9, each up to 6 backward shoots of a mesh of 8.9e4 steps
+    model = Path(__file__).parent / "golden" / "models" / "circle_delta1.json"
+    assert_over_the_mesh_budget(capsys, "fiber", str(model), "--lambda", "1e9")

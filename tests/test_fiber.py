@@ -1,11 +1,10 @@
 import math
-import sys
 import time
-import types
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 import hypothesis
 from hypothesis import given, strategies as st
@@ -348,40 +347,54 @@ class TestMatchedShooting:
     @pytest.mark.parametrize("f,lam", CASES)
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
     def test_listing_shoots_only_backward_to_alpha(self, monkeypatch, f, lam, bc):
-        # every kernel call of a listing, its total included, is the decaying
-        # solution shot back from the forbidden region to the boundary
-        calls = []
-        real = fiber._prufer_theta
+        # every propagation of a listing, its total included, is the decaying
+        # solution shot back from the forbidden region to the boundary, down
+        # one mesh: streamed for the total, then kept for every later shoot
+        meshes, shoots, backward = [], [], set()
+        real_blocks, real_angles, real_step = (
+            fiber._back_blocks, fiber._back_angles, fiber._magnus_block
+        )
 
-        def kernel(g, level, t0, stops, theta0, tail):
-            [t1] = stops
-            calls.append((t0, t1))
-            return real(g, level, t0, stops, theta0, tail)
+        def back_blocks(g, level, span, stops):
+            meshes.append((span, list(stops)))
+            return real_blocks(g, level, span, stops)
 
-        monkeypatch.setattr(fiber, "_prufer_theta", kernel)
+        def back_angles(blocks, level, v_top, count):
+            shoots.append(count)
+            return real_angles(blocks, level, v_top, count)
+
+        def magnus_block(*args, **kwargs):
+            backward.add(kwargs.get("backward", False))
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(fiber, "_back_blocks", back_blocks)
+        monkeypatch.setattr(fiber, "_back_angles", back_angles)
+        monkeypatch.setattr(fiber, "_magnus_block", magnus_block)
         values = fiber_eigenvalues(f, lam, bc)
         assert len(values) > 2
-        assert len(calls) > len(values)
-        assert all(t1 < t0 and t1 == f.alpha for t0, t1 in calls)
+        [(span, stops), kept] = meshes
+        assert kept == (span, stops) and span > 0.0 and stops == [0.0]  # offsets from alpha
+        assert len(shoots) > len(values) and set(shoots) == {1}
+        assert backward == {True}
 
     @pytest.mark.parametrize("f,lam", CASES)
     def test_listing_shoots_per_eigenvalue(self, monkeypatch, f, lam):
         # phase-integral seeds and secant steps: a Dirichlet listing costs at
         # most 6 backward shoots per eigenvalue, plus the total and the bracket
         calls = []
-        real = fiber._shoot_back
+        real = fiber._back_angles
 
-        def shoot_back(*args):
+        def back_angles(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(fiber, "_shoot_back", shoot_back)
+        monkeypatch.setattr(fiber, "_back_angles", back_angles)
         values = fiber_eigenvalues(f, lam)
         assert len(values) > 2
         assert len(calls) <= 6 * len(values) + 3
 
-    # each listed value against the root of the read-off F of a backward
-    # shoot kept at the plain error target throughout, solved to 1e-14
+    # each listed value against the root of the read-off F of the same
+    # backward propagator on a mesh 4 times finer, solved to 1e-14
     @hypothesis.settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         n=st.sampled_from([2, 3]),
@@ -397,17 +410,42 @@ class TestMatchedShooting:
         values = fiber_eigenvalues(f, lam, bc)
         assert len(values) == fiber_count(f, lam, bc)
         theta0 = fiber._boundary_angle(f, bc)
-        t_end = fiber._shoot_end(f, max(lam, potential_min(f)))
+        level = max(lam, potential_min(f))
+        span = fiber._shoot_end(f, level) - f.alpha
+        with mock.patch.object(fiber, "MAGNUS_K_BACK", 4 * fiber.MAGNUS_K_BACK), \
+                mock.patch.object(fiber, "MAGNUS_SCALE_STEPS", 4 * fiber.MAGNUS_SCALE_STEPS):
+            blocks = list(fiber._back_blocks(f, level, span, [0.0]))
+        v_top = potential_eval(f, f.alpha + span)
 
         def read_off(level):
-            start = math.atan2(1.0, -math.sqrt(max(potential_eval(f, t_end) - level, 0.0)))
-            return theta0 - fiber._prufer_theta(f, level, t_end, [f.alpha], start)[0]
+            return theta0 - fiber._back_angles(blocks, level, v_top, 1)[0]
 
         for k, v in enumerate(values):
             width = 1e-8 * max(1.0, abs(v))
             root = brentq(lambda level: read_off(level) - k * math.pi, v - width, v + width,
                           xtol=1e-14, rtol=1e-14)
             assert abs(v - root) <= fiber.REL_TOL * max(1.0, abs(v))
+
+    @pytest.mark.parametrize("u,want", [(1e-300, 0.0), (0.0, -math.pi), (-1e-300, -math.pi)])
+    def test_angle_where_atan2_rounds_to_pi(self, monkeypatch, u, want):
+        # a stop with one zero above it, where u is tiny and u' = -1: for
+        # u > 0 atan2(u, u') rounds to pi, and the angle is pi - pi, not 0 - pi
+        def block(nodal, lam, u_top, du_top, backward=False):
+            return np.array([u, u_top]), np.array([-1.0, du_top]), np.array([1.0])
+
+        monkeypatch.setattr(fiber, "_magnus_block", block)
+        [theta] = fiber._back_angles([(None, np.array([0]))], 0.0, 1.0, 1)
+        assert theta == pytest.approx(want, abs=1e-12)
+
+    def test_read_off_at_a_root_where_atan2_rounds_to_pi(self):
+        # on the listing mesh of this fiber, the shoot at this root of F = pi
+        # ends on such a tiny u > 0 at alpha
+        f, lam = self.CASES[1]
+        level = 12.531400472964593
+        span = fiber._shoot_end(f, lam) - f.alpha
+        blocks = list(fiber._back_blocks(f, lam, span, [0.0]))
+        theta = fiber._back_angles(blocks, level, potential_eval(f, f.alpha + span), 1)[0]
+        assert abs(theta + math.pi) < 1e-9
 
     @pytest.mark.parametrize("f,lam_max", CASES)
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
@@ -444,8 +482,8 @@ class TestMatchedShooting:
 
     @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
     def test_one_shoot_through_many_stops(self, f):
-        # one kernel call that passes every stop gives the angle of a shoot
-        # that ends at each stop alone
+        # one backward propagation that passes every stop gives the angle of
+        # a shoot that ends at each stop alone
         lam = 200.0
         t_end = fiber._shoot_end(f, lam)
         stops = np.linspace(turning_point(f, lam), f.alpha, 9).tolist()
@@ -454,75 +492,68 @@ class TestMatchedShooting:
         assert abs(together[-1] - together[0]) > 4.0 * math.pi
         assert together == pytest.approx(alone, rel=0.0, abs=1e-8)
 
-    def test_stop_does_not_shrink_the_next_step(self, monkeypatch):
-        # stops a hair apart force a tiny clipped step; the step after it
-        # resumes the size the clip cut down, so each stop adds about one
-        # DP5 step (six slope evaluations) to the shoot, not a ramp-up from
-        # the tiny step.  Each slope evaluation of a delta = 1 fiber calls
-        # exp once
-        calls = []
-
-        def exp(x):
-            calls.append(x)
-            return math.exp(x)
-
-        monkeypatch.setattr(fiber, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+    def test_close_stops_give_the_angles_of_lone_stops(self):
+        # stops a hair apart split a mesh step into a step of 1e-9 and the
+        # rest; every angle, the one at alpha included, is still that of a
+        # shoot to its stop alone
         lam = 400.0
         end = fiber._shoot_end(F_REF, lam)
         points = np.linspace(turning_point(F_REF, lam), F_REF.alpha, 12)[:-1].tolist()
         stops = [t for p in points for t in (p, p - 1e-9)] + [F_REF.alpha]
-        calls.clear()
-        [alone] = fiber._shoot_back(F_REF, lam, end, [F_REF.alpha])
-        single = len(calls)
-        calls.clear()
         together = fiber._shoot_back(F_REF, lam, end, stops)
-        assert together[-1] == pytest.approx(alone, rel=0.0, abs=1e-9)
-        assert len(calls) - single <= 6 * len(stops)
+        alone = [fiber._shoot_back(F_REF, lam, end, [stop])[0] for stop in stops]
+        assert together == pytest.approx(alone, rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
     def test_prufer_round_trip(self, f):
+        # (u, u') carried forward over the mesh from alpha to the turning
+        # point, then backward down the same steps, returns to its start,
+        # and the backward steps count the zeros the forward ones did
         lam, theta0 = 50.0, 0.3
-        t0, t1 = f.alpha, turning_point(f, lam)
-        [forward] = fiber._prufer_theta(f, lam, t0, [t1], theta0)
-        assert forward - theta0 > 2.0 * math.pi
-        [back] = fiber._prufer_theta(f, lam, t1, [t0], forward)
-        assert abs(back - theta0) < 1e-9
+        span = turning_point(f, lam) - f.alpha
+        u, du = math.sin(theta0), math.cos(theta0)
+        zeros = 0
+        for x, h in fiber._mesh_blocks(f, lam, span, fiber.MAGNUS_K):
+            us, dus, steps = fiber._magnus_block(fiber._nodal(f, x, h), lam, u, du)
+            u, du, zeros = us[-1], dus[-1], zeros + steps.sum()
+        assert zeros >= 2
+        for x, h in fiber._mesh_blocks(f, lam, span, fiber.MAGNUS_K, reverse=True):
+            us, dus, steps = fiber._magnus_block(
+                fiber._nodal(f, x, h), lam, u, du, backward=True
+            )
+            u, du, zeros = us[0], dus[0], zeros - steps.sum()
+        assert zeros == 0
+        assert abs(math.atan2(u, du) - theta0) < 1e-9
 
 
 class TestBackwardTail:
-    # a backward shoot relaxes its error target past the nearest read point,
-    # by how much the decay integral D from there damps an angle error
-    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
-    @given(
-        n=st.sampled_from([2, 3]),
-        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
-        a=st.floats(0.3, 1.5),
-        mu=st.floats(0.01, 20.0),
-        lam=st.floats(-5.0, 400.0),
+    # theta_dec(alpha; lam) against the Prufer equation theta' = cos^2 theta
+    # + (lam - V) sin^2 theta, solved by DOP853 back from the same t_end: an
+    # integrator that shares nothing with the Magnus propagator
+    @pytest.mark.parametrize(
+        "n,delta,a,mu,lam",
+        [
+            (2, 0.75, 1.0, 1.0, 40.0),
+            (3, 0.6, 0.5, 2.0, 50.0),
+            (3, 0.55, 0.3, 5.0, 120.0),
+            (2, 0.75, 1.0, 100.0, 1.0),  # alpha deep in the forbidden region
+            (2, 0.9, 1.5, 10.0, 20.0),
+            (3, 0.4, 1e-3, 1.0, 5.0),  # small alpha: a c/t^2 wall of ~3e6
+        ],
     )
-    def test_decay_bound_below_quadrature(self, n, delta, a, mu, lam):
+    def test_read_off_matches_dop853(self, n, delta, a, mu, lam):
         f = FiberPotential.from_cusp(n, delta, a, mu)
-        t_turn = turning_point(f, lam)
-        read = fiber._interior_min(f) if t_turn is None else t_turn
-        t_end = fiber._shoot_end(f, max(lam, potential_min(f)))
-        bounds = list(fiber._decay_bounds(f, lam, read, t_end))
-        assert bounds[-1][0] >= t_end
-        for t, decay in bounds:
-            exact = quad(lambda s: math.sqrt(max(potential_eval(f, s) - lam, 0.0)),
-                         read, t, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-            assert decay <= exact * (1.0 + 1e-9) + 1e-12
+        t_end = fiber._shoot_end(f, lam)
 
-    @pytest.mark.parametrize("lam", [1e12, 1e14])
-    def test_scales_end_at_the_cap_where_exp_overflows(self, lam):
-        # the first decay bound past 1 is already so large that
-        # exp(2 (D - 1)) overflows; the scales still end at the cap
-        t_end = fiber._shoot_end(F_REF, lam)
-        read = turning_point(F_REF, lam)
-        first = next(d for _, d in fiber._decay_bounds(F_REF, lam, read, t_end) if d > 1.0)
-        assert 2.0 * (first - 1.0) > math.log(sys.float_info.max)
-        nodes, scales = fiber._tail_scales(F_REF, lam, F_REF.alpha, t_end)
-        assert len(scales) == len(nodes) + 1
-        assert scales[-1] == fiber.ANGLE_TOL / fiber.ODE_ATOL
+        def prufer(t, theta):
+            s, c = math.sin(theta[0]), math.cos(theta[0])
+            return [c * c + (lam - potential_eval(f, max(t, f.alpha))) * s * s]
+
+        start = math.atan2(1.0, -math.sqrt(potential_eval(f, t_end) - lam))
+        reference = solve_ivp(prufer, (t_end, f.alpha), [start], method="DOP853",
+                              rtol=1e-13, atol=1e-13).y[0, -1]
+        [theta] = fiber._shoot_back(f, lam, t_end, [f.alpha])
+        assert abs(theta - reference) <= fiber.ANGLE_TOL
 
     # at delta = 1 the decaying solution is K_{i nu}(sqrt(mu) e^t), nu^2 =
     # lam - (n-1)^2/4 (a real order below that level), so the angle that the
@@ -719,8 +750,8 @@ DRAWN_FIBER = dict(
 
 
 class TestForwardCount:
-    # the forward count, zeros of a Magnus-propagated solution, against the
-    # DP5 backward read-off: two independent integrators of one fiber
+    # the forward count, zeros of a solution propagated from alpha, against
+    # the read-off of the decaying solution propagated back to alpha
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         **DRAWN_FIBER,
@@ -777,7 +808,7 @@ class TestForwardCount:
         # alpha follow its scale t / max(power, 2)
         f = FiberPotential.from_cusp(n, delta, a, 1.0)
         assert potential_eval(f, f.alpha) > 500.0
-        assert len(fiber._mesh(f, 5.0, 1.0)[0]) > 20  # graded steps
+        assert len(fiber._mesh(f, 5.0, 1.0, fiber.MAGNUS_K)[0]) > 20  # graded steps
         for lam in (5.0, 50.0, 500.0):
             [theta] = fiber._shoot_back(f, lam, fiber._shoot_end(f, lam), [f.alpha])
             assert fiber_count(f, lam, bc) == fiber_count(f, lam, bc, theta_decay=theta)
@@ -813,6 +844,31 @@ class TestMeshBudget:
         with pytest.raises(MeshBudgetError, match=f"budget is {fiber.MESH_BUDGET}$"):
             count_fibers(2, 0.75, 1.0, mus, 1e11, [DIRICHLET, ROBIN])
         assert time.perf_counter() - start < 1.0
+
+    def test_delta1_raised_before_the_backward_shoot(self, monkeypatch):
+        # the plan is the mesh of the shoot plus one step per mode
+        def shoot(*args):
+            raise AssertionError("a backward shoot was made")
+
+        monkeypatch.setattr(fiber, "_back_angles", shoot)
+        mus = distinct_modes(circle_model(a=1e7), 1e32, 1.0)
+        with pytest.raises(MeshBudgetError, match=r"126 modes from one backward shoot"):
+            count_fibers(2, 1.0, 1e7, mus, 1e32, [DIRICHLET, ROBIN])
+
+    def test_listing_raised_once_its_total_is_read(self, monkeypatch):
+        # one shoot reads the total; 6 per eigenvalue plus 3 would not fit
+        shoots = []
+        real = fiber._back_angles
+
+        def shoot(*args):
+            shoots.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(fiber, "_back_angles", shoot)
+        f = FiberPotential.from_cusp(2, 1.0, 1.0, 0.25)
+        with pytest.raises(MeshBudgetError, match="listing of 108187 eigenvalues"):
+            fiber_eigenvalues(f, 1e9)
+        assert shoots == [1e9]
 
     @pytest.mark.parametrize("lam", [1e3, 1e7])
     def test_levels_in_reach_are_counted(self, monkeypatch, lam):

@@ -704,12 +704,12 @@ class TestCuspCount:
     @pytest.mark.parametrize("robin", [False, True])
     def test_delta1_one_kernel_call_per_mode(self, monkeypatch, robin):
         # at delta = 1 one backward shoot passes every mode: no per-fiber
-        # shoot, and one kernel call per distinct mode
+        # shoot, and one backward propagation for all the distinct modes
         model = torus3_model(delta=1.0)
         lam = 66.0
         bc = BoundaryCondition.robin() if robin else DIRICHLET
         calls = {"shoot": 0, "kernel": 0}
-        real_shoot, real_kernel = fiber._shoot_count, fiber._prufer_theta
+        real_shoot, real_kernel = fiber._shoot_count, fiber._back_angles
 
         def shoot(*args):
             calls["shoot"] += 1
@@ -720,24 +720,23 @@ class TestCuspCount:
             return real_kernel(*args)
 
         monkeypatch.setattr(fiber, "_shoot_count", shoot)
-        monkeypatch.setattr(fiber, "_prufer_theta", kernel)
+        monkeypatch.setattr(fiber, "_back_angles", kernel)
         res = cusp_count(model, 0, lam, bc)
         modes = set(all_modes(model, lam))
-        assert res.count > 0
-        assert calls["shoot"] == 0
-        assert 0 < calls["kernel"] <= len(modes)
+        assert res.count > 0 and len(modes) > 1
+        assert calls == {"shoot": 0, "kernel": 1}
 
 
 class TestBracket:
     def test_delta1_bracket_one_shoot_for_both_ends(self, monkeypatch):
-        # both ends of a delta = 1 cusp read one backward shoot: one kernel
-        # call and one mode listing, where a shoot per end made two kernel
-        # calls for each of the 134 distinct modes
+        # both ends of a delta = 1 cusp read one backward shoot: one
+        # backward propagation and one mode listing, where a shoot per end
+        # made two propagations for each of the 134 distinct modes
         model = torus3_model()
         lam = 66.0
         calls = {"kernel": 0, "shoot": 0, "modes": 0}
         real_kernel, real_shoot, real_modes = (
-            fiber._prufer_theta, fiber._shoot_count, weyl.cusp_modes
+            fiber._back_angles, fiber._shoot_count, weyl.cusp_modes
         )
 
         def counted(key, real):
@@ -746,7 +745,7 @@ class TestBracket:
                 return real(*args)
             return wrapper
 
-        monkeypatch.setattr(fiber, "_prufer_theta", counted("kernel", real_kernel))
+        monkeypatch.setattr(fiber, "_back_angles", counted("kernel", real_kernel))
         monkeypatch.setattr(fiber, "_shoot_count", counted("shoot", real_shoot))
         monkeypatch.setattr(weyl, "cusp_modes", counted("modes", real_modes))
         res = total_count_bracket(model, lam)
