@@ -9,20 +9,19 @@ one-dimensional operator -d^2/dt^2 + V(t) on (alpha, oo), where
                      alpha = a^(2(1-delta)) / (1-delta)
 
 with mu >= 0 the cross-section eigenvalue.  Counts and listings rest on
-one propagator: a sixth-order Magnus rule that carries the solution
-(u, u') of u'' = (V - lambda) u over a mesh of offsets x = t - alpha,
-whose steps are not tied to the local wavelength, and reads each step's
-zeros from that step's own flow (see _magnus_block).  A forward count
-takes the solution that meets the boundary condition at alpha and counts
-its zeros on (alpha, t_end], t_end a point safely inside the classically
-forbidden region; by Sturm oscillation that is the number of eigenvalues
-below the spectral level lambda; see _shoot_count.  A backward shoot runs
-the solution that decays at infinity from t_end, where backward
+one propagator and one count.  A sixth-order Magnus rule carries the
+solution (u, u') of u'' = (V - lambda) u over a mesh of offsets x = t -
+alpha, whose steps are not tied to the local wavelength, and reads each
+step's zeros from that step's own flow (see _magnus_block).  A backward
+shoot runs the solution that decays at infinity from t_end, a point
+safely inside the classically forbidden region where backward
 propagation is stable, down to the boundary, and reads its Prufer angle
 theta, (u, u') = r (sin theta, cos theta), from the zeros it passed and
 its direction there; see _back_angles.  That angle gives the boundary
 read-off F(lambda) = theta0 - theta_dec(alpha; lambda), smooth and
-increasing with N(lambda) = ceil(F/pi).
+increasing, and by Sturm-Prufer theory the number of eigenvalues below
+the spectral level lambda is N(lambda) = ceil(F/pi): every count is this
+read-off (see fiber_count).
 Eigenvalues are listed as the roots of F = k pi, every F read off one mesh
 built for the listing, each root seeded from the phase integral (w =
 3 pi/4 for the first Dirichlet root, one pi more than at the previous root
@@ -42,12 +41,13 @@ shift exists.  There V is pointwise non-decreasing in mu, while alpha and
 the Robin beta depend only on (n, delta, a), so by min-max every fiber
 eigenvalue is non-decreasing in mu and N(lambda; mu) is non-increasing
 along the sorted modes.
-Bisection over the mode list then makes forward counts only where the
-count changes: O(D log(M/D)) counts for M modes with D distinct counts.
+Bisection over the mode list then shoots only where a count changes, one
+shoot per probed mode for every boundary condition: O(D log(M/D)) shoots
+for M modes with D distinct tuples of counts.
 The tolerances are fixed module constants: T_MARGIN and ANGLE_TOL place
-the end point of a shoot, MAGNUS_K and MAGNUS_K_BACK set the forward and
-the backward mesh, MESH_BUDGET bounds the work of one cusp count or one
-listing, and REL_TOL is the accuracy of listed eigenvalues.
+the end point of a shoot, MAGNUS_K sets the mesh, MESH_BUDGET bounds the
+work of one cusp count or one listing, and REL_TOL is the accuracy of
+listed eigenvalues.
 """
 
 from __future__ import annotations
@@ -70,14 +70,12 @@ ANGLE_TOL = 1e-9
 # Decay budget, in WKB units (the integral of sqrt(V - lambda)), added past
 # the turning point before the tail-size rule driven by ANGLE_TOL takes over.
 T_MARGIN = 5.0
-# Steps per unit length of the Magnus mesh of a forward count at lam = 0.
-# The mesh refines as (1 + |lam|)^0.27, because the count error of the
-# order-6 rule was measured to grow as h^6 lam^1.6.
-MAGNUS_K = 20.0
-# The same for a backward shoot, which reads an angle, not a count: at
-# MAGNUS_K the angle at alpha erred by up to 1.4e-9 on fibers at lam ~ 160,
-# and the error falls as K^-6.
-MAGNUS_K_BACK = 30.0
+# Steps per unit length of the Magnus mesh at lam = 0.  The mesh refines as
+# (1 + |lam|)^0.27, because the count error of the order-6 rule was
+# measured to grow as h^6 lam^1.6.  A shoot reads an angle, not only a
+# count: at 20 steps the angle at alpha erred by up to 1.4e-9 on fibers at
+# lam ~ 160, and the error falls as K^-6.
+MAGNUS_K = 30.0
 # Steps of the Magnus mesh per local length scale of a delta < 1
 # potential, t / max(power, 2) at t = alpha + x, wherever that scale is
 # short next to the level rule's step (near a small alpha, whose c/t^2 wall
@@ -356,37 +354,37 @@ def _shoot_end(f: FiberPotential, lam: float) -> float:
     return start + _tail_extent(f, start, lam, budget)
 
 
-# Magnus propagation.  Counts and read-offs carry the solution (u, u') of
+# Magnus propagation.  Every shoot carries the solution (u, u') of
 # u'' = (V - lam) u over a mesh of offsets x = t - alpha (see _mesh) by the
 # order-6 Magnus rule of Blanes, Casas and Ros (BIT 40, 2000) on three Gauss
 # nodes.  With A = [[0, 1], [q, 0]], q = V - lam, a step's generator Omega =
 # [[oa, ob], [oc, -oa]] is traceless, so Omega^2 = disc I with disc = oa^2 +
-# ob oc, and exp(+-Omega) = C I +- S Omega takes C, S from cos/sin (an
-# oscillatory step, disc < 0) or cosh/sinh.  A hyperbolic step is taken
-# divided by its cosh: that keeps the products of many such steps finite and
-# leaves the direction of (u, u'), and with it every zero and angle, as it
-# was.  On its step the flow exp(s Omega), s in [0, 1], gives u = A sin(s w + g) with
+# ob oc, and exp(-Omega) = C I - S Omega, which carries (u, u') down the
+# step, takes C, S from cos/sin (an oscillatory step, disc < 0) or
+# cosh/sinh.  A hyperbolic step is taken divided by its cosh: that keeps the
+# products of many such steps finite and leaves the direction of (u, u'),
+# and with it every zero and angle, as it was.  On its step the flow
+# exp(s Omega), s in [0, 1], gives u = A sin(s w + g) with
 # w^2 = -disc on an oscillatory step, whose zeros are the multiples of pi
 # that s w + g passes, and at most one zero, where u changes sign, on a
-# hyperbolic one.  The forward count runs exp(Omega) from alpha; the
-# backward shoot runs exp(-Omega) down from t_end.
+# hyperbolic one.
 _GAUSS = np.array([[0.5 - math.sqrt(15.0) / 10.0], [0.5], [0.5 + math.sqrt(15.0) / 10.0]])
 
 
-def _mesh(f: FiberPotential, lam: float, span: float, k: float) -> tuple[np.ndarray, int]:
+def _mesh(f: FiberPotential, lam: float, span: float) -> tuple[np.ndarray, int]:
     """The Magnus mesh over offsets [0, span]: the edges of its graded
     steps, from 0 to the offset x_g where the uniform steps take over, and
     the number of uniform steps on [x_g, span].
 
     At delta < 1, where the local scale of V is shorter than
-    MAGNUS_SCALE_STEPS steps of 1 / (k (1 + |lam|)^0.27), the steps grow
-    geometrically from alpha, each at most that scale over
-    MAGNUS_SCALE_STEPS.  The uniform step is 1 / (k (1 + d)^0.27) with d
-    the larger of |lam| and the depth V - lam at x_g: the angle error of a
-    step deep in the forbidden region grows with V - lam there as the count
-    error does with lam, and a read-off at alpha sees it.
+    MAGNUS_SCALE_STEPS steps of 1 / (MAGNUS_K (1 + |lam|)^0.27), the steps
+    grow geometrically from alpha, each at most that scale over
+    MAGNUS_SCALE_STEPS.  The uniform step is 1 / (MAGNUS_K (1 + d)^0.27)
+    with d the larger of |lam| and the depth V - lam at x_g: the angle
+    error of a step deep in the forbidden region grows with V - lam there
+    as it does with lam, and a read-off at alpha sees it.
     """
-    per_length = k * (1.0 + abs(lam)) ** 0.27
+    per_length = MAGNUS_K * (1.0 + abs(lam)) ** 0.27
     edges = np.zeros(1)
     if f.delta < 1.0:
         rate = MAGNUS_SCALE_STEPS * max(f.power, 2.0)
@@ -401,38 +399,13 @@ def _mesh(f: FiberPotential, lam: float, span: float, k: float) -> tuple[np.ndar
         return edges, 0
     depth = float(_potential_array(f, edges[-1])) - lam
     if depth > abs(lam):
-        per_length = k * (1.0 + depth) ** 0.27
+        per_length = MAGNUS_K * (1.0 + depth) ** 0.27
     return edges, math.ceil(per_length * rest)
 
 
-def _mesh_steps(f: FiberPotential, lam: float, span: float, k: float) -> int:
-    edges, uniform = _mesh(f, lam, span, k)
+def _mesh_steps(f: FiberPotential, lam: float, span: float) -> int:
+    edges, uniform = _mesh(f, lam, span)
     return len(edges) - 1 + uniform
-
-
-def _mesh_blocks(
-    f: FiberPotential, lam: float, span: float, k: float, reverse: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray | float]]:
-    """(x, h) of at most MAGNUS_BLOCK consecutive steps of _mesh: their
-    left ends and their widths, an array on the graded part and one float
-    on the uniform part; blocks ascend, or with reverse descend."""
-    edges, steps = _mesh(f, lam, span, k)
-    start = float(edges[-1])
-    h = (span - start) / steps if steps else 0.0
-
-    def graded(first: int) -> tuple[np.ndarray, np.ndarray]:
-        part = edges[first : first + MAGNUS_BLOCK + 1]
-        return part[:-1], np.diff(part)
-
-    def uniform(first: int) -> tuple[np.ndarray, float]:
-        last = min(first + MAGNUS_BLOCK, steps)
-        return start + h * np.arange(first, last, dtype=np.float64), h
-
-    graded_firsts = range(0, len(edges) - 1, MAGNUS_BLOCK)
-    uniform_firsts = range(0, steps, MAGNUS_BLOCK)
-    if reverse:
-        return chain(map(uniform, reversed(uniform_firsts)), map(graded, reversed(graded_firsts)))
-    return chain(map(graded, graded_firsts), map(uniform, uniform_firsts))
 
 
 def _nodal(f: FiberPotential, x: np.ndarray, h) -> tuple:
@@ -446,11 +419,11 @@ def _nodal(f: FiberPotential, x: np.ndarray, h) -> tuple:
 
 
 def _magnus_block(
-    nodal: tuple, lam: float, u: float, du: float, backward: bool = False
+    nodal: tuple, lam: float, u: float, du: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, u') at every edge of one block of steps, ascending, and the zeros
-    of u on each step (left, right], propagated from (u, du) at the bottom
-    edge, or with backward at the top edge."""
+    """(u, u') at every edge of one block of steps, ascending, propagated
+    down from (u, du) at its top edge, and the zeros of u on each step
+    (left, right]."""
     h, v2, d1, d2 = nodal
     q = v2 - lam
     oa = (h / 240.0) * d1 * ((4.0 / 3.0) * h * h * q + h * d2 / 30.0 - 20.0)
@@ -470,27 +443,19 @@ def _magnus_block(
         k = w[hyp]
         cc[hyp] = 1.0
         ss[hyp] = np.divide(np.tanh(k), k, out=np.ones_like(k), where=k > 0.0)
-    if backward:
-        ss = -ss  # exp(-Omega) = C I - S Omega
-    m00, m01, m10, m11 = cc + ss * oa, ss * ob, ss * oc, cc - ss * oa
-    if backward:  # taken from the top edge down
-        m00, m01, m10, m11 = m00[::-1], m01[::-1], m10[::-1], m11[::-1]
-    # running products P_i = M_i ... M_0 of the steps in the order they are
-    # taken, by doubling: after the pass at shift s each P_i spans 2 s steps
+    m00, m01, m10, m11 = cc - ss * oa, -ss * ob, -ss * oc, cc + ss * oa
+    # products P_i = M_i M_(i+1) ... of the steps from edge i up to the top
+    # edge, by doubling: after the pass at shift s each P_i spans 2 s steps
     shift = 1
     while shift < len(w):
-        hi, lo = slice(shift, None), slice(None, -shift)
-        p00 = m00[hi] * m00[lo] + m01[hi] * m10[lo]
-        p01 = m00[hi] * m01[lo] + m01[hi] * m11[lo]
-        p10 = m10[hi] * m00[lo] + m11[hi] * m10[lo]
-        p11 = m10[hi] * m01[lo] + m11[hi] * m11[lo]
-        m00[hi], m01[hi], m10[hi], m11[hi] = p00, p01, p10, p11
+        lo, hi = slice(None, -shift), slice(shift, None)
+        p00 = m00[lo] * m00[hi] + m01[lo] * m10[hi]
+        p01 = m00[lo] * m01[hi] + m01[lo] * m11[hi]
+        p10 = m10[lo] * m00[hi] + m11[lo] * m10[hi]
+        p11 = m10[lo] * m01[hi] + m11[lo] * m11[hi]
+        m00[lo], m01[lo], m10[lo], m11[lo] = p00, p01, p10, p11
         shift *= 2
-    ends, d_ends = m00 * u + m01 * du, m10 * u + m11 * du
-    if backward:
-        us, dus = np.append(ends[::-1], u), np.append(d_ends[::-1], du)
-    else:
-        us, dus = np.insert(ends, 0, u), np.insert(d_ends, 0, du)
+    us, dus = np.append(m00 * u + m01 * du, u), np.append(m10 * u + m11 * du, du)
     left, d_left, right = us[:-1], dus[:-1], us[1:]
     # oscillatory: u = A sin(s w + g), A sin g = u(0), A cos g w = (Omega y)_1
     g = np.arctan2(left * w, oa * left + ob * d_left)
@@ -506,32 +471,34 @@ def _unit(u: float, du: float) -> tuple[float, float]:
     return float(u) / scale, float(du) / scale
 
 
-def _shoot_count(f: FiberPotential, lam: float, theta0: float) -> int:
-    """Zeros in (alpha, t_end], t_end = _shoot_end(f, lam), of the solution
-    of u'' = (V - lam) u with (u, u')(alpha) = (sin theta0, cos theta0), by
-    the Magnus rule above."""
-    u, du = math.sin(theta0), math.cos(theta0)
-    zeros = 0
-    for x, h in _mesh_blocks(f, lam, _shoot_end(f, lam) - f.alpha, MAGNUS_K):
-        us, dus, steps = _magnus_block(_nodal(f, x, h), lam, u, du)
-        zeros += int(steps.sum())
-        u, du = _unit(us[-1], dus[-1])
-    return zeros
-
-
 def _back_blocks(
     f: FiberPotential, lam: float, span: float, stops: Sequence[float]
 ) -> Iterator[tuple[tuple, np.ndarray]]:
-    """The blocks of _mesh(f, lam, span, MAGNUS_K_BACK) over offsets
-    [stops[-1], span], top block first, with every stop below span inserted
-    as an edge: each as its _nodal data and the indices of its stop edges,
-    in the order of stops.
+    """The steps of _mesh(f, lam, span) over offsets [stops[-1], span] in
+    blocks of at most MAGNUS_BLOCK, top block first, with every stop below
+    span inserted as an edge: each as its _nodal data and the indices of its
+    stop edges, in the order of stops.  A block's widths are an array on the
+    graded part of the mesh and one float on the uniform part.
 
     stops are offsets from alpha, descending; each stop in [bottom, top) of
     a block is placed in that block."""
+    edges, steps = _mesh(f, lam, span)
+    start = float(edges[-1])
+    step = (span - start) / steps if steps else 0.0
+    graded_x, graded_h = edges[:-1], np.diff(edges)
+    blocks = chain(
+        (
+            (start + step * np.arange(i, min(i + MAGNUS_BLOCK, steps), dtype=np.float64), step)
+            for i in reversed(range(0, steps, MAGNUS_BLOCK))
+        ),
+        (
+            (graded_x[i : i + MAGNUS_BLOCK], graded_h[i : i + MAGNUS_BLOCK])
+            for i in reversed(range(0, len(graded_x), MAGNUS_BLOCK))
+        ),
+    )
     ascending = np.asarray(stops, dtype=np.float64)[::-1]
     lowest = ascending[0]
-    for x, h in _mesh_blocks(f, lam, span, MAGNUS_K_BACK, reverse=True):
+    for x, h in blocks:
         top = float(x[-1] + (h if np.isscalar(h) else h[-1]))
         if top <= lowest:
             return
@@ -560,7 +527,7 @@ def _back_angles(blocks, lam: float, v_top: float, count: int) -> list[float]:
     zeros = 0
     angles: list[float] = []
     for nodal, marks in blocks:
-        us, dus, steps = _magnus_block(nodal, lam, u, du, backward=True)
+        us, dus, steps = _magnus_block(nodal, lam, u, du)
         if len(marks):
             # zeros of u on (edge i, top of the block]
             above = np.append(np.cumsum(steps[::-1])[::-1], 0.0)[marks] + zeros
@@ -586,13 +553,20 @@ def _boundary_angle(f: FiberPotential, bc: BoundaryCondition) -> float:
 
 def _shoot_back(f: FiberPotential, lam: float, t_end: float, stops: Sequence[float]) -> list[float]:
     """Prufer angles at each of stops, descending and >= alpha, of the
-    solution that decays at infinity at level lam of a fiber with mu > 0,
-    shot back from t_end in its forbidden region, where it starts at
-    u'/u = -sqrt(V - lam): one backward Magnus propagation down the mesh of
-    (f, lam) with every stop inserted as an edge (see _back_angles)."""
+    solution that decays at infinity at level lam, shot back from t_end in
+    the forbidden region, where it starts at u'/u = -sqrt(V - lam): one
+    backward Magnus propagation down the mesh of (f, lam) with every stop
+    inserted as an edge (see _back_angles)."""
     span = t_end - f.alpha
     blocks = _back_blocks(f, lam, span, [stop - f.alpha for stop in stops])
     return _back_angles(blocks, lam, float(_potential_array(f, span)), len(stops))
+
+
+def _empty_below(f: FiberPotential, lam: float, bc: BoundaryCondition) -> bool:
+    """Whether a mu > 0 fiber is known, without a shoot, to have no
+    eigenvalue below lam: lam at or below min V, where only a Robin beta > 0
+    binds a state."""
+    return lam <= potential_min(f) and (bc.kind == "dirichlet" or _resolve_beta(f, bc) <= 0.0)
 
 
 def fiber_count(
@@ -602,21 +576,20 @@ def fiber_count(
     *,
     theta_decay: Optional[float] = None,
 ) -> int:
-    """Number of eigenvalues strictly below lam: the zeros of the forward
-    Magnus solution on (alpha, t_end] (see _shoot_count).
+    """Number of eigenvalues strictly below lam: the boundary read-off
+    ceil((theta0 - theta_decay) / pi), theta_decay the Prufer angle at alpha
+    of the solution that decays at infinity at level lam.
 
-    theta_decay, when given, is the Prufer angle at alpha of the solution
-    that decays at infinity at level lam, already shot elsewhere (count_fibers
-    shares one such shoot among the modes of a delta = 1 cusp).  The count is
-    then the boundary read-off ceil((theta0 - theta_decay) / pi), and
-    nothing is propagated.
+    Without theta_decay the fiber shoots it alone, back from _shoot_end(f,
+    lam) (see _shoot_back); count_fibers passes the angle of a shoot that
+    it shares among the boundary conditions, and at delta = 1 among the
+    modes.  A count that is 0 below min V needs no angle (see _empty_below).
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
     asking for a count there raises ContinuousSpectrumError.  A non-finite
     lam raises ValueError.
     """
     _require_finite(lam)
-    beta = _resolve_beta(f, bc)
     if f.mu == 0.0:
         if lam > f.ess_inf:
             raise ContinuousSpectrumError(
@@ -625,6 +598,7 @@ def fiber_count(
             )
         if bc.kind == "dirichlet":
             return 0
+        beta = _resolve_beta(f, bc)
         if f.delta == 1.0:
             # constant potential q: the only candidate is the boundary state
             # at q - beta^2, present exactly when beta > 0
@@ -635,14 +609,11 @@ def fiber_count(
         # mode, eigenvalue 0), so a state below lam <= 0 needs a larger beta
         if beta <= default_robin_beta(f):
             return 0
-        return _shoot_count(f, lam, _boundary_angle(f, bc))
-    vmin = potential_min(f)
-    if lam <= vmin and (bc.kind == "dirichlet" or beta <= 0.0):
+    elif _empty_below(f, lam, bc):
         return 0
-    theta0 = _boundary_angle(f, bc)
-    if theta_decay is not None:
-        return math.ceil((theta0 - theta_decay) / math.pi)
-    return _shoot_count(f, lam, theta0)
+    if theta_decay is None:
+        [theta_decay] = _shoot_back(f, lam, _shoot_end(f, lam), [f.alpha])
+    return math.ceil((_boundary_angle(f, bc) - theta_decay) / math.pi)
 
 
 def count_fibers(
@@ -667,13 +638,15 @@ def count_fibers(
     smallest mode.  Its plan, the mesh steps plus one per mode, is held to
     MESH_BUDGET before it runs.
 
-    delta < 1: N(lam; mu) is non-increasing in mu, so when the counts at both
-    ends of an index range agree, every mode between them has that count too.
-    Such a range is filled without shooting; any other range is split at its
-    midpoint.  Each condition runs its own bisection of forward counts.
-    Before the first of them, the work is estimated as the number of modes
-    times the Magnus mesh of the lowest mode, whose allowed region is the
-    longest.
+    delta < 1: N(lam; mu) is non-increasing in mu under every condition, so
+    when the tuples of counts at both ends of an index range agree, every
+    mode between them has those counts too.  Such a range is filled without
+    shooting; any other range is split at its midpoint.  One bisection
+    serves all of bcs: a probed mode is shot back once, and every condition
+    reads its count off that angle, as at delta = 1; a mode whose counts
+    are all 0 below min V is not shot.  Before the first shoot, the work is
+    estimated as the number of modes times the Magnus mesh of the lowest
+    mode, whose allowed region is the longest.
 
     Above MESH_BUDGET planned steps MeshBudgetError is raised.
     """
@@ -688,9 +661,9 @@ def count_fibers(
     if delta == 1.0:
         return _count_shifted_modes(n, a, mus, lam, bcs)
     lowest = FiberPotential.from_cusp(n, delta, a, mus[0])
-    steps = _mesh_steps(lowest, lam, _shoot_end(lowest, lam) - lowest.alpha, MAGNUS_K)
-    _check_budget(len(mus) * steps, f"forward counts of {len(mus)} modes at lambda = {lam}")
-    return [_bisect_modes(n, delta, a, mus, lam, bc) for bc in bcs]
+    steps = _mesh_steps(lowest, lam, _shoot_end(lowest, lam) - lowest.alpha)
+    _check_budget(len(mus) * steps, f"backward shoots of {len(mus)} modes at lambda = {lam}")
+    return _bisect_modes(n, delta, a, mus, lam, bcs)
 
 
 def _check_budget(steps: int, work: str) -> None:
@@ -699,19 +672,22 @@ def _check_budget(steps: int, work: str) -> None:
 
 
 def _bisect_modes(
-    n: int, delta: float, a: float, mus: list[float], lam: float, bc: BoundaryCondition
-) -> list[int]:
-    """count_fibers at delta < 1 under one condition, by bisection over the modes."""
-    counts: list[int] = [0] * len(mus)
+    n: int, delta: float, a: float, mus: list[float], lam: float, bcs: Sequence[BoundaryCondition]
+) -> list[list[int]]:
+    """count_fibers at delta < 1, by one bisection over the modes for all of bcs."""
+    counts: list[tuple[int, ...]] = [()] * len(mus)
 
-    def shoot(i: int) -> None:
+    def probe(i: int) -> None:
         f = FiberPotential.from_cusp(n, delta, a, mus[i])
-        counts[i] = fiber_count(f, lam, bc)
+        theta = None
+        if not all(_empty_below(f, lam, bc) for bc in bcs):
+            [theta] = _shoot_back(f, lam, _shoot_end(f, lam), [f.alpha])
+        counts[i] = tuple(fiber_count(f, lam, bc, theta_decay=theta) for bc in bcs)
 
     last = len(mus) - 1
-    shoot(0)
+    probe(0)
     if last > 0:
-        shoot(last)
+        probe(last)
     ranges = [(0, last)]
     while ranges:
         lo, hi = ranges.pop()
@@ -719,9 +695,9 @@ def _bisect_modes(
             counts[lo + 1 : hi] = [counts[lo]] * (hi - lo - 1)
         elif hi - lo > 1:
             mid = (lo + hi) // 2
-            shoot(mid)
+            probe(mid)
             ranges += [(mid, hi), (lo, mid)]
-    return counts
+    return [list(column) for column in zip(*counts)]
 
 
 def _count_shifted_modes(
@@ -735,7 +711,7 @@ def _count_shifted_modes(
     # where the top mode's shoot would, in the forbidden region of them all
     shifted = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[0])
     end = _shoot_end(FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1]), lam)
-    steps = _mesh_steps(shifted, lam, end - starts[0], MAGNUS_K_BACK) + len(starts)
+    steps = _mesh_steps(shifted, lam, end - starts[0]) + len(starts)
     _check_budget(steps, f"counts of {len(mus)} modes from one backward shoot at lambda = {lam}")
     thetas = _shoot_back(shifted, lam, end, starts[::-1])[::-1]
     fibers = [FiberPotential(n=n, delta=1.0, mu=mu, alpha=alpha) for mu in mus]
@@ -790,7 +766,7 @@ def fiber_eigenvalues(
     if total == 0:
         return []
     _check_budget(
-        _mesh_steps(f, level, span, MAGNUS_K_BACK) * (6 * total + 3),
+        _mesh_steps(f, level, span) * (6 * total + 3),
         f"backward shoots of a listing of {total} eigenvalues",
     )
     blocks = list(_back_blocks(f, level, span, [0.0]))
@@ -905,6 +881,8 @@ def fd_oracle(
         off = np.full(grid - 1, -1.0 / h**2)
         off[0] = -math.sqrt(2.0) / h**2
     lo = float(min(v.min(), 0.0) - 2.0 * beta * beta - 10.0)
+    if lam_max <= lo:  # below every eigenvalue, as fiber_count finds there
+        return []
     vals = eigh_tridiagonal(
         diag, off, eigvals_only=True, select="v", select_range=(lo, lam_max)
     )

@@ -504,8 +504,8 @@ def test_count_exit_codes_on_golden_models(capsys, model, lam):
 
 
 def test_count_over_the_mesh_budget_exits_2(capsys):
-    # forward counts of the delta = 0.75 circle at lambda = 1e11 would plan
-    # about 2e12 Magnus mesh steps; the count stops before the first one
+    # the shoots of the delta = 0.75 circle at lambda = 1e11 would plan
+    # about 3.4e12 Magnus mesh steps; the count stops before the first one
     model = Path(__file__).parent / "golden" / "models" / "circle_delta075.json"
     code, out, err = run_cli(capsys, "count", str(model), "--lambda", "1e11")
     assert (code, out) == (2, "")

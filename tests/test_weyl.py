@@ -689,13 +689,13 @@ class TestCuspCount:
         lam = 66.0
         bc = BoundaryCondition.robin() if robin else DIRICHLET
         shoots = []
-        real = fiber._shoot_count
+        real = fiber._back_angles
 
         def counted(*args):
             shoots.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(fiber, "_shoot_count", counted)
+        monkeypatch.setattr(fiber, "_back_angles", counted)
         res = cusp_count(model, 0, lam, bc)
         modes = set(all_modes(model, lam))
         assert res.count > 0
@@ -708,23 +708,18 @@ class TestCuspCount:
         model = torus3_model(delta=1.0)
         lam = 66.0
         bc = BoundaryCondition.robin() if robin else DIRICHLET
-        calls = {"shoot": 0, "kernel": 0}
-        real_shoot, real_kernel = fiber._shoot_count, fiber._back_angles
-
-        def shoot(*args):
-            calls["shoot"] += 1
-            return real_shoot(*args)
+        calls = []
+        real = fiber._back_angles
 
         def kernel(*args):
-            calls["kernel"] += 1
-            return real_kernel(*args)
+            calls.append(args[1])
+            return real(*args)
 
-        monkeypatch.setattr(fiber, "_shoot_count", shoot)
         monkeypatch.setattr(fiber, "_back_angles", kernel)
         res = cusp_count(model, 0, lam, bc)
         modes = set(all_modes(model, lam))
         assert res.count > 0 and len(modes) > 1
-        assert calls == {"shoot": 0, "kernel": 1}
+        assert calls == [lam]
 
 
 class TestBracket:
@@ -734,10 +729,8 @@ class TestBracket:
         # made two propagations for each of the 134 distinct modes
         model = torus3_model()
         lam = 66.0
-        calls = {"kernel": 0, "shoot": 0, "modes": 0}
-        real_kernel, real_shoot, real_modes = (
-            fiber._back_angles, fiber._shoot_count, weyl.cusp_modes
-        )
+        calls = {"kernel": 0, "modes": 0}
+        real_kernel, real_modes = fiber._back_angles, weyl.cusp_modes
 
         def counted(key, real):
             def wrapper(*args):
@@ -746,37 +739,36 @@ class TestBracket:
             return wrapper
 
         monkeypatch.setattr(fiber, "_back_angles", counted("kernel", real_kernel))
-        monkeypatch.setattr(fiber, "_shoot_count", counted("shoot", real_shoot))
         monkeypatch.setattr(weyl, "cusp_modes", counted("modes", real_modes))
         res = total_count_bracket(model, lam)
-        assert calls == {"kernel": 1, "shoot": 0, "modes": 1}
+        assert calls == {"kernel": 1, "modes": 1}
         monkeypatch.undo()
         assert len(cusp_modes(model, 0, lam)[0]) == 134
         assert res.count_low == cusp_count(model, 0, lam).count
         assert res.count_high == cusp_count(model, 0, lam, BoundaryCondition.robin()).count
 
     def test_delta075_cusp_shoots_as_two_single_ends(self, monkeypatch):
-        # next to a delta = 1 cusp, the delta = 0.75 cusp keeps one bisection
-        # per end: its shoots are those of its two single-condition counts
+        # next to a delta = 1 cusp, the delta = 0.75 cusp counts both ends in
+        # one bisection, each probe one shoot for both conditions: no more
+        # shoots than its two single-condition counts, and here fewer
         one, three_quarters = circle_model().cusps[0], circle_model(delta=0.75).cusps[0]
         model = ManifoldModel(2, CompactCoreSurrogate(), (one, three_quarters))
         lam = 120.0
         robin = BoundaryCondition.robin()
         shoots = []
-        real = fiber._shoot_count
+        real = fiber._shoot_back
 
-        def counted(f, level, theta0):
-            shoots.append((f, theta0))
-            return real(f, level, theta0)
+        def counted(f, level, t_end, stops):
+            shoots.append(f.delta)
+            return real(f, level, t_end, stops)
 
-        monkeypatch.setattr(fiber, "_shoot_count", counted)
+        monkeypatch.setattr(fiber, "_shoot_back", counted)
         res = total_count_bracket(model, lam)
-        in_bracket = list(shoots)
+        in_bracket = shoots.count(0.75)
         shoots.clear()
         low = [cusp_count(model, j, lam).count for j in (0, 1)]
         high = [cusp_count(model, j, lam, robin).count for j in (0, 1)]
-        assert in_bracket == shoots
-        assert {f.delta for f, _ in in_bracket} == {0.75}
+        assert 0 < in_bracket < shoots.count(0.75)
         assert (res.count_low, res.count_high) == (sum(low), sum(high))
 
     def test_valid_and_tight(self, ref_model):
