@@ -1,23 +1,29 @@
 """Half-line Schrodinger fibers of a cusp and their eigenvalue counts.
 
-Separating variables in a cusp on the ell-th cross-section mode leaves a
-one-dimensional operator -d^2/dt^2 + V(t) on (alpha, oo), where
+Separating variables in a cusp on the ell-th cross-section mode, mu >= 0
+its eigenvalue, leaves a one-dimensional operator -d^2/dt^2 + V(t) on
+(alpha, oo).  V is taken at offsets x = t - alpha in one formula (see
+_potential), with g = mu a^(4 delta) its growth term at alpha:
 
-    delta = 1:      V(t) = mu e^(2t) + (n-1)^2/4,             alpha = 2 ln a
-    1/n < delta < 1: V(t) = mu ((1-delta) t)^(2 delta/(1-delta))
-                            + (n-1) delta ((n-3) delta + 2) / (4 (1-delta)^2 t^2),
-                     alpha = a^(2(1-delta)) / (1-delta)
+    delta = 1:       V = g e^(2x) + (n-1)^2/4,          alpha = 2 ln a
+    1/n < delta < 1: V = g (1 + x/alpha)^p + c / (alpha + x)^2,
+                     alpha = a^(2(1-delta)) / (1-delta), p = 2 delta / (1-delta),
+                     c = (n-1) delta ((n-3) delta + 2) / (4 (1-delta)^2)
 
-with mu >= 0 the cross-section eigenvalue.  Counts and listings rest on
-one propagator and one count.  A sixth-order Magnus rule carries the
-solution (u, u') of u'' = (V - lambda) u over a mesh of offsets x = t -
-alpha, whose steps are not tied to the local wavelength, and reads each
-step's zeros from that step's own flow (see _magnus_block).  A backward
-shoot runs the solution that decays at infinity from t_end, a point
-safely inside the classically forbidden region where backward
-propagation is stable, down to the boundary, and reads its Prufer angle
-theta, (u, u') = r (sin theta, cos theta), from the zeros it passed and
-its direction there; see _back_angles.  That angle gives the boundary
+which is mu ((1-delta) t)^p + c/t^2 below delta = 1.  g is taken from
+(a, delta, mu), not from the rounded alpha, and (1 + x/alpha)^p as
+exp(p log1p(x/alpha)): p grows like 2/(1 - delta) and would magnify any
+rounding of alpha or of alpha + x.
+
+Counts and listings rest on one propagator and one count.  A sixth-order
+Magnus rule carries the solution (u, u') of u'' = (V - lambda) u over a
+mesh of the offsets x, whose steps are not tied to the local wavelength,
+and reads each step's zeros from that step's own flow (see
+_magnus_block).  A backward shoot runs the solution that decays at
+infinity from t_end, a point safely inside the classically forbidden
+region where backward propagation is stable, down to the boundary, and
+reads its Prufer angle theta, (u, u') = r (sin theta, cos theta), from
+the zeros it passed and its direction there; see _back_angles.  That angle gives the boundary
 read-off F(lambda) = theta0 - theta_dec(alpha; lambda), smooth and
 increasing, and by Sturm-Prufer theory the number of eigenvalues below
 the spectral level lambda is N(lambda) = ceil(F/pi): every count is this
@@ -53,8 +59,7 @@ listed eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -84,8 +89,8 @@ MAGNUS_SCALE_STEPS = 10.0
 # Mesh steps propagated in one numpy pass; (u, u') is carried from block to
 # block, so memory does not grow with lam.
 MAGNUS_BLOCK = 4096
-# Most mesh steps one count_fibers call or one listing may plan; see
-# MeshBudgetError.
+# Most mesh steps one count_fibers call, one listing or one lone shoot may
+# plan; see MeshBudgetError.
 MESH_BUDGET = 10**10
 
 
@@ -94,7 +99,7 @@ class ContinuousSpectrumError(ValueError):
 
 
 class MeshBudgetError(RuntimeError):
-    """The counts of a cusp, or a listing, would exceed the mesh-step budget."""
+    """The counts of a cusp, a listing or one shoot would exceed the mesh-step budget."""
 
 
 @dataclass(frozen=True)
@@ -127,12 +132,20 @@ DIRICHLET = BoundaryCondition.dirichlet()
 
 @dataclass(frozen=True)
 class FiberPotential:
-    """Parameters (n, delta, mu, alpha) of one half-line fiber."""
+    """One half-line fiber (n, delta, mu, alpha) and the coefficients of its
+    potential (see _potential): growth g, power p (2, the rate of e^(2x),
+    at delta = 1) and const_coeff c.  from_cusp takes g from (a, delta, mu);
+    given alpha alone, g is derived from alpha, and is inf past the float
+    range.
+    """
 
     n: int
     delta: float
     mu: float
     alpha: float
+    growth: Optional[float] = None
+    power: float = field(init=False, repr=False, compare=False)
+    const_coeff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the potential formula needs only delta in (0, 1]; the stricter
@@ -145,29 +158,29 @@ class FiberPotential:
             raise ValueError("mu must be >= 0")
         if self.delta < 1.0 and self.alpha <= 0:
             raise ValueError("delta < 1 requires alpha > 0")
+        n, d = self.n, self.delta
+        if d == 1.0:
+            power, const = 2.0, (n - 1) ** 2 / 4.0
+        else:
+            power = 2.0 * d / (1.0 - d)
+            const = (n - 1) * d * ((n - 3) * d + 2.0) / (4.0 * (1.0 - d) ** 2)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "const_coeff", const)
+        if self.growth is None:
+            try:
+                base = math.exp(2.0 * self.alpha) if d == 1.0 else ((1.0 - d) * self.alpha) ** power
+                growth = self.mu * base
+            except OverflowError:
+                growth = math.inf if self.mu > 0.0 else 0.0
+            object.__setattr__(self, "growth", growth)
 
     @classmethod
     def from_cusp(cls, n: int, delta: float, a: float, mu: float) -> "FiberPotential":
         if delta == 1.0:
-            alpha = 2.0 * math.log(a)
-        else:
-            alpha = a ** (2.0 * (1.0 - delta)) / (1.0 - delta)
-        return cls(n=n, delta=delta, mu=mu, alpha=alpha)
-
-    @property
-    def const_coeff(self) -> float:
-        """Additive constant (delta = 1) or 1/t^2 coefficient (delta < 1)."""
-        n, d = self.n, self.delta
-        if d == 1.0:
-            return (n - 1) ** 2 / 4.0
-        return (n - 1) * d * ((n - 3) * d + 2.0) / (4.0 * (1.0 - d) ** 2)
-
-    @property
-    def power(self) -> float:
-        """Growth exponent 2 delta / (1 - delta) of the delta < 1 branch."""
-        if self.delta == 1.0:
-            raise ValueError("power is defined only for delta < 1")
-        return 2.0 * self.delta / (1.0 - self.delta)
+            # g is derived from alpha, as mu e^(2 alpha) = mu a^4
+            return cls(n=n, delta=delta, mu=mu, alpha=2.0 * math.log(a))
+        alpha = a ** (2.0 * (1.0 - delta)) / (1.0 - delta)
+        return cls(n=n, delta=delta, mu=mu, alpha=alpha, growth=mu * a ** (4.0 * delta))
 
     @property
     def ess_inf(self) -> float:
@@ -190,70 +203,67 @@ def _resolve_beta(f: FiberPotential, bc: BoundaryCondition) -> float:
     return default_robin_beta(f) if bc.beta is None else float(bc.beta)
 
 
+def _potential(f: FiberPotential, x):
+    """V(alpha + x) at offsets x >= 0 from the boundary, a float or an
+    array: g e^(2x) + c at delta = 1, g exp(p log1p(x/alpha)) + c/(alpha +
+    x)^2 below, so that no rounding of alpha + x reaches the growth term."""
+    xp = np if isinstance(x, np.ndarray) else math
+    if f.delta == 1.0:
+        return f.growth * xp.exp(2.0 * x) + f.const_coeff
+    alpha = f.alpha
+    t = alpha + x
+    return f.growth * xp.exp(f.power * xp.log1p(x / alpha)) + f.const_coeff / (t * t)
+
+
 def potential_eval(f: FiberPotential, t: float) -> float:
     """V(t) for t >= alpha; raises on points left of the boundary."""
     if t < f.alpha:
         raise ValueError(f"t = {t} below the fiber boundary alpha = {f.alpha}")
-    if f.delta == 1.0:
-        return f.mu * math.exp(2.0 * t) + f.const_coeff
-    return f.mu * ((1.0 - f.delta) * t) ** f.power + f.const_coeff / (t * t)
-
-
-def _growth_at(f: FiberPotential, t: float) -> float:
-    """mu ((1 - delta) t)^power of a delta < 1 fiber, with (1 - delta) t
-    summed exactly: rounding it would move the term by up to power * 2^-53
-    relative, and power ~ 2 / (1 - delta) grows without bound as delta -> 1."""
-    p = f.power
-    base = (1.0 - f.delta) * t
-    err = float(Fraction(1.0 - f.delta) * Fraction(t) - Fraction(base))
-    return f.mu * base**p * math.exp(p * math.log1p(err / base))
-
-
-def _potential_from(f: FiberPotential, t: float) -> Callable[[float], float]:
-    """x -> V(t + x) of a delta < 1 fiber, for a point t >= alpha and offsets
-    x with t + x >= alpha.
-
-    Rounding t + x moves the delta < 1 growth term by up to power * 2^-53
-    relative.  Past power 1e3 the term is therefore taken at t by _growth_at
-    and scaled from there by (1 + x/t)^power, which no rounding of t + x
-    reaches.  Below that power the plain formula is exact to ~1e-13 relative.
-    """
-    if f.power <= 1e3:
-        return lambda x: potential_eval(f, t + x)
-    p, c = f.power, f.const_coeff
-    grow = _growth_at(f, t)
-    return lambda x: grow * math.exp(p * math.log1p(x / t)) + c / ((t + x) * (t + x))
-
-
-def _potential_array(f: FiberPotential, x: np.ndarray) -> np.ndarray:
-    """V(alpha + x) at offsets x >= 0 from the boundary: mu a^4 e^(2x) + c at
-    delta = 1, mu a^(4 delta) (1 + x/alpha)^power + c/(alpha + x)^2 below,
-    the power taken as exp(power log1p(x/alpha)) so that no rounding of
-    alpha + x reaches the growth term as delta -> 1."""
-    if f.delta == 1.0:
-        return f.mu * math.exp(2.0 * f.alpha) * np.exp(2.0 * x) + f.const_coeff
-    t = f.alpha + x
-    growth = _growth_at(f, f.alpha) * np.exp(f.power * np.log1p(x / f.alpha))
-    return growth + f.const_coeff / (t * t)
+    return _potential(f, t - f.alpha)
 
 
 def _interior_min(f: FiberPotential) -> float:
-    """Location of the minimum of V on [alpha, oo) for mu > 0."""
+    """Offset from alpha of the minimum of V on [alpha, oo) for mu > 0."""
     if f.delta == 1.0:
-        return f.alpha
-    p, sc, c2 = f.power, 1.0 - f.delta, f.const_coeff
-    # (2 c2 / (mu p sc^p))^(1/(p+2)) in log space: sc^p underflows as delta -> 1
-    t_star = math.exp(
-        (math.log(2.0 * c2) - math.log(f.mu * p) - p * math.log(sc)) / (p + 2.0)
-    )
-    return max(t_star, f.alpha)
+        return 0.0
+    # dV/dx = 0 where (1 + x/alpha)^(p+2) = 2 c / (g p alpha^2), in log space
+    p = f.power
+    log_ratio = (
+        math.log(2.0 * f.const_coeff) - math.log(f.growth * p) - 2.0 * math.log(f.alpha)
+    ) / (p + 2.0)
+    return f.alpha * math.expm1(log_ratio) if log_ratio > 0.0 else 0.0
 
 
 def potential_min(f: FiberPotential) -> float:
     """inf of V over [alpha, oo)."""
     if f.mu == 0.0:
         return f.ess_inf
-    return potential_eval(f, _interior_min(f))
+    return _potential(f, _interior_min(f))
+
+
+def _edge_offset(f: FiberPotential, lam: float) -> Optional[float]:
+    """turning_point(f, lam) as an offset from alpha."""
+    if f.mu == 0.0:
+        if lam > f.ess_inf:
+            return math.inf
+        return 0.0 if (f.delta == 1.0 and lam == f.ess_inf) else None
+    x_min = _interior_min(f)
+    vmin = _potential(f, x_min)
+    if lam < vmin:
+        return None
+    if lam == vmin:
+        return x_min
+    if f.delta == 1.0:
+        return max(0.0, 0.5 * math.log((lam - f.const_coeff) / f.growth))
+    # where the growth term alone reaches lam
+    x_hi = f.alpha * math.expm1(math.log(lam / f.growth) / f.power)
+    if x_hi <= x_min:
+        return x_min
+    # V(x_hi) = lam + c/t^2, and at lam >~ 1e11 the c/t^2 term falls below
+    # the rounding of lam: widen until the bracket closes
+    while _potential(f, x_hi) <= lam:
+        x_hi *= 2.0
+    return brentq(lambda x: _potential(f, x) - lam, x_min, x_hi, xtol=1e-13, rtol=1e-15)
 
 
 def turning_point(f: FiberPotential, lam: float) -> Optional[float]:
@@ -263,30 +273,22 @@ def turning_point(f: FiberPotential, lam: float) -> Optional[float]:
     math.inf when mu = 0 and lam sits above the essential infimum, so the
     allowed region never closes.
     """
-    if f.mu == 0.0:
-        if lam > f.ess_inf:
-            return math.inf
-        return f.alpha if (f.delta == 1.0 and lam == f.ess_inf) else None
-    t_min = _interior_min(f)
-    return _right_edge(f, lam, t_min, potential_eval(f, t_min))
+    x = _edge_offset(f, lam)
+    return None if x is None else f.alpha + x
 
 
-def _right_edge(f: FiberPotential, lam: float, t_min: float, vmin: float) -> Optional[float]:
-    """turning_point of a mu > 0 fiber whose potential minimum vmin sits at t_min."""
-    if lam < vmin:
+def _allowed_offsets(f: FiberPotential, lam: float) -> Optional[tuple[float, float]]:
+    """allowed_interval(f, lam) as offsets from alpha."""
+    if f.mu <= 0.0:
+        raise ValueError("allowed_interval needs mu > 0")
+    x_min = _interior_min(f)
+    if lam <= _potential(f, x_min):
         return None
-    if lam == vmin:
-        return t_min
-    if f.delta == 1.0:
-        return max(f.alpha, 0.5 * math.log((lam - f.const_coeff) / f.mu))
-    t_hi = (lam / f.mu) ** (1.0 / f.power) / (1.0 - f.delta)
-    if t_hi <= t_min:
-        return t_min
-    # V(t_hi) = lam + c/t_hi^2, and at lam >~ 1e11 the c/t_hi^2 term falls
-    # below the rounding of lam: widen until the bracket closes
-    while potential_eval(f, t_hi) <= lam:
-        t_hi *= 2.0
-    return brentq(lambda t: potential_eval(f, t) - lam, t_min, t_hi, xtol=1e-13, rtol=1e-15)
+    x_hi = _edge_offset(f, lam)
+    if _potential(f, 0.0) < lam:
+        return (0.0, x_hi)
+    x_lo = brentq(lambda x: _potential(f, x) - lam, 0.0, x_min, xtol=1e-13, rtol=1e-15)
+    return (x_lo, x_hi)
 
 
 def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, float]]:
@@ -295,17 +297,8 @@ def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
     Requires a confining fiber (mu > 0); the interval is then a single
     component around the potential minimum.
     """
-    if f.mu <= 0.0:
-        raise ValueError("allowed_interval needs mu > 0")
-    t_min = _interior_min(f)
-    vmin = potential_eval(f, t_min)
-    if lam <= vmin:
-        return None
-    t_hi = _right_edge(f, lam, t_min, vmin)
-    if potential_eval(f, f.alpha) < lam:
-        return (f.alpha, t_hi)
-    t_lo = brentq(lambda t: potential_eval(f, t) - lam, f.alpha, t_min, xtol=1e-13, rtol=1e-15)
-    return (t_lo, t_hi)
+    interval = _allowed_offsets(f, lam)
+    return None if interval is None else (f.alpha + interval[0], f.alpha + interval[1])
 
 
 def _scale(en: float) -> float:
@@ -322,16 +315,18 @@ def _rescale(angle: float, a: float, b: float) -> float:
 
 
 def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> float:
-    """Extent m such that the decay integral of sqrt(V - lam) past `start`
-    reaches `budget`; the leftover Prufer winding is then O(exp(-2 budget))."""
+    """Extent m such that the decay integral of sqrt(V - lam) past the
+    offset `start` reaches `budget`; the leftover Prufer winding is then
+    O(exp(-2 budget))."""
     acc = 0.0
     m = 0.0
-    # the cap keeps the first step from leaping far past the turning point of
-    # a delta -> 1 fiber, where alpha ~ 1/(1 - delta) and V would overflow
-    step = min(1e-3 * (1.0 + abs(start)), 1.0)
-    f0 = math.sqrt(max(potential_eval(f, start) - lam, 0.0))
+    # the first step scales with t = alpha + start; the cap keeps it from
+    # leaping far past the turning point of a delta -> 1 fiber, where alpha
+    # ~ 1/(1 - delta) and V would overflow
+    step = min(1e-3 * (1.0 + abs(f.alpha + start)), 1.0)
+    f0 = math.sqrt(max(_potential(f, start) - lam, 0.0))
     while acc < budget * (1.0 - 1e-3) and m < 1e4:
-        f1 = math.sqrt(max(potential_eval(f, start + m + step) - lam, 0.0))
+        f1 = math.sqrt(max(_potential(f, start + m + step) - lam, 0.0))
         gain = 0.5 * (f0 + f1) * step
         if acc + gain > budget:
             # a step past the budget is retried, shortened to end where the
@@ -348,10 +343,10 @@ def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> 
 
 def _shoot_end(f: FiberPotential, lam: float) -> float:
     """Where the shoot at lam stops: past the turning point by the decay budget."""
-    t_turn = turning_point(f, lam)
-    start = f.alpha if (t_turn is None or t_turn == math.inf) else t_turn
+    x_turn = _edge_offset(f, lam)
+    start = 0.0 if (x_turn is None or x_turn == math.inf) else x_turn
     budget = T_MARGIN + 0.5 * math.log(1.0 / (ANGLE_TOL * 1e-3))
-    return start + _tail_extent(f, start, lam, budget)
+    return f.alpha + (start + _tail_extent(f, start, lam, budget))
 
 
 # Magnus propagation.  Every shoot carries the solution (u, u') of
@@ -397,7 +392,7 @@ def _mesh(f: FiberPotential, lam: float, span: float) -> tuple[np.ndarray, int]:
     rest = span - edges[-1]
     if not rest > 0.0:
         return edges, 0
-    depth = float(_potential_array(f, edges[-1])) - lam
+    depth = _potential(f, float(edges[-1])) - lam
     if depth > abs(lam):
         per_length = MAGNUS_K * (1.0 + depth) ** 0.27
     return edges, math.ceil(per_length * rest)
@@ -412,7 +407,7 @@ def _nodal(f: FiberPotential, x: np.ndarray, h) -> tuple:
     """What Omega takes from V on the steps with left ends x and widths h:
     (h, V at the middle node, h (A3 - A1) sqrt(15)/3, h (A3 - 2 A2 + A1) 10/3).
     The last two hold V only, so no digits are lost to lam."""
-    v1, v2, v3 = _potential_array(f, x + h * _GAUSS)
+    v1, v2, v3 = _potential(f, x + h * _GAUSS)
     d1 = (math.sqrt(15.0) / 3.0 * h) * (v3 - v1)
     d2 = (10.0 / 3.0 * h) * ((v3 - v2) - (v2 - v1))
     return h, v2, d1, d2
@@ -559,7 +554,7 @@ def _shoot_back(f: FiberPotential, lam: float, t_end: float, stops: Sequence[flo
     inserted as an edge (see _back_angles)."""
     span = t_end - f.alpha
     blocks = _back_blocks(f, lam, span, [stop - f.alpha for stop in stops])
-    return _back_angles(blocks, lam, float(_potential_array(f, span)), len(stops))
+    return _back_angles(blocks, lam, _potential(f, span), len(stops))
 
 
 def _empty_below(f: FiberPotential, lam: float, bc: BoundaryCondition) -> bool:
@@ -581,9 +576,10 @@ def fiber_count(
     of the solution that decays at infinity at level lam.
 
     Without theta_decay the fiber shoots it alone, back from _shoot_end(f,
-    lam) (see _shoot_back); count_fibers passes the angle of a shoot that
-    it shares among the boundary conditions, and at delta = 1 among the
-    modes.  A count that is 0 below min V needs no angle (see _empty_below).
+    lam) (see _shoot_back), once its mesh is known to fit MESH_BUDGET;
+    count_fibers passes the angle of a shoot that it shares among the
+    boundary conditions, and at delta = 1 among the modes.  A count that is
+    0 below min V needs no angle (see _empty_below).
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
     asking for a count there raises ContinuousSpectrumError.  A non-finite
@@ -612,7 +608,9 @@ def fiber_count(
     elif _empty_below(f, lam, bc):
         return 0
     if theta_decay is None:
-        [theta_decay] = _shoot_back(f, lam, _shoot_end(f, lam), [f.alpha])
+        t_end = _shoot_end(f, lam)
+        _check_budget(_mesh_steps(f, lam, t_end - f.alpha), f"a backward shoot at lambda = {lam}")
+        [theta_decay] = _shoot_back(f, lam, t_end, [f.alpha])
     return math.ceil((_boundary_angle(f, bc) - theta_decay) / math.pi)
 
 
@@ -668,7 +666,7 @@ def count_fibers(
 
 def _check_budget(steps: int, work: str) -> None:
     if steps > MESH_BUDGET:
-        raise MeshBudgetError(f"{work} plan {steps} mesh steps, budget is {MESH_BUDGET}")
+        raise MeshBudgetError(f"{work} would take {steps} mesh steps, budget is {MESH_BUDGET}")
 
 
 def _bisect_modes(
@@ -730,7 +728,8 @@ def fiber_eigenvalues(
     Every backward shoot starts from the end point of the shoot at lam_max
     and runs down one mesh, built with its nodal V at max(lam_max, min V)
     and reused for every level, so that only V - lam changes between shoots
-    and F is smooth in lam.  The total is fiber_count's read-off
+    and F is smooth in lam.  That mesh is held to MESH_BUDGET before the
+    first shoot.  The total is fiber_count's read-off
     ceil(F(lam_max) / pi).  The listing then plans the mesh steps times 6
     shoots per eigenvalue plus 3 and raises MeshBudgetError above
     MESH_BUDGET.  Each root below the total is bracketed by the F values
@@ -754,21 +753,20 @@ def fiber_eigenvalues(
     _require_finite(lam_max)
     theta0 = _boundary_angle(f, bc)
     v_min = potential_min(f)
-    v_alpha = potential_eval(f, f.alpha)
+    v_alpha = _potential(f, 0.0)
     # below the potential minimum, the shoot and the mesh at the minimum
     level = max(lam_max, v_min)
     span = _shoot_end(f, level) - f.alpha
-    v_top = float(_potential_array(f, span))
+    v_top = _potential(f, span)
+    steps = _mesh_steps(f, level, span)
+    _check_budget(steps, f"a backward shoot at lambda = {lam_max}")
     # the shoot at lam_max streams its mesh; it is kept only once the
     # total is known to fit the budget
     theta_dec = {lam_max: _back_angles(_back_blocks(f, level, span, [0.0]), lam_max, v_top, 1)[0]}
     total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
     if total == 0:
         return []
-    _check_budget(
-        _mesh_steps(f, level, span) * (6 * total + 3),
-        f"backward shoots of a listing of {total} eigenvalues",
-    )
+    _check_budget(steps * (6 * total + 3), f"backward shoots of a listing of {total} eigenvalues")
     blocks = list(_back_blocks(f, level, span, [0.0]))
 
     def read_off(lam: float) -> float:
@@ -866,13 +864,12 @@ def fd_oracle(
     """
     if grid < 1000:
         raise ValueError("fd_oracle needs grid >= 1000")
-    t_turn = turning_point(f, lam_max)
-    if t_turn == math.inf:
+    x_turn = _edge_offset(f, lam_max)
+    if x_turn == math.inf:
         raise ContinuousSpectrumError("fd_oracle cannot resolve a continuum channel")
-    right = (f.alpha if t_turn is None else t_turn) + 8.0
-    h = (right - f.alpha) / grid
+    h = ((0.0 if x_turn is None else x_turn) + 8.0) / grid
     beta = _resolve_beta(f, bc)
-    v = _potential_array(f, h * np.arange(grid + 1))
+    v = _potential(f, h * np.arange(grid + 1))
     if bc.kind == "dirichlet":
         diag = 2.0 / h**2 + v[1:grid]
         off = np.full(grid - 2, -1.0 / h**2)

@@ -26,8 +26,8 @@ from .fiber import (
     BoundaryCondition,
     ContinuousSpectrumError,
     FiberPotential,
-    _potential_from,
-    allowed_interval,
+    _allowed_offsets,
+    _potential,
     count_fibers,
 )
 from .model import ManifoldModel, TorusCrossSection, cusp_volume, total_volume
@@ -117,10 +117,11 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
     either turning point, and the integrand stays smooth where an end sits at
     the boundary alpha or the interval holds the minimum of V.  The offset
     (1 - cos theta)/2 is taken as sin^2(theta/2), which keeps its digits near
-    theta = 0.  V is taken at that offset from t_lo through _potential_from:
-    as delta -> 1, t_lo ~ alpha ~ 1/(1 - delta) grows and the exponent of the
-    growth term with it, so rounding t_lo + x would move V by far more than
-    the quadrature tolerance.  Returns 0 when lam never exceeds V.
+    theta = 0.  The interval and V are taken in offsets x = t - alpha (see
+    fiber._potential): as delta -> 1, alpha ~ 1/(1 - delta) grows and the
+    exponent of the growth term with it, so rounding alpha + x would move V
+    by far more than the quadrature tolerance.  Returns 0 when lam never
+    exceeds V.
     """
     if f.mu == 0.0:
         if lam <= f.ess_inf:
@@ -130,17 +131,17 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
         )
     if f.delta == 1.0:
         return float(_phase_delta1(f.n, f.alpha, np.array([f.mu]), lam)[0])
-    interval = allowed_interval(f, lam)
+    interval = _allowed_offsets(f, lam)
     if interval is None:
         return 0.0
-    t_lo, t_hi = interval
-    width = t_hi - t_lo
+    x_lo, x_hi = interval
+    width = x_hi - x_lo
     half = 0.5 * width
-    v_at = _potential_from(f, t_lo)
 
     def integrand(theta: float) -> float:
         s = math.sin(0.5 * theta)
-        return math.sqrt(max(lam - v_at(width * s * s), 0.0)) * math.sin(theta) * half
+        v = _potential(f, x_lo + width * s * s)
+        return math.sqrt(max(lam - v, 0.0)) * math.sin(theta) * half
 
     val, _ = quad(integrand, 0.0, math.pi, epsabs=PHASE_QUAD_TOL, epsrel=1e-11, limit=200)
     return val

@@ -146,7 +146,9 @@ class TestCountAndSweep:
         for mu, mult in zip(*weyl.cusp_modes(model, 0, float(lam))):
             f = FiberPotential.from_cusp(2, cusp.delta, cusp.a, mu)
             sc = 1 - mpmath.mpf(f.delta)
-            power, alpha = 2 * mpmath.mpf(f.delta) / sc, mpmath.mpf(f.alpha)
+            # the cusp's own boundary a^(2(1 - delta))/(1 - delta), not the
+            # rounded f.alpha, whose rounding the power p ~ 2e9 would magnify
+            power, alpha = 2 * mpmath.mpf(f.delta) / sc, mpmath.mpf(cusp.a) ** (2 * sc) / sc
 
             def gap(x):
                 t = alpha + x

@@ -243,6 +243,23 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="finite"):
             fiber_eigenvalues(F_REF, lam)
 
+    @pytest.mark.parametrize("n,a,mu", [(2, 1.0, 0.25), (3, 0.7, 2.0)])
+    def test_delta_to_one_listing_is_linear(self, n, a, mu):
+        # lambda_k(1 - eps) = lambda_k(1) + eps c_k + O(eps^2), c_k read at
+        # eps = 1e-6.  A growth term off by p 2^-53 ~ 2e-16/eps relative, as
+        # one built from the rounded alpha is, would put the eps = 1e-9
+        # values ~1e-7 off.  At a = 1, a^(4 delta) is exactly 1, which would
+        # hide that rounding; a = 0.7 does not
+        def lowest(delta):
+            return fiber_eigenvalues(FiberPotential.from_cusp(n, delta, a, mu), 30.0)[:3]
+
+        base = lowest(1.0)
+        assert len(base) == 3
+        slopes = [(x - b) / 1e-6 for x, b in zip(lowest(1.0 - 1e-6), base)]
+        for eps in (1e-7, 1e-8, 1e-9):
+            for x, b, c in zip(lowest(1.0 - eps), base, slopes):
+                assert abs(x - b - eps * c) <= 2.0 * fiber.REL_TOL * max(1.0, b)
+
 
 class TestEdgeFibers:
     # regimes that stress the shooting machinery: tiny mu (scaled-field
@@ -872,6 +889,23 @@ class TestMeshBudget:
         with pytest.raises(MeshBudgetError, match="listing of 108187 eigenvalues"):
             fiber_eigenvalues(f, 1e9)
         assert shoots == [1e9]
+
+    # mode ell = 1 of a zero-field circle of length 1e6 at delta = 0.51,
+    # mu = (2 pi / 1e6)^2: one shoot at lambda = 1e6 plans 1.9e11 steps
+    WIDE = FiberPotential.from_cusp(2, 0.51, 1.0, (2.0 * math.pi / 1e6) ** 2)
+
+    @pytest.mark.parametrize("run", [fiber_count, fiber_eigenvalues], ids=["count", "listing"])
+    def test_lone_shoot_raised_before_it_runs(self, monkeypatch, run):
+        # fiber_count without an angle (CLI phase) and the first shoot of a
+        # listing (CLI fiber)
+        def shoot(*args):
+            raise AssertionError("a shoot was made")
+
+        monkeypatch.setattr(fiber, "_back_angles", shoot)
+        start = time.perf_counter()
+        with pytest.raises(MeshBudgetError, match=r"a backward shoot at lambda = 1000000\.0"):
+            run(self.WIDE, 1e6)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("lam", [1e3, 1e7])
     def test_levels_in_reach_are_counted(self, monkeypatch, lam):

@@ -222,7 +222,7 @@ class TestPhaseIntegral:
         # (minimum at alpha), t_lo = alpha with V dipping to an interior
         # minimum, and t_lo > alpha with a turning point at each end
         f = FiberPotential.from_cusp(n, delta, a, math.exp(log_mu))
-        t_min = fiber._interior_min(f)
+        t_min = f.alpha + fiber._interior_min(f)  # _interior_min is an offset
         v_alpha, v_min = fiber.potential_eval(f, f.alpha), fiber.potential_eval(f, t_min)
         if below_alpha:
             assume(t_min > f.alpha)
