@@ -75,10 +75,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_safe(value):
+    """value with every non-finite float as None: JSON has no NaN or
+    Infinity (RFC 8259), and strict parsers reject them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _emit(columns, rows, meta, fmt: str, out: Optional[str], footer_lines=()) -> None:
     if fmt == "json":
         payload = {"rows": [dict(zip(columns, row)) for row in rows], "meta": meta}
-        text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        text = json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]

@@ -31,9 +31,9 @@ read-off (see fiber_count).
 Eigenvalues are listed as the roots of F = k pi, every F read off one mesh
 built for the listing, each root seeded from the phase integral (w =
 3 pi/4 for the first Dirichlet root, one pi more than at the previous root
-for every later one) and refined by safeguarded secant steps, about four
-backward shoots per eigenvalue; a three-point finite-difference matrix
-provides an independent oracle.
+for every later one), which with one Newton step narrows the bracket that
+brentq then closes, about four backward shoots per eigenvalue; a
+three-point finite-difference matrix provides an independent oracle.
 A cusp's fibers are counted together by count_fibers.  At delta = 1 the
 shift s = t + (1/2) ln mu turns every mode into the same equation
 -u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -737,8 +737,10 @@ def fiber_eigenvalues(
     is seeded from the phase integral
     w of weyl.phase_integral: w(lam_0) = 3 pi/4 for the first Dirichlet
     root and w(lam_k) = w(lam_(k-1)) + pi for every later root, under
-    either condition; the first Robin root has no seed.  _secant_root then
-    refines it from the seed, starting with the slope w' there.  The roots
+    either condition; the first Robin root has no seed.  F at the seed,
+    and at one Newton step from it with the slope w' there, narrows the
+    bracket wherever they fall inside it, and brentq at xtol = rtol =
+    REL_TOL closes it, within REL_TOL (1 + |lam|) of the root.  The roots
     are found on F read in the scaled angle phi of SLEIGN2 and SLEDGE at
     alpha, tan phi = S tan theta with S = ((lam - V)^2 + 1)^(1/4), which
     equals k pi exactly where F does and
@@ -795,59 +797,22 @@ def fiber_eigenvalues(
             )
             h = 1e-4 * max(1.0, abs(seed))
             slope = (phase_integral(f, seed + h) - phase_integral(f, seed - h)) / (2.0 * h)
-        values.append(_secant_root(read_off, k * math.pi, list(theta_dec), seed, slope))
+        target = k * math.pi
+        lo = max(lam for lam in theta_dec if read_off(lam) <= target)
+        hi = min(lam for lam in theta_dec if read_off(lam) > target)
+        x = seed
+        for _ in range(2):  # the seed, then one Newton step from it
+            if x is None or not lo < x < hi:
+                break
+            res = read_off(x) - target
+            lo, hi = (x, hi) if res <= 0.0 else (lo, x)
+            x -= res / slope
+        values.append(
+            brentq(lambda lam: read_off(lam) - target, lo, hi, xtol=REL_TOL, rtol=REL_TOL)
+        )
         phase = phase_integral(f, values[-1]) + math.pi
     cut = lam_max - REL_TOL * max(1.0, abs(lam_max))
     return [v for v in values if v < cut]
-
-
-def _secant_root(
-    func: Callable[[float], float],
-    target: float,
-    known: Sequence[float],
-    seed: Optional[float],
-    slope: Optional[float],
-) -> float:
-    """The lam where func(lam) - target turns from <= 0 to > 0, func being
-    cheap to call again at the levels in known, which bracket that lam.
-
-    func is first taken at seed, and the step from there is Newton's with
-    the slope estimate; every later step is a secant step through the last
-    two points.  A missing seed or slope, a secant step not shorter than
-    half the step before it, and a step that leaves the tightest bracket
-    all bisect that bracket instead, so that the steps shrink at least
-    geometrically between bisections.  A step shorter than half the
-    stopping width is lengthened to that half, towards the root, so that
-    the bracket also closes from the far side.  The stopping rule is
-    brentq's at xtol = rtol = REL_TOL: the bracket is narrower than
-    REL_TOL (1 + |lam|), and the end with the smaller residual is returned.
-    """
-    lo = max(lam for lam in known if func(lam) <= target)
-    hi = min(lam for lam in known if func(lam) > target)
-    res_lo, res_hi = func(lo) - target, func(hi) - target
-    x, last = seed, None
-    while True:
-        if x is None or not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        res = func(x) - target
-        if res <= 0.0:
-            lo, res_lo = x, res
-        else:
-            hi, res_hi = x, res
-        tol = REL_TOL * (1.0 + abs(x))
-        if res == 0.0 or hi - lo < tol:
-            return lo if -res_lo < res_hi else hi
-        if last is None:
-            step = -res / slope if slope else None
-        else:
-            step = -res * (x - last[0]) / (res - last[1]) if res != last[1] else None
-            if step is not None and abs(step) > 0.5 * abs(x - last[0]):
-                step = None
-        last = (x, res)
-        if step is None:
-            x = None
-        else:
-            x += math.copysign(max(abs(step), 0.5 * tol), -res)
 
 
 def fd_oracle(

@@ -198,6 +198,28 @@ class TestCountAndSweep:
         assert "fit" in payload["meta"]
         assert payload["meta"]["tolerances"]["rel_tol"] == 1e-10
 
+    def test_sweep_json_is_strict_on_a_degenerate_fit(self, capsys, tmp_path):
+        # a = 100 leaves no eigenvalue below lambda = 40, so the fit is
+        # degenerate and its slope NaN, which JSON writes as null
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "core": {"volume": 0.0, "remainder_coeff": 0.0},
+            "cusps": [{"a": 100.0, "delta": 1.0, "lengths": [2.0 * math.pi],
+                       "magnetic": [0.5]}],
+        }))
+        code, out, _ = run_cli(
+            capsys, "sweep", str(path), "--lambda-min", "2", "--lambda-max", "40",
+            "--points", "8", "--format", "json",
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        fit = json.loads(out, parse_constant=reject)["meta"]["fit"]
+        assert fit["degenerate"] is True and fit["slope"] is None
+
     def test_bad_grid_is_computation_error(self, capsys, model_path):
         code, _, err = run_cli(
             capsys, "sweep", model_path, "--lambda-min", "40", "--lambda-max", "2",

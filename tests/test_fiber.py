@@ -387,10 +387,20 @@ class TestMatchedShooting:
         assert kept == (span, stops) and span > 0.0 and stops == [0.0]  # offsets from alpha
         assert len(shoots) > len(values) and set(shoots) == {1}
 
-    @pytest.mark.parametrize("f,lam", CASES)
-    def test_listing_shoots_per_eigenvalue(self, monkeypatch, f, lam):
-        # phase-integral seeds and secant steps: a Dirichlet listing costs at
-        # most 6 backward shoots per eigenvalue, plus the total and the bracket
+    @pytest.mark.parametrize(
+        "f,lam,bc",
+        [
+            pytest.param(f, lam, bc, id=f"f{i}-{lam}{suffix}")
+            for i, (f, lam) in enumerate(CASES)
+            for suffix, bc in (("", DIRICHLET), ("-R", ROBIN))
+        ],
+    )
+    def test_listing_shoots_per_eigenvalue(self, monkeypatch, f, lam, bc):
+        # phase-integral seeds, one Newton step and brentq: a listing costs at
+        # most 6 backward shoots per eigenvalue, plus the total and the
+        # bracket; a Robin one up to 12 more for its first root, which has
+        # no seed and is found by brentq from the bare bracket
+        first = 12 if bc.kind == "robin" else 0
         calls = []
         real = fiber._back_angles
 
@@ -399,9 +409,9 @@ class TestMatchedShooting:
             return real(*args)
 
         monkeypatch.setattr(fiber, "_back_angles", back_angles)
-        values = fiber_eigenvalues(f, lam)
+        values = fiber_eigenvalues(f, lam, bc)
         assert len(values) > 2
-        assert len(calls) <= 6 * len(values) + 3
+        assert len(calls) <= 6 * len(values) + 3 + first
 
     # each listed value against the root of the read-off F of the same
     # backward propagator on a mesh 4 times finer, solved to 1e-14
