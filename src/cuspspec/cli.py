@@ -8,6 +8,7 @@ object on stderr so batch drivers can route them.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -305,6 +306,7 @@ def _add_fiber_choice(sub):
     sub.add_argument("--boundary", choices=("dirichlet", "robin"), default="dirichlet")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspspec",

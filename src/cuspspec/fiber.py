@@ -38,15 +38,16 @@ A cusp's fibers are counted together by count_fibers.  At delta = 1 the
 shift s = t + (1/2) ln mu turns every mode into the same equation
 -u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
 (1/2) ln mu, and beta does not depend on mu.  One backward shoot, a
-single propagation whose mesh has an edge at each s_mu, then counts every
-mode by the boundary read-off N(lambda; mu) = ceil((theta0 - theta(s_mu))
-/ pi); fiber_count applies it to an angle it is given.  Only theta0
-depends on the boundary condition, so that one shoot per cusp and level
-serves the Dirichlet and the Robin count alike.  For delta < 1 no such
-shift exists.  There V is pointwise non-decreasing in mu, while alpha and
-the Robin beta depend only on (n, delta, a), so by min-max every fiber
-eigenvalue is non-decreasing in mu and N(lambda; mu) is non-increasing
-along the sorted modes.
+single propagation whose mesh has an edge at each s_mu, then reads every
+mode's count N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi) on that
+shifted fiber: theta0 depends only on the condition and n, so one shoot
+per cusp and level serves every mode and condition.  A count given its
+angle is always this read-off; the shortcut to 0 below min V only spares
+a count its own shoot.  For delta < 1 no such shift exists.  There V is
+pointwise non-decreasing in mu, while alpha and the Robin beta depend
+only on (n, delta, a), so by min-max every fiber eigenvalue is
+non-decreasing in mu and N(lambda; mu) is non-increasing along the
+sorted modes.
 Bisection over the mode list then shoots only where a count changes, one
 shoot per probed mode for every boundary condition: O(D log(M/D)) shoots
 for M modes with D distinct tuples of counts.
@@ -578,8 +579,9 @@ def fiber_count(
     Without theta_decay the fiber shoots it alone, back from _shoot_end(f,
     lam) (see _shoot_back), once its mesh is known to fit MESH_BUDGET;
     count_fibers passes the angle of a shoot that it shares among the
-    boundary conditions, and at delta = 1 among the modes.  A count that is
-    0 below min V needs no angle (see _empty_below).
+    boundary conditions, and at delta = 1 among the modes.  A given angle is
+    always read off; only a count that would shoot its own returns 0 below
+    min V without one (see _empty_below).
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
     asking for a count there raises ContinuousSpectrumError.  A non-finite
@@ -605,9 +607,9 @@ def fiber_count(
         # mode, eigenvalue 0), so a state below lam <= 0 needs a larger beta
         if beta <= default_robin_beta(f):
             return 0
-    elif _empty_below(f, lam, bc):
-        return 0
     if theta_decay is None:
+        if _empty_below(f, lam, bc):
+            return 0
         t_end = _shoot_end(f, lam)
         _check_budget(_mesh_steps(f, lam, t_end - f.alpha), f"a backward shoot at lambda = {lam}")
         [theta_decay] = _shoot_back(f, lam, t_end, [f.alpha])
@@ -630,8 +632,8 @@ def count_fibers(
     from the shoot end of the mode with the largest s_mu, passes every s_mu in
     descending order, in one propagation with an edge of its mesh at each.
     The angle theta(s_mu) does not depend on the boundary condition, so that
-    one shoot serves every one of bcs: each mode's angle goes to fiber_count
-    as theta_decay once per condition, which reads off N = ceil((theta0 -
+    one shoot serves every one of bcs: fiber_count reads each mode's count
+    off its angle on the shifted mu = 1 fiber, N = ceil((theta0 -
     theta(s_mu)) / pi).  The total length is that of one shoot of the
     smallest mode.  Its plan, the mesh steps plus one per mode, is held to
     MESH_BUDGET before it runs.
@@ -712,11 +714,7 @@ def _count_shifted_modes(
     steps = _mesh_steps(shifted, lam, end - starts[0]) + len(starts)
     _check_budget(steps, f"counts of {len(mus)} modes from one backward shoot at lambda = {lam}")
     thetas = _shoot_back(shifted, lam, end, starts[::-1])[::-1]
-    fibers = [FiberPotential(n=n, delta=1.0, mu=mu, alpha=alpha) for mu in mus]
-    return [
-        [fiber_count(f, lam, bc, theta_decay=theta) for f, theta in zip(fibers, thetas)]
-        for bc in bcs
-    ]
+    return [[fiber_count(shifted, lam, bc, theta_decay=theta) for theta in thetas] for bc in bcs]
 
 
 def fiber_eigenvalues(

@@ -559,3 +559,15 @@ def test_fiber_listing_over_the_mesh_budget_exits_2(capsys):
     # 1e9, each up to 6 backward shoots of a mesh of 8.9e4 steps
     model = Path(__file__).parent / "golden" / "models" / "circle_delta1.json"
     assert_over_the_mesh_budget(capsys, "fiber", str(model), "--lambda", "1e9")
+
+
+def test_parser_is_built_once_per_process(capsys, model_path):
+    # main parses every call with the one parser the process built, and a
+    # reused parser gives the same output call after call
+    assert cli.build_parser() is cli.build_parser()
+    first = run_cli(capsys, "count", model_path, "--lambda", "40")
+    with pytest.raises(SystemExit):
+        main(["count", model_path])
+    capsys.readouterr()
+    assert run_cli(capsys, "count", model_path, "--lambda", "40") == first
+    assert first[0] == 0

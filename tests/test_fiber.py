@@ -98,6 +98,25 @@ class TestTurningPoint:
         b = math.gamma(1.0 + 1.0 / p) * math.gamma(1.5) / math.gamma(1.0 / p + 1.5)
         assert phase_integral(f, lam) == pytest.approx(math.sqrt(lam) * (span * b - f.alpha), rel=1e-10)
 
+    def test_large_level_widens_the_bracket(self, monkeypatch):
+        # V = lam + c/t^2 at the first bracket end, where the growth term
+        # alone reaches lam, rounds to lam or below at lam = 1e12: the
+        # bracket is widened by doubling before brentq closes it
+        f = FiberPotential.from_cusp(2, 0.75, 1.0, 1.0)
+        lam = 1e12
+        first = f.alpha * math.expm1(math.log(lam / f.growth) / f.power)
+        brackets = []
+        real = fiber.brentq
+
+        def recording(func, lo, hi, **kwargs):
+            brackets.append(hi)
+            return real(func, lo, hi, **kwargs)
+
+        monkeypatch.setattr(fiber, "brentq", recording)
+        x = fiber._edge_offset(f, lam)
+        assert brackets and brackets[0] >= 2.0 * first
+        assert abs(fiber._potential(f, x) - lam) <= 1e-13 * lam
+
     def test_delta_lt1_interior_dip(self):
         f = FiberPotential.from_cusp(2, 0.75, 0.2, 4.0)
         # alpha = 1/(1-delta) * a^(2(1-delta)): small a pushes the 1/t^2 wall up
@@ -674,6 +693,44 @@ class TestCountFibers:
         assert fiber_count(f, lam, bc, theta_decay=dop853_theta_decay(f, lam)) == direct
         if lam == 80.0:
             assert direct > 0
+
+    @pytest.mark.parametrize("delta", [1.0, 0.75])
+    @pytest.mark.parametrize("beta", [None, 0.0, -1.5, 2.0, "dirichlet"])
+    def test_given_angle_is_read_off_without_min_v(self, monkeypatch, delta, beta):
+        # a count handed its angle is the read-off ceil((theta0 - theta) / pi)
+        # at every level, below min V too: min V only spares a count its shoot
+        f = FiberPotential.from_cusp(2, delta, 0.8, 1.7)
+        bc = DIRICHLET if beta == "dirichlet" else BoundaryCondition.robin(beta)
+        if bc is DIRICHLET:
+            theta0 = 0.0
+        else:
+            theta0 = math.atan2(1.0, -(default_robin_beta(f) if beta is None else beta))
+        v_min = potential_min(f)
+
+        def no_min(_f):
+            raise AssertionError("potential_min called on a given angle")
+
+        monkeypatch.setattr(fiber, "potential_min", no_min)
+        for lam in (0.5 * v_min, v_min, 2.0 * v_min + 10.0):
+            for theta in (0.75 * math.pi, 0.1, -0.4 * math.pi, -2.5 * math.pi, -7.0):
+                want = math.ceil((theta0 - theta) / math.pi)
+                assert fiber_count(f, lam, bc, theta_decay=theta) == want
+
+    def test_delta1_builds_no_fiber_per_mode(self, monkeypatch):
+        # every delta = 1 mode is read off the one shifted fiber the shoot
+        # runs on, so 1,200 modes build at most that fiber and its top twin
+        built = []
+        real = FiberPotential.__post_init__
+
+        def counting(self):
+            built.append(self.mu)
+            real(self)
+
+        monkeypatch.setattr(FiberPotential, "__post_init__", counting)
+        mus = [(k / 12.0) ** 2 for k in range(1, 1201)]
+        got = count_fibers(2, 1.0, 1.0, mus, 1e4, [DIRICHLET, ROBIN])
+        assert len(built) <= 2
+        assert max(got[0]) > 0
 
     def test_empty_and_single(self):
         assert count_fibers(2, 1.0, 1.0, [], 50.0, [DIRICHLET])[0] == []
