@@ -20,10 +20,11 @@ Magnus rule carries the solution (u, u') of u'' = (V - lambda) u over a
 mesh of the offsets x, whose steps are not tied to the local wavelength,
 and reads each step's zeros from that step's own flow (see
 _magnus_block).  A backward shoot runs the solution that decays at
-infinity from t_end, a point safely inside the classically forbidden
-region where backward propagation is stable, down to the boundary, and
-reads its Prufer angle theta, (u, u') = r (sin theta, cos theta), from
-the zeros it passed and its direction there; see _back_angles.  That angle gives the boundary
+infinity from the offset span (see _shoot_span), safely inside the
+classically forbidden region where backward propagation is stable, down
+to the boundary, offset 0, and reads its Prufer angle theta, (u, u') =
+r (sin theta, cos theta), at each of its stops from the zeros it passed
+and its direction there; see _back_angles.  That angle gives the boundary
 read-off F(lambda) = theta0 - theta_dec(alpha; lambda), smooth and
 increasing, and by Sturm-Prufer theory the number of eigenvalues below
 the spectral level lambda is N(lambda) = ceil(F/pi): every count is this
@@ -42,24 +43,29 @@ single propagation whose mesh has an edge at each s_mu, then reads every
 mode's count N(lambda; mu) = ceil((theta0 - theta(s_mu)) / pi) on that
 shifted fiber: theta0 depends only on the condition and n, so one shoot
 per cusp and level serves every mode and condition.  A count given its
-angle is always this read-off; the shortcut to 0 below min V only spares
-a count its own shoot.  For delta < 1 no such shift exists.  There V is
-pointwise non-decreasing in mu, while alpha and the Robin beta depend
-only on (n, delta, a), so by min-max every fiber eigenvalue is
-non-decreasing in mu and N(lambda; mu) is non-increasing along the
-sorted modes.
+angle is always this read-off.  No fiber has an eigenvalue at or below
+min V - max(beta, 0)^2 (see _empty_below): there a count that would
+shoot its own angle returns 0 without one, and at delta = 1 the shoot
+passes only the modes with e^(2 s_mu) + (n-1)^2/4 below lambda +
+max(beta, 0)^2 and every other mode reads 0.  For delta < 1 no such
+shift exists.  There V is pointwise non-decreasing in mu, while alpha and
+the Robin beta depend only on (n, delta, a), so by min-max every fiber
+eigenvalue is non-decreasing in mu and N(lambda; mu) is non-increasing
+along the sorted modes.
 Bisection over the mode list then shoots only where a count changes, one
 shoot per probed mode for every boundary condition: O(D log(M/D)) shoots
 for M modes with D distinct tuples of counts.
 The tolerances are fixed module constants: T_MARGIN and ANGLE_TOL place
-the end point of a shoot, MAGNUS_K sets the mesh, MESH_BUDGET bounds the
+the start of a shoot, MAGNUS_K sets the mesh, MESH_BUDGET bounds the
 work of one cusp count or one listing, and REL_TOL is the accuracy of
 listed eigenvalues.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Optional, Sequence
@@ -71,7 +77,7 @@ from scipy.optimize import brentq
 # Relative tolerance of listed eigenvalues, on the scale max(1, |lambda|);
 # eigenvalues within it of the cutoff are ties and are dropped.
 REL_TOL = 1e-10
-# Leftover Prufer winding accepted past the shoot end point.
+# Leftover Prufer winding accepted past the point a shoot starts from.
 ANGLE_TOL = 1e-9
 # Decay budget, in WKB units (the integral of sqrt(V - lambda)), added past
 # the turning point before the tail-size rule driven by ANGLE_TOL takes over.
@@ -342,12 +348,13 @@ def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> 
     return m
 
 
-def _shoot_end(f: FiberPotential, lam: float) -> float:
-    """Where the shoot at lam stops: past the turning point by the decay budget."""
+def _shoot_span(f: FiberPotential, lam: float, top: float = 0.0) -> float:
+    """Offset where the shoot at lam starts: past both the turning point
+    and the highest stop top by the decay budget."""
     x_turn = _edge_offset(f, lam)
-    start = 0.0 if (x_turn is None or x_turn == math.inf) else x_turn
+    start = top if x_turn is None else max(x_turn, top)
     budget = T_MARGIN + 0.5 * math.log(1.0 / (ANGLE_TOL * 1e-3))
-    return f.alpha + (start + _tail_extent(f, start, lam, budget))
+    return start + _tail_extent(f, start, lam, budget)
 
 
 # Magnus propagation.  Every shoot carries the solution (u, u') of
@@ -470,14 +477,14 @@ def _unit(u: float, du: float) -> tuple[float, float]:
 def _back_blocks(
     f: FiberPotential, lam: float, span: float, stops: Sequence[float]
 ) -> Iterator[tuple[tuple, np.ndarray]]:
-    """The steps of _mesh(f, lam, span) over offsets [stops[-1], span] in
-    blocks of at most MAGNUS_BLOCK, top block first, with every stop below
-    span inserted as an edge: each as its _nodal data and the indices of its
-    stop edges, in the order of stops.  A block's widths are an array on the
-    graded part of the mesh and one float on the uniform part.
+    """The steps of _mesh(f, lam, span) in blocks of at most MAGNUS_BLOCK,
+    top block first, with every stop inserted as an edge: each as its
+    _nodal data and the indices of its stop edges, in the order of stops.
+    A block's widths are an array on the graded part of the mesh and one
+    float on the uniform part.
 
-    stops are offsets from alpha, descending; each stop in [bottom, top) of
-    a block is placed in that block."""
+    stops are offsets in [0, span), descending; each stop in [bottom, top)
+    of a block is placed in that block."""
     edges, steps = _mesh(f, lam, span)
     start = float(edges[-1])
     step = (span - start) / steps if steps else 0.0
@@ -493,23 +500,19 @@ def _back_blocks(
         ),
     )
     ascending = np.asarray(stops, dtype=np.float64)[::-1]
-    lowest = ascending[0]
     for x, h in blocks:
         top = float(x[-1] + (h if np.isscalar(h) else h[-1]))
-        if top <= lowest:
-            return
         placed = ascending[np.searchsorted(ascending, x[0]) : np.searchsorted(ascending, top)]
         marks = np.zeros(0, dtype=np.intp)
         if len(placed):
-            edges = np.append(x, top)
-            edges = np.union1d(edges[edges > lowest], placed)
+            edges = np.union1d(np.append(x, top), placed)
             x, h = edges[:-1], np.diff(edges)
             marks = np.searchsorted(edges, placed)[::-1]
         yield _nodal(f, x, h), marks
 
 
-def _back_angles(blocks, lam: float, v_top: float, count: int) -> list[float]:
-    """Prufer angles at count stops, descending, of the solution that
+def _back_angles(blocks, lam: float, v_top: float) -> list[float]:
+    """Prufer angles at the stops, descending, of the solution that
     decays at infinity at level lam, propagated down the blocks of
     _back_blocks from u'/u = -sqrt(V - lam) at the top, where V = v_top.
 
@@ -517,7 +520,7 @@ def _back_angles(blocks, lam: float, v_top: float, count: int) -> list[float]:
     with Z the zeros of u in (stop, top] and psi in [0, pi] the angle of
     (u, u') or of (-u, -u'), whichever has u > 0 (psi = 0 where u = 0).
     A psi taken mod pi would lose pi where the rounding of atan2 lands a
-    tiny u > 0 on pi.  A stop at or above the top gets the top angle."""
+    tiny u > 0 on pi."""
     theta = math.atan2(1.0, -math.sqrt(max(v_top - lam, 0.0)))
     u, du = math.sin(theta), math.cos(theta)
     zeros = 0
@@ -533,7 +536,7 @@ def _back_angles(blocks, lam: float, v_top: float, count: int) -> list[float]:
             angles += (psi - math.pi * above).tolist()
         zeros += int(steps.sum())
         u, du = _unit(us[0], dus[0])
-    return [theta] * (count - len(angles)) + angles
+    return angles
 
 
 def _require_finite(lam: float) -> None:
@@ -547,22 +550,23 @@ def _boundary_angle(f: FiberPotential, bc: BoundaryCondition) -> float:
     return 0.0 if bc.kind == "dirichlet" else math.atan2(1.0, -_resolve_beta(f, bc))
 
 
-def _shoot_back(f: FiberPotential, lam: float, t_end: float, stops: Sequence[float]) -> list[float]:
-    """Prufer angles at each of stops, descending and >= alpha, of the
-    solution that decays at infinity at level lam, shot back from t_end in
-    the forbidden region, where it starts at u'/u = -sqrt(V - lam): one
-    backward Magnus propagation down the mesh of (f, lam) with every stop
-    inserted as an edge (see _back_angles)."""
-    span = t_end - f.alpha
-    blocks = _back_blocks(f, lam, span, [stop - f.alpha for stop in stops])
-    return _back_angles(blocks, lam, _potential(f, span), len(stops))
+def _shoot_back(f: FiberPotential, lam: float, span: float, stops: Sequence[float]) -> list[float]:
+    """Prufer angles at each of stops, offsets in [0, span), descending and
+    ending at the boundary 0, of the solution that decays at infinity at
+    level lam, shot back from the offset span in the forbidden region (see
+    _shoot_span), where it starts at u'/u = -sqrt(V - lam): one backward
+    Magnus propagation down the mesh of (f, lam) with every stop inserted
+    as an edge (see _back_angles)."""
+    return _back_angles(_back_blocks(f, lam, span, stops), lam, _potential(f, span))
 
 
 def _empty_below(f: FiberPotential, lam: float, bc: BoundaryCondition) -> bool:
     """Whether a mu > 0 fiber is known, without a shoot, to have no
-    eigenvalue below lam: lam at or below min V, where only a Robin beta > 0
-    binds a state."""
-    return lam <= potential_min(f) and (bc.kind == "dirichlet" or _resolve_beta(f, bc) <= 0.0)
+    eigenvalue below lam: lam <= min V - max(beta, 0)^2, beta = 0 under
+    Dirichlet.  The Robin form ||u'||^2 + (V u, u) - beta |u(alpha)|^2 is
+    bounded below by (min V - beta^2) ||u||^2, because |u(alpha)|^2 <=
+    2 ||u|| ||u'|| gives beta |u(alpha)|^2 <= ||u'||^2 + beta^2 ||u||^2."""
+    return lam <= potential_min(f) - max(_resolve_beta(f, bc), 0.0) ** 2
 
 
 def fiber_count(
@@ -576,12 +580,13 @@ def fiber_count(
     ceil((theta0 - theta_decay) / pi), theta_decay the Prufer angle at alpha
     of the solution that decays at infinity at level lam.
 
-    Without theta_decay the fiber shoots it alone, back from _shoot_end(f,
-    lam) (see _shoot_back), once its mesh is known to fit MESH_BUDGET;
-    count_fibers passes the angle of a shoot that it shares among the
-    boundary conditions, and at delta = 1 among the modes.  A given angle is
-    always read off; only a count that would shoot its own returns 0 below
-    min V without one (see _empty_below).
+    Without theta_decay the fiber shoots it alone, back from the offset
+    _shoot_span(f, lam) to the boundary (see _shoot_back), once its mesh is
+    known to fit MESH_BUDGET; count_fibers passes the angle of a shoot that
+    it shares among the boundary conditions, and at delta = 1 among the
+    modes.  A given angle is always read off; only a count that would shoot
+    its own returns 0 at lam <= min V - max(beta, 0)^2 without one (see
+    _empty_below).
 
     mu = 0 channels carry continuous spectrum above the essential infimum;
     asking for a count there raises ContinuousSpectrumError.  A non-finite
@@ -610,9 +615,9 @@ def fiber_count(
     if theta_decay is None:
         if _empty_below(f, lam, bc):
             return 0
-        t_end = _shoot_end(f, lam)
-        _check_budget(_mesh_steps(f, lam, t_end - f.alpha), f"a backward shoot at lambda = {lam}")
-        [theta_decay] = _shoot_back(f, lam, t_end, [f.alpha])
+        span = _shoot_span(f, lam)
+        _check_budget(_mesh_steps(f, lam, span), f"a backward shoot at lambda = {lam}")
+        [theta_decay] = _shoot_back(f, lam, span, [0.0])
     return math.ceil((_boundary_angle(f, bc) - theta_decay) / math.pi)
 
 
@@ -628,15 +633,19 @@ def count_fibers(
     > 0: one list of counts per boundary condition in bcs, in their order.
 
     delta = 1: every mode is the mu = 1 fiber shifted to start at s_mu (see
-    the module docstring), so one backward shoot of its decaying solution,
-    from the shoot end of the mode with the largest s_mu, passes every s_mu in
-    descending order, in one propagation with an edge of its mesh at each.
-    The angle theta(s_mu) does not depend on the boundary condition, so that
-    one shoot serves every one of bcs: fiber_count reads each mode's count
-    off its angle on the shifted mu = 1 fiber, N = ceil((theta0 -
-    theta(s_mu)) / pi).  The total length is that of one shoot of the
-    smallest mode.  Its plan, the mesh steps plus one per mode, is held to
-    MESH_BUDGET before it runs.
+    the module docstring).  The modes that can count under some condition
+    in bcs, min V = e^(2 s_mu) + (n-1)^2/4 below lam + max(beta, 0)^2, are
+    a prefix of the sorted modes, found by one bisection over s_mu; the
+    others read 0.  One backward shoot of the decaying solution on the
+    shifted fiber of the lowest mode, from past the highest s_mu of that
+    prefix, passes each of its s_mu in descending order, in one propagation
+    with an edge of its mesh at each, and no shoot is made when the prefix
+    is empty.  The angle theta(s_mu) does not depend on the boundary
+    condition, so that one shoot serves every one of bcs: fiber_count reads
+    each mode's count off its angle on the shifted mu = 1 fiber, N =
+    ceil((theta0 - theta(s_mu)) / pi).  The total length is at most that of
+    one shoot of the smallest mode.  Its plan, the mesh steps plus one per
+    shot mode, is held to MESH_BUDGET before it runs.
 
     delta < 1: N(lam; mu) is non-increasing in mu under every condition, so
     when the tuples of counts at both ends of an index range agree, every
@@ -644,7 +653,7 @@ def count_fibers(
     shooting; any other range is split at its midpoint.  One bisection
     serves all of bcs: a probed mode is shot back once, and every condition
     reads its count off that angle, as at delta = 1; a mode whose counts
-    are all 0 below min V is not shot.  Before the first shoot, the work is
+    are all 0 by _empty_below is not shot.  Before the first shoot, the work is
     estimated as the number of modes times the Magnus mesh of the lowest
     mode, whose allowed region is the longest.
 
@@ -661,7 +670,7 @@ def count_fibers(
     if delta == 1.0:
         return _count_shifted_modes(n, a, mus, lam, bcs)
     lowest = FiberPotential.from_cusp(n, delta, a, mus[0])
-    steps = _mesh_steps(lowest, lam, _shoot_end(lowest, lam) - lowest.alpha)
+    steps = _mesh_steps(lowest, lam, _shoot_span(lowest, lam))
     _check_budget(len(mus) * steps, f"backward shoots of {len(mus)} modes at lambda = {lam}")
     return _bisect_modes(n, delta, a, mus, lam, bcs)
 
@@ -681,7 +690,7 @@ def _bisect_modes(
         f = FiberPotential.from_cusp(n, delta, a, mus[i])
         theta = None
         if not all(_empty_below(f, lam, bc) for bc in bcs):
-            [theta] = _shoot_back(f, lam, _shoot_end(f, lam), [f.alpha])
+            [theta] = _shoot_back(f, lam, _shoot_span(f, lam), [0.0])
         counts[i] = tuple(fiber_count(f, lam, bc, theta_decay=theta) for bc in bcs)
 
     last = len(mus) - 1
@@ -707,14 +716,24 @@ def _count_shifted_modes(
     alpha = 2.0 * math.log(a)
     starts = [alpha + 0.5 * math.log(mu) for mu in mus]
     # V(s) = e^(2s) + (n-1)^2/4 for every mode.  The shoot runs on the fiber
-    # whose boundary is the lowest s_mu and so covers every segment; it ends
-    # where the top mode's shoot would, in the forbidden region of them all
+    # whose boundary is the lowest s_mu, with a stop at the offset of every
+    # mode that can count, min V = e^(2 s_mu) + (n-1)^2/4 below lam +
+    # max(beta, 0)^2 (see _empty_below); the others read 0
     shifted = FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[0])
-    end = _shoot_end(FiberPotential(n=n, delta=1.0, mu=1.0, alpha=starts[-1]), lam)
-    steps = _mesh_steps(shifted, lam, end - starts[0]) + len(starts)
-    _check_budget(steps, f"counts of {len(mus)} modes from one backward shoot at lambda = {lam}")
-    thetas = _shoot_back(shifted, lam, end, starts[::-1])[::-1]
-    return [[fiber_count(shifted, lam, bc, theta_decay=theta) for theta in thetas] for bc in bcs]
+    beta = max((_resolve_beta(shifted, bc) for bc in bcs), default=0.0)
+    reach = lam - shifted.const_coeff + max(beta, 0.0) ** 2
+    shot = bisect_right(starts, 0.5 * math.log(reach)) if reach > 0.0 else 0
+    thetas: list[float] = []
+    if shot:
+        stops = [s - starts[0] for s in starts[:shot]]
+        span = _shoot_span(shifted, lam, stops[-1])
+        steps = _mesh_steps(shifted, lam, span) + shot
+        _check_budget(steps, f"counts of {shot} modes from one backward shoot at lambda = {lam}")
+        thetas = _shoot_back(shifted, lam, span, stops[::-1])[::-1]
+    zeros = [0] * (len(mus) - shot)
+    return [
+        [fiber_count(shifted, lam, bc, theta_decay=theta) for theta in thetas] + zeros for bc in bcs
+    ]
 
 
 def fiber_eigenvalues(
@@ -723,9 +742,9 @@ def fiber_eigenvalues(
     """All eigenvalues below lam_max, to REL_TOL, as the roots of the
     boundary read-off F(lam) = theta0 - theta_dec(alpha; lam) = k pi.
 
-    Every backward shoot starts from the end point of the shoot at lam_max
-    and runs down one mesh, built with its nodal V at max(lam_max, min V)
-    and reused for every level, so that only V - lam changes between shoots
+    Every backward shoot starts from the offset _shoot_span at the level
+    max(lam_max, min V) and runs down one mesh, built with its nodal V at
+    that level and reused for every level, so that only V - lam changes between shoots
     and F is smooth in lam.  That mesh is held to MESH_BUDGET before the
     first shoot.  The total is fiber_count's read-off
     ceil(F(lam_max) / pi).  The listing then plans the mesh steps times 6
@@ -756,23 +775,24 @@ def fiber_eigenvalues(
     v_alpha = _potential(f, 0.0)
     # below the potential minimum, the shoot and the mesh at the minimum
     level = max(lam_max, v_min)
-    span = _shoot_end(f, level) - f.alpha
+    span = _shoot_span(f, level)
     v_top = _potential(f, span)
     steps = _mesh_steps(f, level, span)
     _check_budget(steps, f"a backward shoot at lambda = {lam_max}")
     # the shoot at lam_max streams its mesh; it is kept only once the
     # total is known to fit the budget
-    theta_dec = {lam_max: _back_angles(_back_blocks(f, level, span, [0.0]), lam_max, v_top, 1)[0]}
+    theta_dec = {lam_max: _back_angles(_back_blocks(f, level, span, [0.0]), lam_max, v_top)[0]}
     total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
     if total == 0:
         return []
     _check_budget(steps * (6 * total + 3), f"backward shoots of a listing of {total} eigenvalues")
     blocks = list(_back_blocks(f, level, span, [0.0]))
 
+    @functools.cache
     def read_off(lam: float) -> float:
-        """F(lam) in the scaled angle at alpha."""
+        """F(lam) in the scaled angle at alpha, computed once per level."""
         if lam not in theta_dec:
-            theta_dec[lam] = _back_angles(blocks, lam, v_top, 1)[0]
+            theta_dec[lam] = _back_angles(blocks, lam, v_top)[0]
         scale = _scale(lam - v_alpha)
         return _rescale(theta0, scale, 1.0) - _rescale(theta_dec[lam], scale, 1.0)
 

@@ -11,7 +11,7 @@ import hypothesis
 import pytest
 from hypothesis import given, strategies as st
 
-from cuspspec import cli, weyl
+from cuspspec import cli, fiber, weyl
 from cuspspec import fiber_eigenvalues, FiberPotential, load_model, model_to_dict
 from cuspspec.cli import main
 from conftest import circle_model, model_dicts
@@ -571,3 +571,34 @@ def test_parser_is_built_once_per_process(capsys, model_path):
     capsys.readouterr()
     assert run_cli(capsys, "count", model_path, "--lambda", "40") == first
     assert first[0] == 0
+
+
+def test_every_shoot_runs_from_its_span_down_to_the_boundary(capsys, monkeypatch):
+    # the stops of every production shoot are descending offsets in
+    # [0, span) that end at the boundary 0, which _back_blocks and
+    # _back_angles rely on: count (a delta = 1 and a delta = 0.75 cusp),
+    # fiber (one listing) and phase (fiber_count's lone shoots)
+    models = Path(__file__).parent / "golden" / "models"
+    two_cusp, circle = str(models / "two_cusp.json"), str(models / "circle_delta075.json")
+    shoots = []
+    real = fiber._back_blocks
+
+    def back_blocks(f, lam, span, stops):
+        shoots.append((f.delta, span, list(stops)))
+        return real(f, lam, span, stops)
+
+    monkeypatch.setattr(fiber, "_back_blocks", back_blocks)
+    for argv in (
+        ["count", two_cusp, "--lambda", "30"],
+        ["fiber", circle, "--lambda", "30", "--ell", "1"],
+        ["phase", circle, "--lambda-min", "10", "--lambda-max", "40", "--points", "3",
+         "--ell", "1", "--boundary", "robin"],
+    ):
+        before = len(shoots)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(shoots) > before
+    assert {delta for delta, _, _ in shoots} == {1.0, 0.75}
+    assert any(len(stops) > 1 for _, _, stops in shoots)
+    for _, span, stops in shoots:
+        assert stops[-1] == 0.0 and stops[0] < span
+        assert all(hi > lo for hi, lo in zip(stops, stops[1:]))

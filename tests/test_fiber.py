@@ -1,6 +1,7 @@
 import functools
 import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -160,16 +161,16 @@ class TestCounting:
             for lam in (9.2, 30.0, 77.0)
         ]
         counts = [fiber_count(f, lam) for f, lam in cases]
-        ends = [fiber._shoot_end(f, lam) for f, lam in cases]
+        ends = [fiber._shoot_span(f, lam) for f, lam in cases]
         monkeypatch.setattr(fiber, "T_MARGIN", 2 * fiber.T_MARGIN)
         assert [fiber_count(f, lam) for f, lam in cases] == counts
-        assert all(fiber._shoot_end(f, lam) > end for (f, lam), end in zip(cases, ends))
+        assert all(fiber._shoot_span(f, lam) > end for (f, lam), end in zip(cases, ends))
 
     @pytest.mark.parametrize("lam", [9.2, 30.0, 77.0, 300.0])
     def test_shoot_end_lands_on_the_decay_budget(self, lam):
         t_turn = turning_point(F_REF, lam)
         decay = quad(lambda t: math.sqrt(max(potential_eval(F_REF, t) - lam, 0.0)),
-                     t_turn, fiber._shoot_end(F_REF, lam), limit=200)[0]
+                     t_turn, F_REF.alpha + fiber._shoot_span(F_REF, lam), limit=200)[0]
         budget = fiber.T_MARGIN + 0.5 * math.log(1.0 / (fiber.ANGLE_TOL * 1e-3))
         assert budget * 0.97 < decay < budget * 1.01
 
@@ -394,9 +395,10 @@ class TestMatchedShooting:
             meshes.append((span, list(stops)))
             return real_blocks(g, level, span, stops)
 
-        def back_angles(blocks, level, v_top, count):
-            shoots.append(count)
-            return real_angles(blocks, level, v_top, count)
+        def back_angles(blocks, level, v_top):
+            angles = real_angles(blocks, level, v_top)
+            shoots.append(len(angles))
+            return angles
 
         monkeypatch.setattr(fiber, "_back_blocks", back_blocks)
         monkeypatch.setattr(fiber, "_back_angles", back_angles)
@@ -405,6 +407,23 @@ class TestMatchedShooting:
         [(span, stops), kept] = meshes
         assert kept == (span, stops) and span > 0.0 and stops == [0.0]  # offsets from alpha
         assert len(shoots) > len(values) and set(shoots) == {1}
+
+    def test_listing_scales_each_level_once(self, monkeypatch):
+        # each level's read-off is scaled when it is shot and then read from
+        # the cache at every later root: two _rescale calls per shoot
+        calls = {"shoots": 0, "rescales": 0}
+
+        def counted(key, real):
+            def wrapper(*args):
+                calls[key] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(fiber, "_back_angles", counted("shoots", fiber._back_angles))
+        monkeypatch.setattr(fiber, "_rescale", counted("rescales", fiber._rescale))
+        values = fiber_eigenvalues(FiberPotential.from_cusp(2, 1.0, 1.0, 0.25), 300.0, ROBIN)
+        assert len(values) > 10
+        assert calls["rescales"] <= 2 * calls["shoots"]
 
     @pytest.mark.parametrize(
         "f,lam,bc",
@@ -450,14 +469,14 @@ class TestMatchedShooting:
         assert len(values) == fiber_count(f, lam, bc)
         theta0 = fiber._boundary_angle(f, bc)
         level = max(lam, potential_min(f))
-        span = fiber._shoot_end(f, level) - f.alpha
+        span = fiber._shoot_span(f, level)
         with mock.patch.object(fiber, "MAGNUS_K", 4 * fiber.MAGNUS_K), \
                 mock.patch.object(fiber, "MAGNUS_SCALE_STEPS", 4 * fiber.MAGNUS_SCALE_STEPS):
             blocks = list(fiber._back_blocks(f, level, span, [0.0]))
         v_top = potential_eval(f, f.alpha + span)
 
         def read_off(level):
-            return theta0 - fiber._back_angles(blocks, level, v_top, 1)[0]
+            return theta0 - fiber._back_angles(blocks, level, v_top)[0]
 
         for k, v in enumerate(values):
             width = 1e-8 * max(1.0, abs(v))
@@ -473,7 +492,7 @@ class TestMatchedShooting:
             return np.array([u, u_top]), np.array([-1.0, du_top]), np.array([1.0])
 
         monkeypatch.setattr(fiber, "_magnus_block", block)
-        [theta] = fiber._back_angles([(None, np.array([0]))], 0.0, 1.0, 1)
+        [theta] = fiber._back_angles([(None, np.array([0]))], 0.0, 1.0)
         assert theta == pytest.approx(want, abs=1e-12)
 
     def test_read_off_at_a_root_where_atan2_rounds_to_pi(self):
@@ -481,9 +500,9 @@ class TestMatchedShooting:
         # ends on such a tiny u > 0 at alpha
         f, lam = self.CASES[1]
         level = 12.531400472964593
-        span = fiber._shoot_end(f, lam) - f.alpha
+        span = fiber._shoot_span(f, lam)
         blocks = list(fiber._back_blocks(f, lam, span, [0.0]))
-        theta = fiber._back_angles(blocks, level, potential_eval(f, f.alpha + span), 1)[0]
+        theta = fiber._back_angles(blocks, level, potential_eval(f, f.alpha + span))[0]
         assert abs(theta + math.pi) < 1e-9
 
     @pytest.mark.parametrize("f,lam_max", CASES)
@@ -492,10 +511,10 @@ class TestMatchedShooting:
         # the boundary read-off F = theta0 - theta_dec(alpha) that listings
         # find roots on, with the listing's shared end point
         theta0 = fiber._boundary_angle(f, bc)
-        t_end = fiber._shoot_end(f, lam_max)
+        span = fiber._shoot_span(f, lam_max)
         counts = set()
         for lam in np.linspace(potential_min(f) - 1.0, lam_max, 17):
-            read_off = theta0 - fiber._shoot_back(f, float(lam), t_end, [f.alpha])[0]
+            read_off = theta0 - fiber._shoot_back(f, float(lam), span, [0.0])[0]
             count = fiber_count(f, float(lam), bc)
             assert math.ceil(read_off / math.pi) == count
             counts.add(count)
@@ -516,8 +535,8 @@ class TestMatchedShooting:
     def test_ceil_mismatch_is_count_on_drawn_fibers(self, n, delta, a, mu, lam, robin):
         f = FiberPotential.from_cusp(n, delta, a, mu)
         bc = ROBIN if robin else BoundaryCondition.dirichlet()
-        t_end = fiber._shoot_end(f, max(lam, potential_min(f)))
-        read_off = fiber._boundary_angle(f, bc) - fiber._shoot_back(f, lam, t_end, [f.alpha])[0]
+        span = fiber._shoot_span(f, max(lam, potential_min(f)))
+        read_off = fiber._boundary_angle(f, bc) - fiber._shoot_back(f, lam, span, [0.0])[0]
         assert math.ceil(read_off / math.pi) == fiber_count(f, lam, bc)
 
     @pytest.mark.parametrize("f", [F_REF, FiberPotential.from_cusp(3, 0.6, 0.5, 2.0)])
@@ -525,10 +544,10 @@ class TestMatchedShooting:
         # one backward propagation that passes every stop gives the angle of
         # a shoot that ends at each stop alone
         lam = 200.0
-        t_end = fiber._shoot_end(f, lam)
-        stops = np.linspace(turning_point(f, lam), f.alpha, 9).tolist()
-        together = fiber._shoot_back(f, lam, t_end, stops)
-        alone = [fiber._shoot_back(f, lam, t_end, [stop])[0] for stop in stops]
+        span = fiber._shoot_span(f, lam)
+        stops = np.linspace(fiber._edge_offset(f, lam), 0.0, 9).tolist()
+        together = fiber._shoot_back(f, lam, span, stops)
+        alone = [fiber._shoot_back(f, lam, span, [stop])[0] for stop in stops]
         assert abs(together[-1] - together[0]) > 4.0 * math.pi
         assert together == pytest.approx(alone, rel=0.0, abs=1e-8)
 
@@ -537,11 +556,11 @@ class TestMatchedShooting:
         # rest; every angle, the one at alpha included, is still that of a
         # shoot to its stop alone
         lam = 400.0
-        end = fiber._shoot_end(F_REF, lam)
-        points = np.linspace(turning_point(F_REF, lam), F_REF.alpha, 12)[:-1].tolist()
-        stops = [t for p in points for t in (p, p - 1e-9)] + [F_REF.alpha]
-        together = fiber._shoot_back(F_REF, lam, end, stops)
-        alone = [fiber._shoot_back(F_REF, lam, end, [stop])[0] for stop in stops]
+        span = fiber._shoot_span(F_REF, lam)
+        points = np.linspace(fiber._edge_offset(F_REF, lam), 0.0, 12)[:-1].tolist()
+        stops = [x for p in points for x in (p, p - 1e-9)] + [0.0]
+        together = fiber._shoot_back(F_REF, lam, span, stops)
+        alone = [fiber._shoot_back(F_REF, lam, span, [stop])[0] for stop in stops]
         assert together == pytest.approx(alone, rel=0.0, abs=1e-9)
 
 
@@ -550,7 +569,7 @@ def dop853_theta_decay(f, lam):
     """theta_dec(alpha; lam) from the Prufer equation theta' = cos^2 theta +
     (lam - V) sin^2 theta, solved by DOP853 back from the shoot's t_end: an
     integrator that shares nothing with the Magnus propagator."""
-    t_end = fiber._shoot_end(f, lam)
+    t_end = f.alpha + fiber._shoot_span(f, lam)
 
     def prufer(t, theta):
         s, c = math.sin(theta[0]), math.cos(theta[0])
@@ -586,7 +605,7 @@ class TestBackwardTail:
     def test_read_off_matches_dop853(self, n, delta, a, mu, lam):
         # theta_dec(alpha; lam) against dop853_theta_decay
         f = FiberPotential.from_cusp(n, delta, a, mu)
-        [theta] = fiber._shoot_back(f, lam, fiber._shoot_end(f, lam), [f.alpha])
+        [theta] = fiber._shoot_back(f, lam, fiber._shoot_span(f, lam), [0.0])
         assert abs(theta - dop853_theta_decay(f, lam)) <= fiber.ANGLE_TOL
 
     # at delta = 1 the decaying solution is K_{i nu}(sqrt(mu) e^t), nu^2 =
@@ -605,7 +624,7 @@ class TestBackwardTail:
 
         mpmath.mp.dps = 30
         f = FiberPotential.from_cusp(n, 1.0, a, mu)
-        [theta] = fiber._shoot_back(f, lam, fiber._shoot_end(f, lam), [f.alpha])
+        [theta] = fiber._shoot_back(f, lam, fiber._shoot_span(f, lam), [0.0])
         q = mpmath.mpf((n - 1) ** 2) / 4
         order = mpmath.sqrt(q - lam) if lam < q else 1j * mpmath.sqrt(lam - q)
         y = mpmath.sqrt(mu) * mpmath.exp(f.alpha)
@@ -664,8 +683,9 @@ class TestCountFibers:
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("bc", sorted(BCS))
     def test_every_count_is_a_fiber_count_result(self, monkeypatch, name, bc):
-        # each count that count_fibers returns is a value of fiber_count, so a
-        # fault there shows in every cusp count, on both paths
+        # each count that count_fibers returns and that can be nonzero is a
+        # value of fiber_count, so a fault there shows in every cusp count,
+        # on both paths
         model, lam = self.MODELS[name]
         cusp = model.cusps[0]
         mus = distinct_modes(model, lam, 1.0)
@@ -718,7 +738,7 @@ class TestCountFibers:
 
     def test_delta1_builds_no_fiber_per_mode(self, monkeypatch):
         # every delta = 1 mode is read off the one shifted fiber the shoot
-        # runs on, so 1,200 modes build at most that fiber and its top twin
+        # runs on, so 1,200 modes build that fiber alone
         built = []
         real = FiberPotential.__post_init__
 
@@ -729,8 +749,69 @@ class TestCountFibers:
         monkeypatch.setattr(FiberPotential, "__post_init__", counting)
         mus = [(k / 12.0) ** 2 for k in range(1, 1201)]
         got = count_fibers(2, 1.0, 1.0, mus, 1e4, [DIRICHLET, ROBIN])
-        assert len(built) <= 2
+        assert len(built) <= 1
         assert max(got[0]) > 0
+
+    def test_delta1_shoots_only_modes_that_can_count(self, monkeypatch):
+        # 1,200 modes up to 3.6e5 at lambda = 1e4: the shoot stops at the
+        # modes with min V = mu + 1/4 below lambda (Dirichlet), the others
+        # read 0.  A shoot from above the top mode grows u across a long
+        # forbidden stretch within one block, until products of u overflow
+        mus = [0.25 * k * k for k in range(1, 1201)]
+        stops = []
+        real = fiber._back_blocks
+
+        def back_blocks(f, lam, span, offsets):
+            stops.append(len(offsets))
+            return real(f, lam, span, offsets)
+
+        monkeypatch.setattr(fiber, "_back_blocks", back_blocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            [got] = count_fibers(2, 1.0, 1.0, mus, 1e4, [DIRICHLET])
+        monkeypatch.undo()
+        assert stops == [sum(mu + 0.25 < 1e4 for mu in mus)]
+        assert got[::10] == [fiber_count(FiberPotential.from_cusp(2, 1.0, 1.0, mu), 1e4)
+                             for mu in mus[::10]]
+        assert got[0] > 0 and got[-1] == 0
+
+    @pytest.mark.parametrize("delta", [1.0, 0.75])
+    @pytest.mark.parametrize("lam", [-1e12, -1e32])
+    def test_far_below_every_mode_reads_zero_without_a_shoot(self, monkeypatch, delta, lam):
+        # lambda <= min V - max(beta, 0)^2 under both conditions: no shoot,
+        # every count 0.  A shoot there overflows to NaN (delta = 1, from
+        # -1e12), runs for minutes (delta = 1, -1e32) or reads a Dirichlet
+        # count of -1 off the angle of the Robin probe (delta = 0.75, -1e32)
+        def shoot(*args):
+            raise AssertionError("a shoot was made")
+
+        monkeypatch.setattr(fiber, "_back_angles", shoot)
+        start = time.perf_counter()
+        got = count_fibers(2, delta, 1.0, [1.0, 4.0], lam, [DIRICHLET, ROBIN])
+        assert got == [[0, 0], [0, 0]]
+        assert time.perf_counter() - start < 1.0
+
+    # beta |u(alpha)|^2 <= ||u'||^2 + beta^2 ||u||^2 puts every Robin
+    # eigenvalue at or above min V - beta^2: a shoot there reads 0, and
+    # fiber_count returns 0 without one
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        delta=st.one_of(st.just(1.0), st.floats(0.55, 0.95)),
+        a=st.floats(0.3, 1.5),
+        mu=st.floats(0.01, 20.0),
+        beta=st.sampled_from([None, 0.3, 2.0, 10.0]),
+        below=st.sampled_from([0.0, 1e-9, 1e-6]),
+    )
+    def test_robin_empty_at_min_v_minus_beta_squared(self, n, delta, a, mu, beta, below):
+        f = FiberPotential.from_cusp(n, delta, a, mu)
+        bc = BoundaryCondition.robin(beta)
+        edge = potential_min(f) - (default_robin_beta(f) if beta is None else beta) ** 2
+        lam = edge - below * max(1.0, abs(edge))
+        [theta] = fiber._shoot_back(f, lam, fiber._shoot_span(f, lam), [0.0])
+        assert math.ceil((fiber._boundary_angle(f, bc) - theta) / math.pi) == 0
+        with mock.patch.object(fiber, "_back_angles", side_effect=AssertionError("shot")):
+            assert fiber_count(f, lam, bc) == 0
 
     def test_empty_and_single(self):
         assert count_fibers(2, 1.0, 1.0, [], 50.0, [DIRICHLET])[0] == []
@@ -894,7 +975,7 @@ class TestForwardCount:
         f = FiberPotential.from_cusp(n, delta, a, 1.0)
         assert potential_eval(f, f.alpha) > 500.0
         assert len(fiber._mesh(f, 5.0, 1.0)[0]) > 20  # graded steps
-        [theta] = fiber._shoot_back(f, 5.0, fiber._shoot_end(f, 5.0), [f.alpha])
+        [theta] = fiber._shoot_back(f, 5.0, fiber._shoot_span(f, 5.0), [0.0])
         assert abs(theta - dop853_theta_decay(f, 5.0)) <= fiber.ANGLE_TOL
         for lam, nd in zip((5.0, 50.0), self.WALL_COUNTS[n, delta, a]):
             assert fiber_count(f, lam) == nd

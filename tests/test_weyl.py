@@ -758,9 +758,9 @@ class TestBracket:
         shoots = []
         real = fiber._shoot_back
 
-        def counted(f, level, t_end, stops):
+        def counted(f, level, span, stops):
             shoots.append(f.delta)
-            return real(f, level, t_end, stops)
+            return real(f, level, span, stops)
 
         monkeypatch.setattr(fiber, "_shoot_back", counted)
         res = total_count_bracket(model, lam)
