@@ -89,20 +89,19 @@ def weyl_leading(volume: float, n: int, lam: float) -> float:
     return volume * unit_ball_volume(n) / TWO_PI**n * lam ** (n / 2.0)
 
 
-def mu_cutoff(model: ManifoldModel, lam: float) -> float:
-    """Cross-section modes with mu >= lam / min_j a_j^(4 delta_j) contribute
-    nothing below lam: their fiber potentials already sit above lam."""
-    return lam / min(c.a ** (4.0 * c.delta) for c in model.cusps)
-
-
 def cusp_modes(model: ManifoldModel, j: int, lam: float) -> tuple[list[float], list[int]]:
-    """Distinct cross-section eigenvalues mu > 0 of cusp j that can contribute
-    below lam, ascending, and their multiplicities, as Python floats and ints.
+    """Distinct cross-section eigenvalues 0 < mu < lam / a^(4 delta) of cusp
+    j = (a, delta), ascending, with multiplicities, as Python floats and ints.
 
-    An exact-zero mode (the free channel of an A = 0 model) is left out: it
-    carries continuous spectrum, no discrete eigenvalues and no phase term.
+    No other cusp's a or delta enters: a mode at or above that floor counts
+    0 below lam and has phase integral 0, since its fiber potential, and under
+    the default Robin condition its channel's Neumann form, is at least
+    mu a^(4 delta).  A custom Robin beta above the default can put a boundary
+    state below the floor; it is left out.  So is an exact-zero mode (the free
+    channel of an A = 0 model): continuous spectrum, no eigenvalues, no phase.
     """
-    values = mu_spectrum(model.cusps[j].cross_section, 1.0, mu_cutoff(model, lam)).values
+    cusp = model.cusps[j]
+    values = mu_spectrum(cusp.cross_section, 1.0, lam / cusp.a ** (4.0 * cusp.delta)).values
     mus, mults = np.unique(values[values > 0.0], return_counts=True)
     return mus.tolist(), mults.tolist()
 

@@ -561,6 +561,25 @@ def test_fiber_listing_over_the_mesh_budget_exits_2(capsys):
     assert_over_the_mesh_budget(capsys, "fiber", str(model), "--lambda", "1e9")
 
 
+def test_count_lists_each_cusp_below_its_own_floor(capsys, tmp_path):
+    # cusp 0's floor a^4 = 1e-4 puts its cutoff at mu = 1e7 for lambda =
+    # 1e3; cusp 1 (a = 1) lists only its modes below 1e3.  Listing cusp 1
+    # up to cusp 0's cutoff would take 4.0e7 lattice points, past the
+    # enumeration budget.  The row is the sum of the two one-cusp models' rows.
+    path = tmp_path / "floors.json"
+    path.write_text(json.dumps({
+        "dimension": 3,
+        "core": {"volume": 0.0, "remainder_coeff": 0.0},
+        "cusps": [
+            {"a": 0.1, "delta": 1.0, "lengths": [0.5, 0.5], "magnetic": [1.0, 2.0]},
+            {"a": 1.0, "delta": 1.0, "lengths": [2 * math.pi] * 2, "magnetic": [0.5, 0.3]},
+        ],
+    }))
+    code, out, err = run_cli(capsys, "count", str(path), "--lambda", "1e3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("1000.0,627885,728919,")
+
+
 def test_parser_is_built_once_per_process(capsys, model_path):
     # main parses every call with the one parser the process built, and a
     # reused parser gives the same output call after call

@@ -29,7 +29,7 @@ from cuspspec import (
     turning_point,
 )
 from cuspspec.fiber import DIRICHLET, allowed_interval
-from cuspspec.weyl import mu_cutoff, phase_integral
+from cuspspec.weyl import phase_integral
 from conftest import circle_model, torus3_model
 
 ROBIN = BoundaryCondition.robin()
@@ -635,8 +635,9 @@ class TestBackwardTail:
 
 
 def distinct_modes(model, lam, tau):
-    x = model.cusps[0].cross_section
-    return np.unique(mu_spectrum(x, tau, mu_cutoff(model, lam)).values).tolist()
+    cusp = model.cusps[0]
+    cutoff = lam / cusp.a ** (4.0 * cusp.delta)
+    return np.unique(mu_spectrum(cusp.cross_section, tau, cutoff).values).tolist()
 
 
 def per_mode_counts(model, mus, lam, bc):

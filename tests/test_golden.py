@@ -1,4 +1,4 @@
-"""Golden CLI outputs: every verb on five reference models, CSV and JSON.
+"""Golden CLI outputs: every verb on six reference models, CSV and JSON.
 
 Each case runs `cuspspec.cli.main` in-process and compares stdout, stderr,
 the exit code and any Python warnings with the record in
@@ -25,11 +25,13 @@ import pytest
 from cuspspec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-MODELS = ("circle_delta1", "circle_delta075", "circle_zero_field", "two_cusp", "torus3")
+MODELS = ("circle_delta1", "circle_delta075", "circle_zero_field", "two_cusp", "torus3",
+          "two_floors")
 FORMATS = ("csv", "json")
 
 # verb arguments after the model path; the last cusp index is used on the
-# two-cusp model so that a second cusp is exercised
+# two-cusp models so that a second cusp is exercised.  two_floors is
+# two_cusp with a = 0.5 and 1.5, so that the cusps' floors a^(4 delta) differ
 VERBS = {
     "validate": lambda model: ["validate"],
     "count": lambda model: ["count", "--lambda", "30"],
@@ -51,7 +53,7 @@ VERBS = {
 
 
 def _last_cusp(model: str) -> str:
-    return "1" if model == "two_cusp" else "0"
+    return "1" if model in ("two_cusp", "two_floors") else "0"
 
 
 def _case_id(model: str, verb: str, fmt: str) -> str:

@@ -36,13 +36,14 @@ from cuspspec import (
     weyl_leading,
 )
 from cuspspec.fiber import DIRICHLET
-from cuspspec.weyl import mu_cutoff
 from conftest import TWO_PI, circle_model, torus3_model
 
 
 def all_modes(model, lam):
-    """Every contributing cross-section mode of cusp 0, with multiplicity."""
-    return mu_spectrum(model.cusps[0].cross_section, 1.0, mu_cutoff(model, lam)).values.tolist()
+    """Every contributing cross-section mode of cusp 0, with multiplicity:
+    mu below the cusp's own floor lam / a^(4 delta)."""
+    cusp = model.cusps[0]
+    return mu_spectrum(cusp.cross_section, 1.0, lam / cusp.a ** (4.0 * cusp.delta)).values.tolist()
 
 
 def closed_form_w_delta1(f: FiberPotential, lam: float) -> float:
@@ -263,13 +264,44 @@ class TestAdmissible:
         assert cusp_modes(ref_model, 0, 0.2) == ([], [])
 
     def test_threshold_scales_as_a_pow_4delta(self):
+        # a = 1/2 scales the floor mu a^(4 delta) by 2^-4 at delta = 1 and by
+        # 2^-3 at delta = 0.75, exactly in binary
         lam = 25.0
-        assert mu_cutoff(circle_model(a=0.5), lam) == pytest.approx(
-            2.0**4 * mu_cutoff(circle_model(a=1.0), lam)
+        for delta, scale in ((1.0, 2.0**4), (0.75, 2.0**3)):
+            assert cusp_modes(circle_model(a=0.5, delta=delta), 0, lam) == cusp_modes(
+                circle_model(a=1.0, delta=delta), 0, scale * lam
+            )
+        # the modes (k + 1/2)^2 of the a = 1/2, delta = 1 circle up to the
+        # floor: 6.25 sits at it for lam = 6.25 / 16 and is left out
+        assert cusp_modes(circle_model(a=0.5), 0, 6.25 / 16) == ([0.25, 2.25], [2, 2])
+        assert cusp_modes(circle_model(a=0.5), 0, 6.25 / 16 + 1e-9)[0][-1] == 6.25
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3]),
+        deltas=st.tuples(*[st.sampled_from([1.0, 0.75, 0.6])] * 2),
+        log10_floors=st.tuples(*[st.floats(-1.5, 1.5)] * 2),
+        omegas=st.tuples(*[st.floats(0.1, 0.9)] * 2),
+        lam=st.floats(0.5, 20.0),
+    )
+    def test_each_cusp_lists_below_its_own_floor(self, n, deltas, log10_floors, omegas, lam):
+        # two cusps whose floors a^(4 delta) differ by up to 1e3: each lists
+        # and counts its modes as the one-cusp model of it alone does
+        cusps = tuple(
+            CuspEnd(
+                TorusCrossSection((TWO_PI,) * (n - 1), (omega,) * (n - 1)),
+                a=10.0 ** (log10_floor / (4.0 * delta)),
+                delta=delta,
+            )
+            for delta, log10_floor, omega in zip(deltas, log10_floors, omegas)
         )
-        assert mu_cutoff(circle_model(a=0.5, delta=0.75), lam) == pytest.approx(
-            2.0**3 * mu_cutoff(circle_model(a=1.0, delta=0.75), lam)
-        )
+        both = ManifoldModel(n, CompactCoreSurrogate(), cusps)
+        alone = [ManifoldModel(n, CompactCoreSurrogate(), (cusp,)) for cusp in cusps]
+        for j, model in enumerate(alone):
+            assert cusp_modes(both, j, lam) == cusp_modes(model, 0, lam)
+        bcs = [DIRICHLET, BoundaryCondition.robin()]
+        ends = [weyl.count_ends(model, lam, bcs) for model in alone]
+        assert weyl.count_ends(both, lam, bcs) == [sum(end) for end in zip(*ends)]
 
 
 class TestThetaSum:
