@@ -59,6 +59,9 @@ The tolerances are fixed module constants: T_MARGIN and ANGLE_TOL place
 the start of a shoot, MAGNUS_K sets the mesh, MESH_BUDGET bounds the
 work of one cusp count or one listing, and REL_TOL is the accuracy of
 listed eigenvalues.
+scipy is imported where it is first called: brentq by listings and by the
+turning points of delta < 1 fibers, eigh_tridiagonal by fd_oracle.  A
+delta = 1 count runs on numpy alone and loads no scipy module.
 """
 
 from __future__ import annotations
@@ -71,8 +74,6 @@ from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 # Relative tolerance of listed eigenvalues, on the scale max(1, |lambda|);
 # eigenvalues within it of the cutoff are ties and are dropped.
@@ -270,6 +271,8 @@ def _edge_offset(f: FiberPotential, lam: float) -> Optional[float]:
     # the rounding of lam: widen until the bracket closes
     while _potential(f, x_hi) <= lam:
         x_hi *= 2.0
+    from scipy.optimize import brentq
+
     return brentq(lambda x: _potential(f, x) - lam, x_min, x_hi, xtol=1e-13, rtol=1e-15)
 
 
@@ -294,6 +297,8 @@ def _allowed_offsets(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
     x_hi = _edge_offset(f, lam)
     if _potential(f, 0.0) < lam:
         return (0.0, x_hi)
+    from scipy.optimize import brentq
+
     x_lo = brentq(lambda x: _potential(f, x) - lam, 0.0, x_min, xtol=1e-13, rtol=1e-15)
     return (x_lo, x_hi)
 
@@ -765,6 +770,8 @@ def fiber_eigenvalues(
     slope ~w', where theta climbs in stairs.  A root within REL_TOL of
     lam_max is a tie with the cutoff and is dropped.
     """
+    from scipy.optimize import brentq
+
     from .weyl import phase_integral  # weyl imports this module
 
     if f.mu <= 0.0:
@@ -863,6 +870,8 @@ def fd_oracle(
     lo = float(min(v.min(), 0.0) - 2.0 * beta * beta - 10.0)
     if lam_max <= lo:  # below every eigenvalue, as fiber_count finds there
         return []
+    from scipy.linalg import eigh_tridiagonal
+
     vals = eigh_tridiagonal(
         diag, off, eigvals_only=True, select="v", select_range=(lo, lam_max)
     )

@@ -7,8 +7,8 @@ bracketed between Dirichlet and Neumann-like (Robin) decoupled counts plus
 a Weyl band for the compact core.  Phase integrals give the semiclassical
 term whose sum tracks the cusp Weyl volume.  At delta = 1 they have a closed
 form, taken in one numpy pass over a cusp's modes; at delta < 1 each is one
-quadrature over the allowed interval in a variable that removes both
-turning-point square roots.
+quadrature (scipy's quad, imported on first use) over the allowed interval
+in a variable that removes both turning-point square roots.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cross_section import mu_spectrum, unit_ball_volume
 from .fiber import (
@@ -28,7 +27,9 @@ from .fiber import (
     FiberPotential,
     _allowed_offsets,
     _potential,
+    _resolve_beta,
     count_fibers,
+    default_robin_beta,
 )
 from .model import ManifoldModel, TorusCrossSection, cusp_volume, total_volume
 
@@ -97,8 +98,9 @@ def cusp_modes(model: ManifoldModel, j: int, lam: float) -> tuple[list[float], l
     0 below lam and has phase integral 0, since its fiber potential, and under
     the default Robin condition its channel's Neumann form, is at least
     mu a^(4 delta).  A custom Robin beta above the default can put a boundary
-    state below the floor; it is left out.  So is an exact-zero mode (the free
-    channel of an A = 0 model): continuous spectrum, no eigenvalues, no phase.
+    state below the floor; _cusp_counts then lists up to a higher lam.  An
+    exact-zero mode (the free channel of an A = 0 model) is left out:
+    continuous spectrum, no eigenvalues, no phase.
     """
     cusp = model.cusps[j]
     values = mu_spectrum(cusp.cross_section, 1.0, lam / cusp.a ** (4.0 * cusp.delta)).values
@@ -133,6 +135,8 @@ def phase_integral(f: FiberPotential, lam: float) -> float:
     interval = _allowed_offsets(f, lam)
     if interval is None:
         return 0.0
+    from scipy.integrate import quad
+
     x_lo, x_hi = interval
     width = x_hi - x_lo
     half = 0.5 * width
@@ -353,9 +357,19 @@ def _cusp_counts(
     model: ManifoldModel, j: int, lam: float, bcs: Sequence[BoundaryCondition]
 ) -> list[int]:
     """cusp_count of cusp j under each of bcs, from one cusp_modes call and
-    one count_fibers call."""
+    one count_fibers call.
+
+    A Robin beta above the cusp's default can put a boundary state of a mode
+    at or above the floor below lam, down to min V - beta^2 (see
+    fiber._empty_below), and min V >= mu a^(4 delta); under such a beta the
+    modes are listed below (lam + beta^2) / a^(4 delta) instead.
+    """
     cusp = model.cusps[j]
-    mus, mults = cusp_modes(model, j, lam)
+    # alpha, and with it the default beta, does not depend on mu
+    f = FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, 1.0)
+    beta = max((_resolve_beta(f, bc) for bc in bcs), default=0.0)
+    reach = beta * beta if beta > default_robin_beta(f) else 0.0
+    mus, mults = cusp_modes(model, j, lam + reach)
     return [
         sum(mult * c for mult, c in zip(mults, counts))
         for counts in count_fibers(model.n, cusp.delta, cusp.a, mus, lam, bcs)

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -621,3 +624,44 @@ def test_every_shoot_runs_from_its_span_down_to_the_boundary(capsys, monkeypatch
     for _, span, stops in shoots:
         assert stops[-1] == 0.0 and stops[0] < span
         assert all(hi > lo for hi, lo in zip(stops, stops[1:]))
+
+
+# A fresh interpreter runs one CLI call and reports its exit code and whether
+# any scipy module was loaded; in-process tests cannot see this, because the
+# test modules import scipy themselves.
+FRESH = """
+import sys
+import cuspspec.cli
+code = cuspspec.cli.main(sys.argv[1:])
+print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+def run_fresh(*argv):
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", FRESH, *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    *out, status = done.stdout.splitlines()
+    return out, status
+
+
+@pytest.mark.parametrize("argv,row", [
+    (["count", "tests/golden/models/torus3.json", "--lambda", "1e4"], "10000.0,423156,443622,"),
+    (["validate", "tests/golden/models/torus3.json"], "violation"),
+    (["rj-identity", "tests/golden/models/torus3.json", "--lambda-min", "10",
+      "--lambda-max", "1000", "--points", "3"], "mu,rj,residual"),
+], ids=["count", "validate", "rj-identity"])
+def test_delta1_verbs_load_no_scipy(argv, row):
+    # delta = 1 counts, model checks and lattice sums import scipy nowhere
+    out, status = run_fresh(*argv)
+    assert any(line.startswith(row) for line in out)
+    assert status == "0 False"
+
+
+def test_delta_lt1_count_imports_scipy_on_first_use():
+    # delta < 1 shoots and phase integrals import brentq and quad when
+    # first called, and count from a cold start as in-process
+    out, status = run_fresh("count", "tests/golden/models/circle_delta075.json", "--lambda", "1e5")
+    assert out[1].startswith("100000.0,98568,98900,")
+    assert status == "0 True"

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 import hypothesis
@@ -107,13 +108,14 @@ class TestTurningPoint:
         lam = 1e12
         first = f.alpha * math.expm1(math.log(lam / f.growth) / f.power)
         brackets = []
-        real = fiber.brentq
+        real = scipy.optimize.brentq
 
         def recording(func, lo, hi, **kwargs):
             brackets.append(hi)
             return real(func, lo, hi, **kwargs)
 
-        monkeypatch.setattr(fiber, "brentq", recording)
+        # _edge_offset imports brentq on first use, from scipy.optimize
+        monkeypatch.setattr(scipy.optimize, "brentq", recording)
         x = fiber._edge_offset(f, lam)
         assert brackets and brackets[0] >= 2.0 * first
         assert abs(fiber._potential(f, x) - lam) <= 1e-13 * lam

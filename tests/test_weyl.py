@@ -16,6 +16,7 @@ from cuspspec import (
     CompactCoreSurrogate,
     ContinuousSpectrumError,
     CuspEnd,
+    EnumerationBudgetError,
     FiberPotential,
     ManifoldModel,
     TorusCrossSection,
@@ -752,6 +753,39 @@ class TestCuspCount:
         modes = set(all_modes(model, lam))
         assert res.count > 0 and len(modes) > 1
         assert calls == [lam]
+
+    @pytest.mark.parametrize("delta,expected", [(1.0, 32), (0.75, 42)])
+    def test_custom_robin_beta_counts_states_above_the_floor(self, delta, expected):
+        # beta = 10 puts a boundary state of every mode up to floor + beta^2
+        # below lam = 30: the count is fiber_count summed over every mode
+        model = circle_model(delta=delta)
+        bc = BoundaryCondition.robin(10.0)
+        total = sum(fiber_count(FiberPotential.from_cusp(2, delta, 1.0, mu), 30.0, bc)
+                    for mu in all_modes(model, 400.0))
+        assert cusp_count(model, 0, 30.0, bc).count == total == expected
+
+    @pytest.mark.parametrize("delta", [1.0, 0.75])
+    def test_mode_list_widens_only_above_the_default_beta(self, monkeypatch, delta):
+        # Dirichlet, the default beta and a beta below it list the modes
+        # below the floor alone; beta = 10 lists them below lam + 100
+        levels = []
+        real = weyl.cusp_modes
+
+        def recording(model, j, lam):
+            levels.append(lam)
+            return real(model, j, lam)
+
+        monkeypatch.setattr(weyl, "cusp_modes", recording)
+        model = circle_model(delta=delta)
+        for bc in (DIRICHLET, BoundaryCondition.robin(), BoundaryCondition.robin(0.3),
+                   BoundaryCondition.robin(-5.0), BoundaryCondition.robin(10.0)):
+            cusp_count(model, 0, 30.0, bc)
+        weyl.count_ends(model, 30.0, [DIRICHLET, BoundaryCondition.robin()])
+        assert levels == [30.0] * 4 + [130.0, 30.0]
+
+    def test_huge_custom_beta_is_refused(self):
+        with pytest.raises(EnumerationBudgetError):
+            cusp_count(circle_model(), 0, 30.0, BoundaryCondition.robin(1e20))
 
 
 class TestBracket:
