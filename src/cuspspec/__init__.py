@@ -42,9 +42,7 @@ from .fiber import (
     fd_oracle,
     fiber_count,
     fiber_eigenvalues,
-    potential_eval,
     potential_min,
-    turning_point,
 )
 from .weyl import (
     CountResult,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .model import TorusCrossSection
 
-# Default cap on enumerated lattice points, to keep accidental huge cutoffs
-# from exhausting memory.
+# Cap on enumerated lattice points, to keep accidental huge cutoffs from
+# exhausting memory.
 MAX_ELEMENTS = 10_000_000
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +44,7 @@ class CrossSpectrum:
         return len(self.values)
 
 
-def _squared_norms(x: TorusCrossSection, tau: float, cutoff: float, max_elements: int):
+def _squared_norms(x: TorusCrossSection, tau: float, cutoff: float):
     """mu_m(tau) on a box of lattice points m that holds every mu_m(tau) < cutoff.
 
     |2 pi m/L + tau omega| < sqrt(cutoff) forces m into a window of width
@@ -60,9 +60,9 @@ def _squared_norms(x: TorusCrossSection, tau: float, cutoff: float, max_elements
         half_width = root * length / TWO_PI
         windows.append((math.floor(-shift - half_width) - 1, math.ceil(-shift + half_width) + 1))
     count = math.prod(hi - lo + 1 for lo, hi in windows)
-    if count > max_elements:
+    if count > MAX_ELEMENTS:
         raise EnumerationBudgetError(
-            f"lattice enumeration needs {count} points, budget is {max_elements}"
+            f"lattice enumeration needs {count} points, budget is {MAX_ELEMENTS}"
         )
     offsets = [
         TWO_PI * np.arange(lo, hi + 1, dtype=np.int64) / length + tau * omega
@@ -74,38 +74,28 @@ def _squared_norms(x: TorusCrossSection, tau: float, cutoff: float, max_elements
     return total
 
 
-def mu_spectrum(
-    x: TorusCrossSection,
-    tau: float,
-    cutoff: float,
-    max_elements: int = MAX_ELEMENTS,
-) -> CrossSpectrum:
+def mu_spectrum(x: TorusCrossSection, tau: float, cutoff: float) -> CrossSpectrum:
     """Exact sorted multiset of eigenvalues mu_m(tau) < cutoff, as a
     read-only float64 array.
 
     Raises ValueError for a cutoff that is not finite, and
     EnumerationBudgetError when the enumeration box holds more than
-    `max_elements` lattice points.
+    MAX_ELEMENTS lattice points.
     """
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got {cutoff}")
     if cutoff <= 0:
         values = np.empty(0)
     else:
-        total = _squared_norms(x, tau, cutoff, max_elements)
+        total = _squared_norms(x, tau, cutoff)
         values = np.sort(total[total < cutoff])
     values.flags.writeable = False
     return CrossSpectrum(tau=tau, values=values, cutoff=cutoff)
 
 
-def cross_count(
-    x: TorusCrossSection,
-    tau: float,
-    mu: float,
-    max_elements: int = MAX_ELEMENTS,
-) -> int:
+def cross_count(x: TorusCrossSection, tau: float, mu: float) -> int:
     """Number of eigenvalues strictly below mu (with multiplicity)."""
-    return len(mu_spectrum(x, tau, mu, max_elements))
+    return len(mu_spectrum(x, tau, mu))
 
 
 def mu0(x: TorusCrossSection, tau: float) -> float:

@@ -30,11 +30,9 @@ increasing, and by Sturm-Prufer theory the number of eigenvalues below
 the spectral level lambda is N(lambda) = ceil(F/pi): every count is this
 read-off (see fiber_count).
 Eigenvalues are listed as the roots of F = k pi, every F read off one mesh
-built for the listing, each root seeded from the phase integral (w =
-3 pi/4 for the first Dirichlet root, one pi more than at the previous root
-for every later one), which with one Newton step narrows the bracket that
-brentq then closes, about four backward shoots per eigenvalue; a
-three-point finite-difference matrix provides an independent oracle.
+built for the listing and kept per level, each root closed by brentq from
+the bracket of the levels already read; a three-point finite-difference
+matrix provides an independent oracle.
 A cusp's fibers are counted together by count_fibers.  At delta = 1 the
 shift s = t + (1/2) ln mu turns every mode into the same equation
 -u'' + (e^(2s) + (n-1)^2/4) u = lambda u on [s_mu, oo), s_mu = alpha +
@@ -223,13 +221,6 @@ def _potential(f: FiberPotential, x):
     return f.growth * xp.exp(f.power * xp.log1p(x / alpha)) + f.const_coeff / (t * t)
 
 
-def potential_eval(f: FiberPotential, t: float) -> float:
-    """V(t) for t >= alpha; raises on points left of the boundary."""
-    if t < f.alpha:
-        raise ValueError(f"t = {t} below the fiber boundary alpha = {f.alpha}")
-    return _potential(f, t - f.alpha)
-
-
 def _interior_min(f: FiberPotential) -> float:
     """Offset from alpha of the minimum of V on [alpha, oo) for mu > 0."""
     if f.delta == 1.0:
@@ -250,7 +241,13 @@ def potential_min(f: FiberPotential) -> float:
 
 
 def _edge_offset(f: FiberPotential, lam: float) -> Optional[float]:
-    """turning_point(f, lam) as an offset from alpha."""
+    """Least offset x with V >= lam on [alpha + x, oo), the right edge of
+    the allowed region.
+
+    None when V >= lam everywhere (no classically allowed region);
+    math.inf when mu = 0 and lam sits above the essential infimum, so the
+    allowed region never closes.
+    """
     if f.mu == 0.0:
         if lam > f.ess_inf:
             return math.inf
@@ -276,21 +273,15 @@ def _edge_offset(f: FiberPotential, lam: float) -> Optional[float]:
     return brentq(lambda x: _potential(f, x) - lam, x_min, x_hi, xtol=1e-13, rtol=1e-15)
 
 
-def turning_point(f: FiberPotential, lam: float) -> Optional[float]:
-    """Least t with V >= lam on [t, oo), i.e. the right edge of the allowed region.
-
-    None when V >= lam everywhere (no classically allowed region);
-    math.inf when mu = 0 and lam sits above the essential infimum, so the
-    allowed region never closes.
-    """
-    x = _edge_offset(f, lam)
-    return None if x is None else f.alpha + x
-
-
 def _allowed_offsets(f: FiberPotential, lam: float) -> Optional[tuple[float, float]]:
-    """allowed_interval(f, lam) as offsets from alpha."""
+    """Offsets of the interval {t >= alpha : V(t) < lam}, or None when it
+    is empty.
+
+    Requires a confining fiber (mu > 0); the interval is then a single
+    component around the potential minimum.
+    """
     if f.mu <= 0.0:
-        raise ValueError("allowed_interval needs mu > 0")
+        raise ValueError("_allowed_offsets needs mu > 0")
     x_min = _interior_min(f)
     if lam <= _potential(f, x_min):
         return None
@@ -301,16 +292,6 @@ def _allowed_offsets(f: FiberPotential, lam: float) -> Optional[tuple[float, flo
 
     x_lo = brentq(lambda x: _potential(f, x) - lam, 0.0, x_min, xtol=1e-13, rtol=1e-15)
     return (x_lo, x_hi)
-
-
-def allowed_interval(f: FiberPotential, lam: float) -> Optional[tuple[float, float]]:
-    """Interval {t >= alpha : V(t) < lam}, or None when it is empty.
-
-    Requires a confining fiber (mu > 0); the interval is then a single
-    component around the potential minimum.
-    """
-    interval = _allowed_offsets(f, lam)
-    return None if interval is None else (f.alpha + interval[0], f.alpha + interval[1])
 
 
 def _scale(en: float) -> float:
@@ -468,7 +449,8 @@ def _magnus_block(
     # oscillatory: u = A sin(s w + g), A sin g = u(0), A cos g w = (Omega y)_1
     g = np.arctan2(left * w, oa * left + ob * d_left)
     turns = np.floor((g + w) / math.pi) - np.floor(g / math.pi)
-    crossed = (left * right < 0.0) | ((right == 0.0) & (left != 0.0))
+    # signs, not the product left * right, which can overflow
+    crossed = (np.sign(left) != np.sign(right)) & (left != 0.0)
     return us, dus, np.where(osc, turns, crossed)
 
 
@@ -755,24 +737,16 @@ def fiber_eigenvalues(
     ceil(F(lam_max) / pi).  The listing then plans the mesh steps times 6
     shoots per eigenvalue plus 3 and raises MeshBudgetError above
     MESH_BUDGET.  Each root below the total is bracketed by the F values
-    already computed; each F value is kept for the later roots.  Each root
-    is seeded from the phase integral
-    w of weyl.phase_integral: w(lam_0) = 3 pi/4 for the first Dirichlet
-    root and w(lam_k) = w(lam_(k-1)) + pi for every later root, under
-    either condition; the first Robin root has no seed.  F at the seed,
-    and at one Newton step from it with the slope w' there, narrows the
-    bracket wherever they fall inside it, and brentq at xtol = rtol =
-    REL_TOL closes it, within REL_TOL (1 + |lam|) of the root.  The roots
-    are found on F read in the scaled angle phi of SLEIGN2 and SLEDGE at
-    alpha, tan phi = S tan theta with S = ((lam - V)^2 + 1)^(1/4), which
-    equals k pi exactly where F does and
-    lies on the same side of k pi, but it runs nearly linearly in lam, at
-    slope ~w', where theta climbs in stairs.  A root within REL_TOL of
-    lam_max is a tie with the cutoff and is dropped.
+    already computed; each F value is kept for the later roots.  brentq
+    at xtol = rtol = REL_TOL closes each bracket, within REL_TOL (1 +
+    |lam|) of the root.  The roots are found on F read in the scaled angle
+    phi of SLEIGN2 and SLEDGE at alpha, tan phi = S tan theta with S =
+    ((lam - V)^2 + 1)^(1/4), which equals k pi exactly where F does and
+    lies on the same side of k pi, but runs nearly linearly in lam where
+    theta climbs in stairs.  A root within REL_TOL of lam_max is a tie
+    with the cutoff and is dropped.
     """
     from scipy.optimize import brentq
-
-    from .weyl import phase_integral  # weyl imports this module
 
     if f.mu <= 0.0:
         raise ValueError("fiber_eigenvalues needs a confining fiber (mu > 0)")
@@ -810,32 +784,13 @@ def fiber_eigenvalues(
     while read_off(lo) > 0.0:
         lo -= 2.0 * (abs(lo) + 1.0)
     values: list[float] = []
-    phase = 0.75 * math.pi if bc.kind == "dirichlet" else None
-    w_max = phase_integral(f, lam_max)
     for k in range(total):
-        seed = slope = None
-        if phase is not None and phase < w_max:
-            # w is 0 up to the potential minimum and increases past it
-            below = values[-1] if values else v_min
-            seed = brentq(
-                lambda lam: phase_integral(f, lam) - phase, below, lam_max, xtol=1e-9, rtol=1e-9
-            )
-            h = 1e-4 * max(1.0, abs(seed))
-            slope = (phase_integral(f, seed + h) - phase_integral(f, seed - h)) / (2.0 * h)
         target = k * math.pi
         lo = max(lam for lam in theta_dec if read_off(lam) <= target)
         hi = min(lam for lam in theta_dec if read_off(lam) > target)
-        x = seed
-        for _ in range(2):  # the seed, then one Newton step from it
-            if x is None or not lo < x < hi:
-                break
-            res = read_off(x) - target
-            lo, hi = (x, hi) if res <= 0.0 else (lo, x)
-            x -= res / slope
         values.append(
             brentq(lambda lam: read_off(lam) - target, lo, hi, xtol=REL_TOL, rtol=REL_TOL)
         )
-        phase = phase_integral(f, values[-1]) + math.pi
     cut = lam_max - REL_TOL * max(1.0, abs(lam_max))
     return [v for v in values if v < cut]
 

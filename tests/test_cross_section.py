@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cuspspec import cross_section
 from cuspspec import (
     EnumerationBudgetError,
     TorusCrossSection,
@@ -62,16 +63,18 @@ class TestMuSpectrum:
             assert len(got) == len(expected)
             assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(cross_section, "MAX_ELEMENTS", 1000)
         with pytest.raises(EnumerationBudgetError):
-            mu_spectrum(CIRCLE_FREE, 0.0, 1.0e9, max_elements=1000)
+            mu_spectrum(CIRCLE_FREE, 0.0, 1.0e9)
 
-    def test_budget_checked_before_allocating(self):
+    def test_budget_checked_before_allocating(self, monkeypatch):
         # the box would be one 2,000,004-point axis (16 MB per array)
+        monkeypatch.setattr(cross_section, "MAX_ELEMENTS", 1000)
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationBudgetError, match="needs 2000004 points"):
-                mu_spectrum(CIRCLE_HALF, 1.0, 1.0e12, max_elements=1000)
+                mu_spectrum(CIRCLE_HALF, 1.0, 1.0e12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -138,20 +141,23 @@ class TestEnumeration:
         assert values.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("name", sorted(TORI))
-    def test_budget_error_exactly_below_box_size(self, name):
+    def test_budget_error_exactly_below_box_size(self, monkeypatch, name):
         x = self.TORI[name]
         cutoff = self.CUTOFF[x.dim]
+        monkeypatch.setattr(cross_section, "MAX_ELEMENTS", 0)
         with pytest.raises(EnumerationBudgetError) as info:
-            mu_spectrum(x, 0.37, cutoff, max_elements=0)
+            mu_spectrum(x, 0.37, cutoff)
         match = re.fullmatch(r"lattice enumeration needs (\d+) points, budget is 0",
                              str(info.value))
         box = int(match.group(1))
         assert box >= len(product_spectrum(x, 0.37, cutoff))
+        monkeypatch.setattr(cross_section, "MAX_ELEMENTS", box - 1)
         with pytest.raises(EnumerationBudgetError, match=f"budget is {box - 1}$"):
-            mu_spectrum(x, 0.37, cutoff, max_elements=box - 1)
+            mu_spectrum(x, 0.37, cutoff)
         with pytest.raises(EnumerationBudgetError):
-            cross_count(x, 0.37, cutoff, max_elements=box - 1)
-        assert mu_spectrum(x, 0.37, cutoff, max_elements=box).values.tolist() == (
+            cross_count(x, 0.37, cutoff)
+        monkeypatch.setattr(cross_section, "MAX_ELEMENTS", box)
+        assert mu_spectrum(x, 0.37, cutoff).values.tolist() == (
             product_spectrum(x, 0.37, cutoff)
         )
 

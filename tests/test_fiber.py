@@ -25,11 +25,9 @@ from cuspspec import (
     fiber_count,
     fiber_eigenvalues,
     mu_spectrum,
-    potential_eval,
     potential_min,
-    turning_point,
 )
-from cuspspec.fiber import DIRICHLET, allowed_interval
+from cuspspec.fiber import DIRICHLET
 from cuspspec.weyl import phase_integral
 from conftest import circle_model, torus3_model
 
@@ -39,18 +37,14 @@ F_REF = FiberPotential.from_cusp(2, 1.0, 1.0, 1.0)
 
 class TestPotential:
     def test_delta1_values(self):
-        assert potential_eval(F_REF, 0.0) == 1.25
+        assert fiber._potential(F_REF, 0.0) == 1.25
         flat = FiberPotential.from_cusp(2, 1.0, 1.0, 0.0)
-        assert potential_eval(flat, 3.7) == 0.25
+        assert fiber._potential(flat, 3.7) == 0.25
 
     def test_delta_half_value(self):
         f = FiberPotential(n=2, delta=0.5, mu=4.0, alpha=0.5)
-        # 4 (t/2)^2 + 0.75/t^2 at t=1
-        assert potential_eval(f, 1.0) == pytest.approx(1.75, rel=1e-15)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError, match="below the fiber boundary"):
-            potential_eval(F_REF, -0.5)
+        # 4 (t/2)^2 + 0.75/t^2 at t = 1, the offset x = 0.5
+        assert fiber._potential(f, 0.5) == pytest.approx(1.75, rel=1e-15)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -62,37 +56,41 @@ class TestPotential:
 
     def test_confinement(self):
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 2.0)
-        assert potential_eval(f, 400.0) > potential_eval(f, 40.0) > 1e3 * 0  # grows
+        assert fiber._potential(f, 400.0) > fiber._potential(f, 40.0) > 1e3 * 0  # grows
 
 
 class TestTurningPoint:
+    # the turning point as an offset x = t - alpha from the boundary
     def test_log_root(self):
-        assert turning_point(F_REF, 100.25) == pytest.approx(math.log(10.0), rel=1e-14)
+        # alpha = 0 on F_REF, so the offset is t itself
+        assert fiber._edge_offset(F_REF, 100.25) == pytest.approx(math.log(10.0), rel=1e-14)
 
     def test_none_below_minimum(self):
-        assert turning_point(F_REF, 1.0) is None
+        assert fiber._edge_offset(F_REF, 1.0) is None
 
     def test_boundary_case(self):
-        # choose mu so that V(alpha) = lam exactly
+        # choose mu, and the growth term g = mu e^(2 alpha) without its
+        # rounding, so that V(alpha) = g + 1/4 = lam exactly
         a = 2.0
         alpha = 2.0 * math.log(a)
         lam = 10.0
         mu = (lam - 0.25) * math.exp(-2.0 * alpha)
-        f = FiberPotential(n=2, delta=1.0, mu=mu, alpha=alpha)
-        assert turning_point(f, lam) == alpha
+        f = FiberPotential(n=2, delta=1.0, mu=mu, alpha=alpha, growth=lam - 0.25)
+        assert fiber._potential(f, 0.0) == lam
+        assert fiber._edge_offset(f, lam) == 0.0
 
     def test_constant_channel_signals_infinity(self):
         flat = FiberPotential.from_cusp(2, 1.0, 1.0, 0.0)
-        assert turning_point(flat, 1.0) == math.inf
-        assert turning_point(flat, 0.2) is None
+        assert fiber._edge_offset(flat, 1.0) == math.inf
+        assert fiber._edge_offset(flat, 0.2) is None
 
     @pytest.mark.parametrize("lam", [1e11, 1e12])
     def test_large_level_delta_lt1(self, lam):
         # c/t^2 falls below the rounding of lam at the first bracket end
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 0.25)
-        t = turning_point(f, lam)
-        assert potential_eval(f, t) == pytest.approx(lam, rel=1e-14)
-        assert allowed_interval(f, lam) == (f.alpha, t)
+        x = fiber._edge_offset(f, lam)
+        assert fiber._potential(f, x) == pytest.approx(lam, rel=1e-14)
+        assert fiber._allowed_offsets(f, lam) == (0.0, x)
         # without the 1/t^2 term, w = sqrt(lam) (T B - alpha) with
         # T = (lam/mu)^(1/p) / (1 - delta) and B = integral_0^1 sqrt(1 - x^p) dx
         p = f.power
@@ -123,9 +121,9 @@ class TestTurningPoint:
     def test_delta_lt1_interior_dip(self):
         f = FiberPotential.from_cusp(2, 0.75, 0.2, 4.0)
         # alpha = 1/(1-delta) * a^(2(1-delta)): small a pushes the 1/t^2 wall up
-        assert potential_eval(f, f.alpha) > potential_min(f)
-        t = turning_point(f, potential_min(f) + 2.0)
-        assert t is not None and t > f.alpha
+        assert fiber._potential(f, 0.0) > potential_min(f)
+        x = fiber._edge_offset(f, potential_min(f) + 2.0)
+        assert x is not None and x > 0.0
 
 
 class TestCounting:
@@ -170,9 +168,9 @@ class TestCounting:
 
     @pytest.mark.parametrize("lam", [9.2, 30.0, 77.0, 300.0])
     def test_shoot_end_lands_on_the_decay_budget(self, lam):
-        t_turn = turning_point(F_REF, lam)
-        decay = quad(lambda t: math.sqrt(max(potential_eval(F_REF, t) - lam, 0.0)),
-                     t_turn, F_REF.alpha + fiber._shoot_span(F_REF, lam), limit=200)[0]
+        x_turn = fiber._edge_offset(F_REF, lam)
+        decay = quad(lambda x: math.sqrt(max(fiber._potential(F_REF, x) - lam, 0.0)),
+                     x_turn, fiber._shoot_span(F_REF, lam), limit=200)[0]
         budget = fiber.T_MARGIN + 0.5 * math.log(1.0 / (fiber.ANGLE_TOL * 1e-3))
         assert budget * 0.97 < decay < budget * 1.01
 
@@ -433,13 +431,20 @@ class TestMatchedShooting:
             pytest.param(f, lam, bc, id=f"f{i}-{lam}{suffix}")
             for i, (f, lam) in enumerate(CASES)
             for suffix, bc in (("", DIRICHLET), ("-R", ROBIN))
+        ]
+        + [
+            pytest.param(
+                FiberPotential.from_cusp(2, 0.8787459561307835, 0.9149903466152369,
+                                         19.09855996559342),
+                108.35456514225662, DIRICHLET, id="f2-108.35456514225662",
+            )
         ],
     )
     def test_listing_shoots_per_eigenvalue(self, monkeypatch, f, lam, bc):
-        # phase-integral seeds, one Newton step and brentq: a listing costs at
-        # most 6 backward shoots per eigenvalue, plus the total and the
-        # bracket; a Robin one up to 12 more for its first root, which has
-        # no seed and is found by brentq from the bare bracket
+        # brentq on the read-off, each root bracketed by the levels already
+        # shot: a listing costs at most 6 backward shoots per eigenvalue,
+        # plus the total and the bracket; a Robin one up to 12 more for its
+        # first root, whose bracket starts below min V - 2 beta^2 - 1
         first = 12 if bc.kind == "robin" else 0
         calls = []
         real = fiber._back_angles
@@ -475,7 +480,7 @@ class TestMatchedShooting:
         with mock.patch.object(fiber, "MAGNUS_K", 4 * fiber.MAGNUS_K), \
                 mock.patch.object(fiber, "MAGNUS_SCALE_STEPS", 4 * fiber.MAGNUS_SCALE_STEPS):
             blocks = list(fiber._back_blocks(f, level, span, [0.0]))
-        v_top = potential_eval(f, f.alpha + span)
+        v_top = fiber._potential(f, span)
 
         def read_off(level):
             return theta0 - fiber._back_angles(blocks, level, v_top)[0]
@@ -504,8 +509,21 @@ class TestMatchedShooting:
         level = 12.531400472964593
         span = fiber._shoot_span(f, lam)
         blocks = list(fiber._back_blocks(f, lam, span, [0.0]))
-        theta = fiber._back_angles(blocks, level, potential_eval(f, f.alpha + span))[0]
+        theta = fiber._back_angles(blocks, level, fiber._potential(f, span))[0]
         assert abs(theta + math.pi) < 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shoot_far_below_the_listing_level_does_not_overflow(self):
+        # a delta < 1 listing shoots at levels far below the one its mesh
+        # was built for; there u at the two edges of a step is finite, but
+        # their product overflows, so zeros are found by comparing signs
+        f = FiberPotential.from_cusp(2, 0.5661095029296256, 0.8456727782011921,
+                                     0.15440702069098172 ** 2)
+        level = 283.84
+        span = fiber._shoot_span(f, level)
+        blocks = list(fiber._back_blocks(f, level, span, [0.0]))
+        [theta] = fiber._back_angles(blocks, -1.0554727303499276, fiber._potential(f, span))
+        assert math.isfinite(theta)
 
     @pytest.mark.parametrize("f,lam_max", CASES)
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), ROBIN], ids=["D", "R"])
@@ -575,9 +593,9 @@ def dop853_theta_decay(f, lam):
 
     def prufer(t, theta):
         s, c = math.sin(theta[0]), math.cos(theta[0])
-        return [c * c + (lam - potential_eval(f, max(t, f.alpha))) * s * s]
+        return [c * c + (lam - fiber._potential(f, max(t - f.alpha, 0.0))) * s * s]
 
-    start = math.atan2(1.0, -math.sqrt(potential_eval(f, t_end) - lam))
+    start = math.atan2(1.0, -math.sqrt(fiber._potential(f, t_end - f.alpha) - lam))
     return solve_ivp(prufer, (t_end, f.alpha), [start], method="DOP853",
                      rtol=1e-13, atol=1e-13).y[0, -1]
 
@@ -976,7 +994,7 @@ class TestForwardCount:
         # alpha errs by ~4e-7.  The default Robin condition sits within 2e-8
         # of a tie at a <= 1e-3, so only Dirichlet-Robin interlacing is checked
         f = FiberPotential.from_cusp(n, delta, a, 1.0)
-        assert potential_eval(f, f.alpha) > 500.0
+        assert fiber._potential(f, 0.0) > 500.0
         assert len(fiber._mesh(f, 5.0, 1.0)[0]) > 20  # graded steps
         [theta] = fiber._shoot_back(f, 5.0, fiber._shoot_span(f, 5.0), [0.0])
         assert abs(theta - dop853_theta_decay(f, 5.0)) <= fiber.ANGLE_TOL

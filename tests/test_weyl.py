@@ -178,12 +178,9 @@ class TestPhaseIntegral:
     def test_brute_force_delta_075(self):
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 1.0)
         lam = 25.0
-        from cuspspec import potential_eval, turning_point
-
-        t_hi = turning_point(f, lam)
-        ts = np.linspace(f.alpha, t_hi, 1 << 20)
-        integrand = np.sqrt(np.clip(lam - np.array([potential_eval(f, t) for t in ts[:: 1]]), 0, None))
-        brute = float(np.trapezoid(integrand, ts))
+        xs = np.linspace(0.0, fiber._edge_offset(f, lam), 1 << 20)
+        integrand = np.sqrt(np.clip(lam - fiber._potential(f, xs), 0, None))
+        brute = float(np.trapezoid(integrand, xs))
         assert phase_integral(f, lam) == pytest.approx(brute, abs=5e-4)
 
     def test_free_channel_raises_above_floor(self):
@@ -198,15 +195,15 @@ class TestPhaseIntegral:
         # below V(alpha) the allowed interval starts at an interior root
         # t_lo > alpha, and the integral substitutes at both turning points
         f = FiberPotential.from_cusp(2, 0.75, 0.5, 0.25)
-        t_lo, t_hi = fiber.allowed_interval(f, lam)
-        if lam < fiber.potential_eval(f, f.alpha):
-            assert t_lo > f.alpha
-            assert fiber.potential_eval(f, t_lo) == pytest.approx(lam, rel=1e-12)
+        x_lo, x_hi = fiber._allowed_offsets(f, lam)
+        if lam < fiber._potential(f, 0.0):
+            assert x_lo > 0.0
+            assert fiber._potential(f, x_lo) == pytest.approx(lam, rel=1e-12)
         else:
-            assert t_lo == f.alpha
+            assert x_lo == 0.0
         direct, _ = quad(
-            lambda t: math.sqrt(max(lam - fiber.potential_eval(f, t), 0.0)),
-            t_lo, t_hi, epsabs=1e-13, epsrel=1e-13, limit=500,
+            lambda x: math.sqrt(max(lam - fiber._potential(f, x), 0.0)),
+            x_lo, x_hi, epsabs=1e-13, epsrel=1e-13, limit=500,
         )
         assert phase_integral(f, lam) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
@@ -224,16 +221,18 @@ class TestPhaseIntegral:
         # (minimum at alpha), t_lo = alpha with V dipping to an interior
         # minimum, and t_lo > alpha with a turning point at each end
         f = FiberPotential.from_cusp(n, delta, a, math.exp(log_mu))
-        t_min = f.alpha + fiber._interior_min(f)  # _interior_min is an offset
-        v_alpha, v_min = fiber.potential_eval(f, f.alpha), fiber.potential_eval(f, t_min)
+        x_min = fiber._interior_min(f)
+        v_alpha, v_min = fiber._potential(f, 0.0), fiber._potential(f, x_min)
         if below_alpha:
-            assume(t_min > f.alpha)
+            assume(x_min > 0.0)
             lam = v_min + u * (v_alpha - v_min)
         else:
             lam = v_alpha + math.exp(7.0 * u - 3.0)
-        t_lo, t_hi = fiber.allowed_interval(f, lam)
-        assert (t_lo > f.alpha) == below_alpha
-        points = [t_lo, t_min, t_hi] if t_lo < t_min < t_hi else [t_lo, t_hi]
+        x_lo, x_hi = fiber._allowed_offsets(f, lam)
+        assert (x_lo > 0.0) == below_alpha
+        # the oracle integrates in t = alpha + x
+        offsets = [x_lo, x_min, x_hi] if x_lo < x_min < x_hi else [x_lo, x_hi]
+        points = [f.alpha + x for x in offsets]
         assert phase_integral(f, lam) == pytest.approx(
             mpmath_w(f, lam, points), rel=1e-10, abs=0.0
         )
