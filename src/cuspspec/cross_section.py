@@ -88,7 +88,9 @@ def mu_spectrum(x: TorusCrossSection, tau: float, cutoff: float) -> CrossSpectru
         values = np.empty(0)
     else:
         total = _squared_norms(x, tau, cutoff)
-        values = np.sort(total[total < cutoff])
+        values = total[total < cutoff]
+        del total  # the box is freed before the sort, which works in place
+        values.sort()
     values.flags.writeable = False
     return CrossSpectrum(tau=tau, values=values, cutoff=cutoff)
 

@@ -114,7 +114,9 @@ class BoundaryCondition:
 
     beta = None selects the per-fiber default produced by pushing the
     geometric Neumann condition through the unitary change of functions;
-    see default_robin_beta.
+    see default_robin_beta.  A given beta must have a finite square, which
+    the emptiness rule of _empty_below and the mode reach of a cusp count
+    take.
     """
 
     kind: str
@@ -123,6 +125,8 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("dirichlet", "robin"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
+        if self.beta is not None and not math.isfinite(self.beta * self.beta):
+            raise ValueError(f"Robin beta must be finite with a finite square, got {self.beta}")
 
     @classmethod
     def dirichlet(cls) -> "BoundaryCondition":
@@ -553,7 +557,8 @@ def _empty_below(f: FiberPotential, lam: float, bc: BoundaryCondition) -> bool:
     Dirichlet.  The Robin form ||u'||^2 + (V u, u) - beta |u(alpha)|^2 is
     bounded below by (min V - beta^2) ||u||^2, because |u(alpha)|^2 <=
     2 ||u|| ||u'|| gives beta |u(alpha)|^2 <= ||u'||^2 + beta^2 ||u||^2."""
-    return lam <= potential_min(f) - max(_resolve_beta(f, bc), 0.0) ** 2
+    beta = max(_resolve_beta(f, bc), 0.0)
+    return lam <= potential_min(f) - beta * beta
 
 
 def fiber_count(

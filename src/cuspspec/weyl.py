@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -223,46 +223,86 @@ def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, flo
     correctly rounded sqrt and every sum the binned exact sum _exact_sum,
     which equals math.fsum bit for bit, so the result does not depend on the
     order of the terms.
+
+    The sorted spectrum is the only array of its length that is held, with
+    a bool mask of the jump starts beside it (see _jump_starts); both sums
+    take their terms one _SUM_BLOCK of values at a time.
     """
     if mu <= 0:
         return 0.0, 0.0
     values = mu_spectrum(x, tau, mu).values
     if values.size == 0:
         return 0.0, 0.0
-    # the jumps before the roots: _jumps' scratch is the largest, and no
-    # roots are held while it is live
-    starts, ends = _jumps(values)
-    roots = np.sqrt(mu - values)
-    left = _exact_sum(roots)
-    # N = ends[k] from the first value of jump k to the first value of the
-    # next jump, or to mu past the last one, where the root is 0
-    following = np.append(roots[starts[1:]], 0.0)
-    right = _exact_sum(ends * (roots[starts] - following))
+    block = _SUM_BLOCK
+    left = _exact_sum(np.sqrt(mu - values[s : s + block]) for s in range(0, values.size, block))
+    right = _exact_sum(_step_terms(values, _jump_starts(values), mu))
     return left, abs(left - right)
 
 
-def _jumps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index and one-past-last index of each jump of N over sorted,
-    non-empty values.
+def _jump_starts(values: np.ndarray) -> np.ndarray:
+    """Bool mask of the values that start a jump of N over sorted, non-empty
+    values: the first value, and each value more than 1e-12 above the first
+    value of the current jump.
 
-    A gap above 1e-12 between neighbours always starts a jump.  A run of
-    neighbours closer than that can still span more than 1e-12 from its
-    first value; only such runs are split by the sequential rule.
+    The mask is built one _SUM_BLOCK at a time.  A gap above 1e-12 between
+    neighbours always starts a jump.  A run of neighbours closer than that
+    can still span more than 1e-12 from its first value; only such runs are
+    split by the sequential rule, in a Python loop.  A run may cross a block
+    edge, so the first value of the current jump is carried across it.
     """
-    gaps = np.diff(values) > 1e-12
-    opens = np.concatenate(([True], gaps))
-    closes = np.concatenate((gaps, [True]))
-    starts, lasts = np.flatnonzero(opens), np.flatnonzero(closes)
-    wide = values[lasts] - values[starts] > 1e-12
-    if not wide.any():
-        return starts, lasts + 1
-    for a, b in zip(starts[wide].tolist(), lasts[wide].tolist()):
-        first = values[a]
-        for i in range(a + 1, b + 1):
-            if values[i] - first > 1e-12:
-                opens[i] = closes[i - 1] = True
-                first = values[i]
-    return np.flatnonzero(opens), np.flatnonzero(closes) + 1
+    opens = np.empty(values.size, dtype=bool)
+    opens[0] = True
+    first = float(values[0])
+    for s in range(0, values.size, _SUM_BLOCK):
+        block = values[s : s + _SUM_BLOCK]
+        mask = opens[s : s + block.size]
+        lo = max(s - 1, 0)
+        np.greater(np.diff(values[lo : s + block.size]), 1e-12, out=opens[lo + 1 : s + block.size])
+        starts = np.flatnonzero(mask)
+        ends = np.append(starts[1:], block.size)
+        wide = block[ends - 1] - block[starts] > 1e-12
+        # (first index to test, end, first value of the jump) of each wide run
+        runs = [
+            (a + 1, b, float(block[a])) for a, b in zip(starts[wide].tolist(), ends[wide].tolist())
+        ]
+        # the values before the block's first gap continue the carried jump
+        head = starts[0] if starts.size else block.size
+        if head and block[head - 1] - first > 1e-12:
+            runs.insert(0, (0, head, first))
+        if starts.size:
+            first = float(block[starts[-1]])
+        for a, b, run_first in runs:
+            for i, v in enumerate(block[a:b].tolist(), a):
+                if v - run_first > 1e-12:
+                    mask[i] = True
+                    run_first = v
+            if b == block.size:
+                first = run_first
+    return opens
+
+
+def _step_terms(values: np.ndarray, opens: np.ndarray, mu: float) -> Iterator[np.ndarray]:
+    """The terms of the integral side of rj_identity, one block of values at
+    a time: N = ends_k from the first value of jump k to the first value of
+    jump k + 1, or to mu past the last jump, gives ends_k (r_k - r_(k+1)),
+    with r the root sqrt(mu - s) at those values and 0 at mu.  ends_k is the
+    index at which jump k + 1 starts, so the root of the last start of each
+    block is carried into the next.
+    """
+    root = np.sqrt(mu - values[:1])
+    for s in range(0, values.size, _SUM_BLOCK):
+        starts = np.flatnonzero(opens[s : s + _SUM_BLOCK])
+        if starts.size == 0:
+            continue
+        starts += s
+        roots = np.sqrt(mu - values[starts])
+        terms = np.concatenate((root, roots[:-1]))
+        terms -= roots
+        terms *= starts
+        root = roots[-1:]
+        # the first start, index 0, ends no jump
+        yield terms[1:] if s == 0 else terms
+    yield values.size * root
 
 
 # _exact_sum works through its input in blocks of this many elements, so its
@@ -280,29 +320,39 @@ _ROUND_26 = 1.5 * 2.0**78
 _SUM_BINS = 2098
 
 
-def _exact_sum(x: np.ndarray) -> float:
+def _exact_sum(x: Union[np.ndarray, Iterable[np.ndarray]]) -> float:
     """Correctly rounded sum of a float64 array, equal to math.fsum(x) bit
-    for bit.
+    for bit, or of the float64 blocks of at most _SUM_BLOCK values that an
+    iterable yields.
 
     Each value is m * 2**e with q = m * 2**53 an integer below 2**53 in
     magnitude.  q splits exactly into 2**26 times an integer of magnitude at
     most 2**27 and a remainder of magnitude at most 2**25, and np.bincount
     adds each part into one float64 bin per exponent e.  Every bin stays an
     exact integer (see _SUM_BIN_LIMIT).  The bins end in one Python int, in
-    units of 2**-1126, and one correctly rounded int/int division.  An input
-    that is not all finite, or whose running sums could overflow, goes to
-    math.fsum itself, so inf, nan and the errors raised are those of fsum.
+    units of 2**-1126, and one correctly rounded int/int division.  An array
+    is taken in blocks of _SUM_BLOCK; one that is not all finite, or whose
+    running sums could overflow, goes to math.fsum itself, so inf, nan and
+    the errors raised are those of fsum.  Blocks of an iterable are not
+    kept: they must be finite (ValueError otherwise), and their exact sum
+    raises OverflowError past the float range.
     """
-    x = np.ravel(x)
-    # below this exponent, no sum of len(x) values can reach 2**1023
-    top = 1023 - x.size.bit_length()
+    array = isinstance(x, np.ndarray)
+    if array:
+        x = np.ravel(x)
+        blocks = (x[s : s + _SUM_BLOCK] for s in range(0, x.size, _SUM_BLOCK))
+        # below this magnitude, no sum of x.size values can reach 2**1023
+        limit = 2.0 ** (1023 - x.size.bit_length())
+    else:
+        blocks, limit = x, math.inf
     total, added = 0, 0
     hi, lo = np.zeros(_SUM_BINS), np.zeros(_SUM_BINS)
-    for start in range(0, x.size, _SUM_BLOCK):
-        block = x[start : start + _SUM_BLOCK]
+    for block in blocks:
+        if not (np.abs(block) < limit).all():  # nan compares False
+            if array:
+                return math.fsum(x)
+            raise ValueError("exact sum of blocks needs finite values")
         m, e = np.frexp(block)
-        if e.max() > top or not np.isfinite(block).all():
-            return math.fsum(x)
         if added + block.size > _SUM_BIN_LIMIT:
             total, added = _flush_bins(total, hi, lo), 0
         m *= 2.0**53  # q

@@ -194,6 +194,11 @@ class TestCounting:
             for bc, want in ((BoundaryCondition.dirichlet(), expected), (ROBIN, robin)):
                 assert fiber_count(f, lam, bc) == want == len(fd_oracle(f, lam, bc, grid=1 << 13))
 
+    @pytest.mark.parametrize("beta", [1e200, -1e200, math.inf, -math.inf, math.nan])
+    def test_beta_without_a_finite_square_is_named(self, beta):
+        with pytest.raises(ValueError, match="Robin beta"):
+            fiber_count(F_REF, 30.0, BoundaryCondition.robin(beta))
+
     def test_robin_dirichlet_limit(self):
         # under u'(alpha) + beta u(alpha) = 0, beta -> -infinity is the
         # Dirichlet limit; beta -> +infinity develops a boundary bound state

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -421,14 +422,44 @@ class TestRjIdentity:
         "torus2-benchmark-multiblock": ((TWO_PI, 1.3 * TWO_PI), (0.5, 0.3), 6.0e4),
     }
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def sequential(name):
+        """The cross-section of case name, its mu, the first value of each
+        jump by sequential_jumps and sequential_rj_identity there."""
+        lengths, omega, mu = TestRjIdentity.CASES[name]
+        x = TorusCrossSection(lengths, omega)
+        values = mu_spectrum(x, 1.0, mu).values.tolist()
+        starts = [s for s, _ in sequential_jumps(values)]
+        return x, mu, starts, sequential_rj_identity(values, mu)
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bit_identical_to_sequential_grouping(self, name):
-        lengths, omega, mu = self.CASES[name]
-        x = TorusCrossSection(lengths, omega)
-        rj, residual = sequential_rj_identity(mu_spectrum(x, 1.0, mu).values.tolist(), mu)
+        x, mu, _, (rj, residual) = self.sequential(name)
         assert rj_sum(x, 1.0, mu) == rj
         assert identity_residual(x, 1.0, mu) == residual
         assert rj_identity(x, 1.0, mu) == (rj, residual)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_across_block_edges(self, name, block, monkeypatch):
+        # on tiny blocks, the near-tie runs of torus3-wide-runs straddle
+        # block edges, and every jump carries its next start across one;
+        # a start misplaced by 1e-12 can round away in the sums, so the
+        # mask that rj_identity builds is checked too
+        x, mu, starts, expected = self.sequential(name)
+        masks = []
+        jump_starts = weyl._jump_starts
+
+        def recorded(values):
+            masks.append(jump_starts(values))
+            return masks[-1]
+
+        monkeypatch.setattr(weyl, "_SUM_BLOCK", block)
+        monkeypatch.setattr(weyl, "_jump_starts", recorded)
+        assert rj_identity(x, 1.0, mu) == expected
+        [mask] = masks
+        assert mu_spectrum(x, 1.0, mu).values[mask].tolist() == starts
 
     def test_wide_runs_are_split_sequentially(self):
         lengths, omega, mu = self.CASES["torus3-wide-runs"]
@@ -437,10 +468,33 @@ class TestRjIdentity:
         jumps = sequential_jumps(values.tolist())
         # gaps above 1e-12 alone would give fewer jumps than the sequential rule
         assert len(jumps) > 1 + np.count_nonzero(np.diff(values) > 1e-12)
-        starts, ends = weyl._jumps(values)
+        starts = np.flatnonzero(weyl._jump_starts(values))
+        ends = np.append(starts[1:], values.size)
         assert values[starts].tolist() == [s for s, _ in jumps]
         assert (ends - starts).tolist() == [mult for _, mult in jumps]
         assert rj_identity(x, 1.0, mu) == (22206530.683808643, 7.450580596923828e-09)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        gaps=st.lists(st.sampled_from([0.0, 3e-13, 6e-13, 1e-12, 1.5e-12, 0.5]), max_size=60),
+        block=st.integers(1, 7),
+    )
+    def test_jump_starts_follow_the_sequential_rule(self, gaps, block):
+        # runs of near-ties, wide or not, cut at every block size
+        values = 1.0 + np.cumsum([0.0] + gaps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weyl, "_SUM_BLOCK", block)
+            starts = values[weyl._jump_starts(values)].tolist()
+        assert starts == [s for s, _ in sequential_jumps(values.tolist())]
+
+    # the benchmark's seed-0 torus (omega jittered) and the unjittered one
+    @pytest.mark.parametrize("omega", [(0.5034561084417557, 0.30155172572070926), (0.5, 0.3)])
+    def test_peak_allocation_is_the_enumeration(self, omega):
+        # beyond mu_spectrum's own peak, rj_identity holds the sorted
+        # spectrum, its jump mask and a few blocks of scratch
+        x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), omega)
+        spectrum = traced_peak(mu_spectrum, x, 1.0, 6.0e4)
+        assert traced_peak(rj_identity, x, 1.0, 6.0e4) <= spectrum + 4 * 8 * weyl._SUM_BLOCK
 
     def test_empty_spectrum(self):
         x = TorusCrossSection((TWO_PI,), (0.5,))
@@ -453,6 +507,16 @@ class TestRjIdentity:
             rj_sum(x, 1.0, mu)
         with pytest.raises(ValueError, match="must be finite"):
             identity_residual(x, 1.0, mu)
+
+
+def traced_peak(f, *args):
+    """Peak of the memory that tracemalloc traces during f(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sum_outcome(f, values):
@@ -534,6 +598,31 @@ class TestExactSum:
         x[-2] = -math.inf
         with pytest.raises(ValueError):
             weyl._exact_sum(x)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(0, 64), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        span=st.integers(0, 600),
+    )
+    def test_blocks_of_an_iterable_sum_as_their_concatenation(self, sizes, seed, span):
+        rng = np.random.default_rng(seed)
+        blocks = [
+            10.0 ** rng.uniform(-300, -300 + span, size) * rng.choice([-1.0, 1.0], size)
+            for size in sizes
+        ]
+        whole = np.concatenate([np.empty(0)] + blocks)
+        with pytest.MonkeyPatch.context() as patch:
+            # blocks of up to _SUM_BLOCK values, and bins flushed between them
+            patch.setattr(weyl, "_SUM_BLOCK", 64)
+            patch.setattr(weyl, "_SUM_BIN_LIMIT", 128)
+            assert same_float(weyl._exact_sum(iter(blocks)), math.fsum(whole))
+            assert same_float(weyl._exact_sum(iter(blocks)), weyl._exact_sum(whole))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_block_of_an_iterable_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            weyl._exact_sum(iter([np.ones(3), np.array([1.0, bad])]))
 
     def test_bins_flushed_before_the_limit(self, monkeypatch):
         # the real limit (2**26 elements) is too large to build here; a
@@ -785,6 +874,11 @@ class TestCuspCount:
     def test_huge_custom_beta_is_refused(self):
         with pytest.raises(EnumerationBudgetError):
             cusp_count(circle_model(), 0, 30.0, BoundaryCondition.robin(1e20))
+
+    @pytest.mark.parametrize("beta", [1e200, math.inf, math.nan])
+    def test_beta_without_a_finite_square_is_named(self, beta):
+        with pytest.raises(ValueError, match="Robin beta"):
+            cusp_count(circle_model(), 0, 30.0, BoundaryCondition.robin(beta))
 
 
 class TestBracket:
