@@ -741,8 +741,11 @@ def fiber_eigenvalues(
     first shoot.  The total is fiber_count's read-off
     ceil(F(lam_max) / pi).  The listing then plans the mesh steps times 6
     shoots per eigenvalue plus 3 and raises MeshBudgetError above
-    MESH_BUDGET.  Each root below the total is bracketed by the F values
-    already computed; each F value is kept for the later roots.  brentq
+    MESH_BUDGET.  That plan is no upper bound, so each new level also
+    charges the mesh steps of every shoot run so far plus its own, and
+    MeshBudgetError stops the listing once the shoots actually run would
+    exceed MESH_BUDGET.  Each root below the total is bracketed by the F
+    values already computed; each F value is kept for the later roots.  brentq
     at xtol = rtol = REL_TOL closes each bracket, within REL_TOL (1 +
     |lam|) of the root.  The roots are found on F read in the scaled angle
     phi of SLEIGN2 and SLEDGE at alpha, tan phi = S tan theta with S =
@@ -771,13 +774,15 @@ def fiber_eigenvalues(
     total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
     if total == 0:
         return []
-    _check_budget(steps * (6 * total + 3), f"backward shoots of a listing of {total} eigenvalues")
+    work = f"backward shoots of a listing of {total} eigenvalues"
+    _check_budget(steps * (6 * total + 3), work)
     blocks = list(_back_blocks(f, level, span, [0.0]))
 
     @functools.cache
     def read_off(lam: float) -> float:
         """F(lam) in the scaled angle at alpha, computed once per level."""
         if lam not in theta_dec:
+            _check_budget(steps * (len(theta_dec) + 1), work)
             theta_dec[lam] = _back_angles(blocks, lam, v_top)[0]
         scale = _scale(lam - v_alpha)
         return _rescale(theta0, scale, 1.0) - _rescale(theta_dec[lam], scale, 1.0)

@@ -101,9 +101,20 @@ def cusp_modes(model: ManifoldModel, j: int, lam: float) -> tuple[list[float], l
     state below the floor; _cusp_counts then lists up to a higher lam.  An
     exact-zero mode (the free channel of an A = 0 model) is left out:
     continuous spectrum, no eigenvalues, no phase.
+
+    A floor a^(4 delta) past the float range lists no modes; one that
+    underflows to 0 raises ValueError naming the cusp.
     """
     cusp = model.cusps[j]
-    values = mu_spectrum(cusp.cross_section, 1.0, lam / cusp.a ** (4.0 * cusp.delta)).values
+    try:
+        floor = cusp.a ** (4.0 * cusp.delta)
+    except OverflowError:
+        return [], []
+    if floor == 0.0:
+        raise ValueError(
+            f"cusp {j}: floor a^(4 delta) underflows to 0 at a = {cusp.a}, delta = {cusp.delta}"
+        )
+    values = mu_spectrum(cusp.cross_section, 1.0, lam / floor).values
     mus, mults = np.unique(values[values > 0.0], return_counts=True)
     return mus.tolist(), mults.tolist()
 
@@ -217,16 +228,15 @@ def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, flo
     sides exact, from one enumeration of the cross-section spectrum.
 
     R(mu) = sum over the spectrum of sqrt([mu - mu_ell]_+).  N is a step
-    function, so the integral is a finite sum over jump intervals; a value
-    starts a new jump when it lies more than 1e-12 above the first value of
-    the current jump.  The residual is pure rounding noise.  Every term is a
-    correctly rounded sqrt and every sum the binned exact sum _exact_sum,
-    which equals math.fsum bit for bit, so the result does not depend on the
-    order of the terms.
+    function that each sorted value raises by one, so the integral is the
+    finite sum by parts of _step_terms over the same values; an exact tie
+    adds a zero term.  The residual is pure rounding noise.  Every term is
+    a correctly rounded sqrt and every sum the binned exact sum _exact_sum,
+    which equals math.fsum bit for bit, so the result does not depend on
+    the order of the terms.
 
-    The sorted spectrum is the only array of its length that is held, with
-    a bool mask of the jump starts beside it (see _jump_starts); both sums
-    take their terms one _SUM_BLOCK of values at a time.
+    The sorted spectrum is the only array of its length that is held; both
+    sums take their terms one _SUM_BLOCK of values at a time.
     """
     if mu <= 0:
         return 0.0, 0.0
@@ -235,73 +245,25 @@ def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, flo
         return 0.0, 0.0
     block = _SUM_BLOCK
     left = _exact_sum(np.sqrt(mu - values[s : s + block]) for s in range(0, values.size, block))
-    right = _exact_sum(_step_terms(values, _jump_starts(values), mu))
+    right = _exact_sum(_step_terms(values, mu))
     return left, abs(left - right)
 
 
-def _jump_starts(values: np.ndarray) -> np.ndarray:
-    """Bool mask of the values that start a jump of N over sorted, non-empty
-    values: the first value, and each value more than 1e-12 above the first
-    value of the current jump.
-
-    The mask is built one _SUM_BLOCK at a time.  A gap above 1e-12 between
-    neighbours always starts a jump.  A run of neighbours closer than that
-    can still span more than 1e-12 from its first value; only such runs are
-    split by the sequential rule, in a Python loop.  A run may cross a block
-    edge, so the first value of the current jump is carried across it.
-    """
-    opens = np.empty(values.size, dtype=bool)
-    opens[0] = True
-    first = float(values[0])
-    for s in range(0, values.size, _SUM_BLOCK):
-        block = values[s : s + _SUM_BLOCK]
-        mask = opens[s : s + block.size]
-        lo = max(s - 1, 0)
-        np.greater(np.diff(values[lo : s + block.size]), 1e-12, out=opens[lo + 1 : s + block.size])
-        starts = np.flatnonzero(mask)
-        ends = np.append(starts[1:], block.size)
-        wide = block[ends - 1] - block[starts] > 1e-12
-        # (first index to test, end, first value of the jump) of each wide run
-        runs = [
-            (a + 1, b, float(block[a])) for a, b in zip(starts[wide].tolist(), ends[wide].tolist())
-        ]
-        # the values before the block's first gap continue the carried jump
-        head = starts[0] if starts.size else block.size
-        if head and block[head - 1] - first > 1e-12:
-            runs.insert(0, (0, head, first))
-        if starts.size:
-            first = float(block[starts[-1]])
-        for a, b, run_first in runs:
-            for i, v in enumerate(block[a:b].tolist(), a):
-                if v - run_first > 1e-12:
-                    mask[i] = True
-                    run_first = v
-            if b == block.size:
-                first = run_first
-    return opens
-
-
-def _step_terms(values: np.ndarray, opens: np.ndarray, mu: float) -> Iterator[np.ndarray]:
+def _step_terms(values: np.ndarray, mu: float) -> Iterator[np.ndarray]:
     """The terms of the integral side of rj_identity, one block of values at
-    a time: N = ends_k from the first value of jump k to the first value of
-    jump k + 1, or to mu past the last jump, gives ends_k (r_k - r_(k+1)),
-    with r the root sqrt(mu - s) at those values and 0 at mu.  ends_k is the
-    index at which jump k + 1 starts, so the root of the last start of each
-    block is carried into the next.
+    a time: N = i from sorted value i - 1 to value i, and N = values.size
+    from the last value to mu, give i (r_(i-1) - r_i) for i >= 1 and
+    values.size r_last, with r the root sqrt(mu - s) at each value.  The
+    root of each block's last value is carried into the next.
     """
     root = np.sqrt(mu - values[:1])
     for s in range(0, values.size, _SUM_BLOCK):
-        starts = np.flatnonzero(opens[s : s + _SUM_BLOCK])
-        if starts.size == 0:
-            continue
-        starts += s
-        roots = np.sqrt(mu - values[starts])
+        roots = np.sqrt(mu - values[s : s + _SUM_BLOCK])
         terms = np.concatenate((root, roots[:-1]))
         terms -= roots
-        terms *= starts
+        terms *= np.arange(s, s + roots.size)  # 0 (r_0 - r_0) = 0 at i = 0
         root = roots[-1:]
-        # the first start, index 0, ends no jump
-        yield terms[1:] if s == 0 else terms
+        yield terms
     yield values.size * root
 
 

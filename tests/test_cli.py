@@ -583,6 +583,31 @@ def test_count_lists_each_cusp_below_its_own_floor(capsys, tmp_path):
     assert out.splitlines()[1].startswith("1000.0,627885,728919,")
 
 
+def test_floor_past_the_float_range_lists_no_modes(capsys, tmp_path):
+    # a^4 = 1e400 overflows: every mode lies above the floor, so the cusp
+    # counts nothing, and the embedded bound is the 0 count plus one
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(model_to_dict(circle_model(a=1e100))))
+    runs = [
+        (["count", "--lambda", "100"], "100.0,0,0,"),
+        (["sweep", "--lambda-min", "10", "--lambda-max", "100", "--points", "2"], "100.0,0,0,"),
+        (["embedded", "--lambda", "100"], "100.0,0.5,0.1,1.5,116.49999999999999,0,1,"),
+    ]
+    for (verb, *grid), row in runs:
+        code, out, err = run_cli(capsys, verb, str(path), *grid)
+        assert (code, err) == (0, "")
+        assert f"\n{row}" in out
+
+
+def test_floor_that_underflows_names_the_cusp(capsys, tmp_path):
+    # a^4 = 1e-400 underflows to 0, and the floor lambda / a^4 with it
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps(model_to_dict(circle_model(a=1e-100))))
+    message = "cusp 0: floor a^(4 delta) underflows to 0 at a = 1e-100, delta = 1.0"
+    for verb in ("count", "embedded"):
+        assert_value_error(capsys, [verb, str(path), "--lambda", "100"], message)
+
+
 def test_parser_is_built_once_per_process(capsys, model_path):
     # main parses every call with the one parser the process built, and a
     # reused parser gives the same output call after call

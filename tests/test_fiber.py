@@ -1064,6 +1064,29 @@ class TestMeshBudget:
             fiber_eigenvalues(f, 1e9)
         assert shoots == [1e9]
 
+    def test_listing_raised_once_its_shoots_run_over(self, monkeypatch):
+        # the plan of 6 shoots per eigenvalue plus 3 is 27 shoots of this
+        # fiber's mesh, but its listing of 4 eigenvalues takes 46; with room
+        # for 30, the listing stops at its 30th shoot
+        f = FiberPotential.from_cusp(2, 0.5807689929158283, 1.2922419554621263, 7.5368895921942025)
+        lam = 68.73291057667282
+        level = max(lam, fiber.potential_min(f))
+        steps = fiber._mesh_steps(f, level, fiber._shoot_span(f, level))
+        shoots = []
+        real = fiber._back_angles
+
+        def shoot(*args):
+            shoots.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(fiber, "_back_angles", shoot)
+        monkeypatch.setattr(fiber, "MESH_BUDGET", 30 * steps)
+        with pytest.raises(MeshBudgetError, match="listing of 4 eigenvalues"):
+            fiber_eigenvalues(f, lam)
+        assert len(shoots) == 30
+        monkeypatch.setattr(fiber, "MESH_BUDGET", 46 * steps)
+        assert len(fiber_eigenvalues(f, lam)) == 4
+
     # mode ell = 1 of a zero-field circle of length 1e6 at delta = 0.51,
     # mu = (2 pi / 1e6)^2: one shoot at lambda = 1e6 plans 1.9e11 steps
     WIDE = FiberPotential.from_cusp(2, 0.51, 1.0, (2.0 * math.pi / 1e6) ** 2)

@@ -16,6 +16,7 @@ from cuspspec import (
     BoundaryCondition,
     CompactCoreSurrogate,
     ContinuousSpectrumError,
+    CrossSpectrum,
     CuspEnd,
     EnumerationBudgetError,
     FiberPotential,
@@ -412,8 +413,8 @@ class TestRjIdentity:
         x = TorusCrossSection((TWO_PI,), (0.5,))
         assert identity_residual(x, 1.0, 100.0) <= 1e-10
 
-    # (lengths, omega, mu); the first has runs of neighbours within 1e-12
-    # whose span from the run's first value exceeds 1e-12
+    # (lengths, omega, mu); the first has neighbours within (0, 1e-12] in
+    # runs whose span from the run's first value exceeds 1e-12
     CASES = {
         "torus3-wide-runs": ((TWO_PI, TWO_PI, TWO_PI), (0.5, 0.5, 0.25), 3000.0),
         "torus2-free": ((TWO_PI, TWO_PI), (0.0, 0.0), 5000.0),
@@ -424,18 +425,17 @@ class TestRjIdentity:
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
-    def sequential(name):
-        """The cross-section of case name, its mu, the first value of each
-        jump by sequential_jumps and sequential_rj_identity there."""
+    def per_value(name):
+        """The cross-section of case name, its mu and per_value_rj_identity
+        on its spectrum."""
         lengths, omega, mu = TestRjIdentity.CASES[name]
         x = TorusCrossSection(lengths, omega)
-        values = mu_spectrum(x, 1.0, mu).values.tolist()
-        starts = [s for s, _ in sequential_jumps(values)]
-        return x, mu, starts, sequential_rj_identity(values, mu)
+        return x, mu, per_value_rj_identity(mu_spectrum(x, 1.0, mu).values.tolist(), mu)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bit_identical_to_sequential_grouping(self, name):
-        x, mu, _, (rj, residual) = self.sequential(name)
+        # the per-value oracle: every value is its own step of N
+        x, mu, (rj, residual) = self.per_value(name)
         assert rj_sum(x, 1.0, mu) == rj
         assert identity_residual(x, 1.0, mu) == residual
         assert rj_identity(x, 1.0, mu) == (rj, residual)
@@ -444,54 +444,42 @@ class TestRjIdentity:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bit_identical_across_block_edges(self, name, block, monkeypatch):
         # on tiny blocks, the near-tie runs of torus3-wide-runs straddle
-        # block edges, and every jump carries its next start across one;
-        # a start misplaced by 1e-12 can round away in the sums, so the
-        # mask that rj_identity builds is checked too
-        x, mu, starts, expected = self.sequential(name)
-        masks = []
-        jump_starts = weyl._jump_starts
-
-        def recorded(values):
-            masks.append(jump_starts(values))
-            return masks[-1]
-
+        # block edges, and every block carries its last root across one
+        x, mu, expected = self.per_value(name)
         monkeypatch.setattr(weyl, "_SUM_BLOCK", block)
-        monkeypatch.setattr(weyl, "_jump_starts", recorded)
         assert rj_identity(x, 1.0, mu) == expected
-        [mask] = masks
-        assert mu_spectrum(x, 1.0, mu).values[mask].tolist() == starts
 
     def test_wide_runs_are_split_sequentially(self):
+        # the near-ties here once left a residual of 7.45e-9 when values
+        # within 1e-12 were grouped into one step; one step per value
+        # integrates the N of the left side exactly
         lengths, omega, mu = self.CASES["torus3-wide-runs"]
         x = TorusCrossSection(lengths, omega)
-        values = mu_spectrum(x, 1.0, mu).values
-        jumps = sequential_jumps(values.tolist())
-        # gaps above 1e-12 alone would give fewer jumps than the sequential rule
-        assert len(jumps) > 1 + np.count_nonzero(np.diff(values) > 1e-12)
-        starts = np.flatnonzero(weyl._jump_starts(values))
-        ends = np.append(starts[1:], values.size)
-        assert values[starts].tolist() == [s for s, _ in jumps]
-        assert (ends - starts).tolist() == [mult for _, mult in jumps]
-        assert rj_identity(x, 1.0, mu) == (22206530.683808643, 7.450580596923828e-09)
+        gaps = np.diff(mu_spectrum(x, 1.0, mu).values)
+        assert np.any((gaps > 0.0) & (gaps <= 1e-12))
+        assert rj_identity(x, 1.0, mu) == (22206530.683808643, 0.0)
 
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
     @given(
-        gaps=st.lists(st.sampled_from([0.0, 3e-13, 6e-13, 1e-12, 1.5e-12, 0.5]), max_size=60),
+        gaps=st.lists(st.sampled_from([0.0, 3e-13, 1e-12, 0.5]), max_size=60),
         block=st.integers(1, 7),
     )
-    def test_jump_starts_follow_the_sequential_rule(self, gaps, block):
-        # runs of near-ties, wide or not, cut at every block size
+    def test_near_tie_runs_match_the_per_value_oracle(self, gaps, block):
+        # runs of exact ties and near-ties, cut at every block size
         values = 1.0 + np.cumsum([0.0] + gaps)
+        expected = per_value_rj_identity(values.tolist(), 64.0)
+        spectrum = CrossSpectrum(tau=1.0, values=values, cutoff=64.0)
+        x = TorusCrossSection((TWO_PI,), (0.5,))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(weyl, "_SUM_BLOCK", block)
-            starts = values[weyl._jump_starts(values)].tolist()
-        assert starts == [s for s, _ in sequential_jumps(values.tolist())]
+            patch.setattr(weyl, "mu_spectrum", lambda *args: spectrum)
+            assert rj_identity(x, 1.0, 64.0) == expected
 
     # the benchmark's seed-0 torus (omega jittered) and the unjittered one
     @pytest.mark.parametrize("omega", [(0.5034561084417557, 0.30155172572070926), (0.5, 0.3)])
     def test_peak_allocation_is_the_enumeration(self, omega):
         # beyond mu_spectrum's own peak, rj_identity holds the sorted
-        # spectrum, its jump mask and a few blocks of scratch
+        # spectrum and a few blocks of scratch
         x = TorusCrossSection((TWO_PI, 1.3 * TWO_PI), omega)
         spectrum = traced_peak(mu_spectrum, x, 1.0, 6.0e4)
         assert traced_peak(rj_identity, x, 1.0, 6.0e4) <= spectrum + 4 * 8 * weyl._SUM_BLOCK
@@ -654,31 +642,15 @@ class TestExactSum:
         assert peak < 4_000_000  # x alone is 8 MB
 
 
-def sequential_jumps(values):
-    """(first value, multiplicity) of each jump of N, by the per-mode loop.
-
-    A value joins the current jump when it lies within 1e-12 of the jump's
-    first value, scanning in ascending order.
-    """
-    jumps = []
-    for v in values:
-        if jumps and abs(v - jumps[-1][0]) <= 1e-12:
-            jumps[-1] = (jumps[-1][0], jumps[-1][1] + 1)
-        else:
-            jumps.append((v, 1))
-    return jumps
-
-
-def sequential_rj_identity(values, mu):
-    """R(mu) and the identity residual by per-mode loops (test oracle)."""
-    left = math.fsum(math.sqrt(mu - v) for v in values)
-    jumps = sequential_jumps(values)
-    terms = []
-    cumulative = 0
-    for k, (s_k, mult) in enumerate(jumps):
-        cumulative += mult
-        s_next = jumps[k + 1][0] if k + 1 < len(jumps) else mu
-        terms.append(cumulative * (math.sqrt(mu - s_k) - math.sqrt(mu - s_next)))
+def per_value_rj_identity(values, mu):
+    """R(mu) and the identity residual by per-value loops (test oracle): N
+    steps up by one at each sorted value, so summation by parts gives the
+    integral side as the sum of i (r_(i-1) - r_i) over i >= 1 plus
+    len(values) r_last, with r = sqrt(mu - value)."""
+    roots = [math.sqrt(mu - v) for v in values]
+    left = math.fsum(roots)
+    terms = [i * (roots[i - 1] - roots[i]) for i in range(1, len(roots))]
+    terms.append(len(roots) * roots[-1])
     return left, abs(left - math.fsum(terms))
 
 
