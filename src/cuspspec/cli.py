@@ -31,7 +31,7 @@ from .fiber import (
     fiber_eigenvalues,
     fiber_count,
 )
-from .model import FLUX_TOL, load_model, validate_model
+from .model import FLUX_TOL, cusp_floor, load_model, validate_model
 from .weyl import (
     PHASE_QUAD_TOL,
     fit_remainder_samples,
@@ -165,6 +165,7 @@ def _cusp(model, args):
 
 def _fiber_for(model, args) -> FiberPotential:
     cusp = _cusp(model, args)
+    cusp_floor(model, args.cusp)  # a floor that underflows names the cusp
     if args.ell < 0:
         raise ValueError(f"--ell must be >= 0, got {args.ell}")
     cutoff = 1.0

@@ -145,8 +145,8 @@ class FiberPotential:
     """One half-line fiber (n, delta, mu, alpha) and the coefficients of its
     potential (see _potential): growth g, power p (2, the rate of e^(2x),
     at delta = 1) and const_coeff c.  from_cusp takes g from (a, delta, mu);
-    given alpha alone, g is derived from alpha, and is inf past the float
-    range.
+    given alpha alone, g is derived from alpha.  Either way g is inf past the
+    float range.
     """
 
     n: int
@@ -190,7 +190,11 @@ class FiberPotential:
             # g is derived from alpha, as mu e^(2 alpha) = mu a^4
             return cls(n=n, delta=delta, mu=mu, alpha=2.0 * math.log(a))
         alpha = a ** (2.0 * (1.0 - delta)) / (1.0 - delta)
-        return cls(n=n, delta=delta, mu=mu, alpha=alpha, growth=mu * a ** (4.0 * delta))
+        try:
+            growth = mu * a ** (4.0 * delta)
+        except OverflowError:  # a floor past the float range, as at delta = 1
+            growth = math.inf if mu > 0.0 else 0.0
+        return cls(n=n, delta=delta, mu=mu, alpha=alpha, growth=growth)
 
     @property
     def ess_inf(self) -> float:
@@ -752,13 +756,16 @@ def fiber_eigenvalues(
     ((lam - V)^2 + 1)^(1/4), which equals k pi exactly where F does and
     lies on the same side of k pi, but runs nearly linearly in lam where
     theta climbs in stairs.  A root within REL_TOL of lam_max is a tie
-    with the cutoff and is dropped.
+    with the cutoff and is dropped.  A fiber that _empty_below finds empty
+    lists nothing without a shoot.
     """
     from scipy.optimize import brentq
 
     if f.mu <= 0.0:
         raise ValueError("fiber_eigenvalues needs a confining fiber (mu > 0)")
     _require_finite(lam_max)
+    if _empty_below(f, lam_max, bc):
+        return []
     theta0 = _boundary_angle(f, bc)
     v_min = potential_min(f)
     v_alpha = _potential(f, 0.0)

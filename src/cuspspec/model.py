@@ -195,6 +195,22 @@ def cusp_volume(cusp: CuspEnd, n: int) -> float:
     return cusp.cross_section.volume() / (exponent * cusp.a ** (2.0 * exponent))
 
 
+def cusp_floor(model: ManifoldModel, j: int) -> float:
+    """a^(4 delta) of cusp j = (a, delta), the factor of mu in the growth of
+    its fibers: inf past the float range; one that underflows to 0 raises
+    ValueError naming the cusp."""
+    cusp = model.cusps[j]
+    try:
+        floor = cusp.a ** (4.0 * cusp.delta)
+    except OverflowError:
+        return math.inf
+    if floor == 0.0:
+        raise ValueError(
+            f"cusp {j}: floor a^(4 delta) underflows to 0 at a = {cusp.a}, delta = {cusp.delta}"
+        )
+    return floor
+
+
 def total_volume(model: ManifoldModel) -> float:
     return model.core.volume + sum(cusp_volume(c, model.n) for c in model.cusps)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .fiber import (
     count_fibers,
     default_robin_beta,
 )
-from .model import ManifoldModel, TorusCrossSection, cusp_volume, total_volume
+from .model import ManifoldModel, TorusCrossSection, cusp_floor, cusp_volume, total_volume
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,21 +100,10 @@ def cusp_modes(model: ManifoldModel, j: int, lam: float) -> tuple[list[float], l
     mu a^(4 delta).  A custom Robin beta above the default can put a boundary
     state below the floor; _cusp_counts then lists up to a higher lam.  An
     exact-zero mode (the free channel of an A = 0 model) is left out:
-    continuous spectrum, no eigenvalues, no phase.
-
-    A floor a^(4 delta) past the float range lists no modes; one that
-    underflows to 0 raises ValueError naming the cusp.
+    continuous spectrum, no eigenvalues, no phase.  A floor past the float
+    range lists no modes (see cusp_floor).
     """
-    cusp = model.cusps[j]
-    try:
-        floor = cusp.a ** (4.0 * cusp.delta)
-    except OverflowError:
-        return [], []
-    if floor == 0.0:
-        raise ValueError(
-            f"cusp {j}: floor a^(4 delta) underflows to 0 at a = {cusp.a}, delta = {cusp.delta}"
-        )
-    values = mu_spectrum(cusp.cross_section, 1.0, lam / floor).values
+    values = mu_spectrum(model.cusps[j].cross_section, 1.0, lam / cusp_floor(model, j)).values
     mus, mults = np.unique(values[values > 0.0], return_counts=True)
     return mus.tolist(), mults.tolist()
 
@@ -209,6 +198,7 @@ def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
 
     Each distinct mode is integrated once and its term repeated by its
     multiplicity; a delta = 1 cusp takes every mode in one _phase_delta1 call.
+    The terms, finite and at most MAX_ELEMENTS, are one array to _exact_sum.
     """
     cusp = model.cusps[j]
     mus, mults = cusp_modes(model, j, lam)
@@ -220,7 +210,7 @@ def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
             phase_integral(FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu), lam)
             for mu in mus
         ]
-    return _exact_sum(np.repeat(terms, mults)) / math.pi
+    return _exact_sum((np.repeat(terms, mults),)) / math.pi
 
 
 def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, float]:
@@ -231,8 +221,8 @@ def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, flo
     function that each sorted value raises by one, so the integral is the
     finite sum by parts of _step_terms over the same values; an exact tie
     adds a zero term.  The residual is pure rounding noise.  Every term is
-    a correctly rounded sqrt and every sum the binned exact sum _exact_sum,
-    which equals math.fsum bit for bit, so the result does not depend on
+    a finite, correctly rounded sqrt, and each side one _exact_sum of at
+    most MAX_ELEMENTS + 1 < 2**26 terms, so the result does not depend on
     the order of the terms.
 
     The sorted spectrum is the only array of its length that is held; both
@@ -267,13 +257,9 @@ def _step_terms(values: np.ndarray, mu: float) -> Iterator[np.ndarray]:
     yield values.size * root
 
 
-# _exact_sum works through its input in blocks of this many elements, so its
-# scratch arrays grow with the block, not with the input.
+# _exact_sum bins its input in blocks of this many values, so its scratch
+# arrays grow with the block, not with the input.
 _SUM_BLOCK = 1 << 15
-# Elements added into the float64 bins of _exact_sum before they are moved
-# into a Python int: 2**26 parts of magnitude at most 2**27 keep every bin an
-# integer of magnitude at most 2**53, which float64 holds exactly.
-_SUM_BIN_LIMIT = 1 << 26
 # Adding and then subtracting 1.5 * 2**78 rounds an integer of magnitude
 # below 2**53 to the nearest multiple of 2**26, exactly.
 _ROUND_26 = 1.5 * 2.0**78
@@ -282,61 +268,41 @@ _ROUND_26 = 1.5 * 2.0**78
 _SUM_BINS = 2098
 
 
-def _exact_sum(x: Union[np.ndarray, Iterable[np.ndarray]]) -> float:
-    """Correctly rounded sum of a float64 array, equal to math.fsum(x) bit
-    for bit, or of the float64 blocks of at most _SUM_BLOCK values that an
-    iterable yields.
+def _exact_sum(arrays: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of the finite float64 values in the arrays that
+    an iterable yields, exact for at most 2**26 values in all.
 
     Each value is m * 2**e with q = m * 2**53 an integer below 2**53 in
     magnitude.  q splits exactly into 2**26 times an integer of magnitude at
     most 2**27 and a remainder of magnitude at most 2**25, and np.bincount
-    adds each part into one float64 bin per exponent e.  Every bin stays an
-    exact integer (see _SUM_BIN_LIMIT).  The bins end in one Python int, in
-    units of 2**-1126, and one correctly rounded int/int division.  An array
-    is taken in blocks of _SUM_BLOCK; one that is not all finite, or whose
-    running sums could overflow, goes to math.fsum itself, so inf, nan and
-    the errors raised are those of fsum.  Blocks of an iterable are not
-    kept: they must be finite (ValueError otherwise), and their exact sum
-    raises OverflowError past the float range.
+    adds each part, _SUM_BLOCK values at a time, into one float64 bin per
+    exponent e.  2**26 values keep every bin an exact integer of magnitude
+    at most 2**53 (Zhu and Hayes, ACM TOMS 37, 2010), so the bins are
+    flushed once, at the end, into a Python int in units of 2**-1126, and
+    one correctly rounded int/int division ends the sum.  A value that is
+    not finite raises ValueError, a sum past the float range OverflowError.
     """
-    array = isinstance(x, np.ndarray)
-    if array:
-        x = np.ravel(x)
-        blocks = (x[s : s + _SUM_BLOCK] for s in range(0, x.size, _SUM_BLOCK))
-        # below this magnitude, no sum of x.size values can reach 2**1023
-        limit = 2.0 ** (1023 - x.size.bit_length())
-    else:
-        blocks, limit = x, math.inf
-    total, added = 0, 0
     hi, lo = np.zeros(_SUM_BINS), np.zeros(_SUM_BINS)
-    for block in blocks:
-        if not (np.abs(block) < limit).all():  # nan compares False
-            if array:
-                return math.fsum(x)
-            raise ValueError("exact sum of blocks needs finite values")
-        m, e = np.frexp(block)
-        if added + block.size > _SUM_BIN_LIMIT:
-            total, added = _flush_bins(total, hi, lo), 0
-        m *= 2.0**53  # q
-        high = m + _ROUND_26
-        high -= _ROUND_26  # q rounded to a multiple of 2**26
-        m -= high  # the remainder, of magnitude at most 2**25
-        high *= 2.0**-26
-        e += 1073
-        hi += np.bincount(e, weights=high, minlength=_SUM_BINS)
-        lo += np.bincount(e, weights=m, minlength=_SUM_BINS)
-        added += block.size
-    return _flush_bins(total, hi, lo) / (1 << 1126)
-
-
-def _flush_bins(total: int, hi: np.ndarray, lo: np.ndarray) -> int:
-    """total plus the bins of _exact_sum, in units of 2**-1126; empties the bins."""
+    for array in arrays:
+        for s in range(0, array.size, _SUM_BLOCK):
+            block = array[s : s + _SUM_BLOCK]
+            if not np.isfinite(block).all():
+                raise ValueError("exact sum needs finite values")
+            m, e = np.frexp(block)
+            m *= 2.0**53  # q
+            high = m + _ROUND_26
+            high -= _ROUND_26  # q rounded to a multiple of 2**26
+            m -= high  # the remainder, of magnitude at most 2**25
+            high *= 2.0**-26
+            e += 1073
+            hi += np.bincount(e, weights=high, minlength=_SUM_BINS)
+            lo += np.bincount(e, weights=m, minlength=_SUM_BINS)
+    total = 0
     for k in np.flatnonzero(hi).tolist():
         total += int(hi[k]) << (k + 26)
     for k in np.flatnonzero(lo).tolist():
         total += int(lo[k]) << k
-    hi[:] = lo[:] = 0.0
-    return total
+    return total / (1 << 1126)
 
 
 def rj_sum(x: TorusCrossSection, tau: float, mu: float) -> float:

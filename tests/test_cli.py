@@ -584,28 +584,50 @@ def test_count_lists_each_cusp_below_its_own_floor(capsys, tmp_path):
 
 
 def test_floor_past_the_float_range_lists_no_modes(capsys, tmp_path):
-    # a^4 = 1e400 overflows: every mode lies above the floor, so the cusp
-    # counts nothing, and the embedded bound is the 0 count plus one
-    path = tmp_path / "high.json"
-    path.write_text(json.dumps(model_to_dict(circle_model(a=1e100))))
-    runs = [
-        (["count", "--lambda", "100"], "100.0,0,0,"),
-        (["sweep", "--lambda-min", "10", "--lambda-max", "100", "--points", "2"], "100.0,0,0,"),
-        (["embedded", "--lambda", "100"], "100.0,0.5,0.1,1.5,116.49999999999999,0,1,"),
+    # a^(4 delta) = 1e400 (delta = 1) or 1e600 (delta = 0.75) overflows:
+    # every mode lies above the floor and every fiber grows as inf, so the
+    # cusp counts nothing, the embedded bound is the 0 count plus one, a
+    # fiber lists nothing and its phase integral is 0
+    grid = ["--lambda-min", "10", "--lambda-max", "100", "--points", "2"]
+    fiber = (["fiber", "--lambda", "100", "--ell", "1"], "k,value\n")
+    phase = (["phase", "--lambda", "100", "--ell", "1"], "lambda,w,count,gap\n100.0,0.0,0,0.0\n")
+    # (delta, a, embedded row, whole tables of the fiber verbs)
+    models = [
+        (1.0, 1e100, "100.0,0.5,0.1,1.5,116.49999999999999,0,1,", [fiber]),
+        (0.75, 1e200, "100.0,0.25,0.31622776601683794,1.5,148.9341649025257,0,1,", [fiber, phase]),
     ]
-    for (verb, *grid), row in runs:
-        code, out, err = run_cli(capsys, verb, str(path), *grid)
-        assert (code, err) == (0, "")
-        assert f"\n{row}" in out
+    for delta, a, embedded, tables in models:
+        path = tmp_path / f"high_{delta}.json"
+        path.write_text(json.dumps(model_to_dict(circle_model(delta=delta, a=a))))
+        rows = [
+            (["count", "--lambda", "100"], "100.0,0,0,"),
+            (["sweep", *grid], "100.0,0,0,"),
+            (["embedded", "--lambda", "100"], embedded),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (verb, *flags), row in rows:
+                code, out, err = run_cli(capsys, verb, str(path), *flags)
+                assert (code, err) == (0, "")
+                assert f"\n{row}" in out
+            for (verb, *flags), table in tables:
+                assert run_cli(capsys, verb, str(path), *flags) == (0, table, "")
 
 
 def test_floor_that_underflows_names_the_cusp(capsys, tmp_path):
-    # a^4 = 1e-400 underflows to 0, and the floor lambda / a^4 with it
-    path = tmp_path / "low.json"
-    path.write_text(json.dumps(model_to_dict(circle_model(a=1e-100))))
-    message = "cusp 0: floor a^(4 delta) underflows to 0 at a = 1e-100, delta = 1.0"
-    for verb in ("count", "embedded"):
-        assert_value_error(capsys, [verb, str(path), "--lambda", "100"], message)
+    # a^(4 delta) = 1e-400 (delta = 1) or 1e-600 (delta = 0.75) underflows
+    # to 0, and the floor lambda / a^(4 delta) with it; a count and a fiber
+    # of the cusp both stop at the floor
+    runs = {
+        (1.0, 1e-100): [["count"], ["embedded"], ["fiber", "--ell", "1"], ["phase", "--ell", "1"]],
+        (0.75, 1e-200): [["fiber", "--ell", "1"], ["phase", "--ell", "1"]],
+    }
+    for (delta, a), model_runs in runs.items():
+        path = tmp_path / f"low_{delta}.json"
+        path.write_text(json.dumps(model_to_dict(circle_model(delta=delta, a=a))))
+        message = f"cusp 0: floor a^(4 delta) underflows to 0 at a = {a}, delta = {delta}"
+        for verb, *flags in model_runs:
+            assert_value_error(capsys, [verb, str(path), "--lambda", "100", *flags], message)
 
 
 def test_parser_is_built_once_per_process(capsys, model_path):

@@ -3,6 +3,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import hypothesis
 import mpmath
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
-from cuspspec import fiber, weyl
+from cuspspec import cross_section, fiber, weyl
 from cuspspec import (
     BoundaryCondition,
     CompactCoreSurrogate,
@@ -440,12 +441,26 @@ class TestRjIdentity:
         assert identity_residual(x, 1.0, mu) == residual
         assert rj_identity(x, 1.0, mu) == (rj, residual)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5])
-    @pytest.mark.parametrize("name", sorted(CASES))
+    # the two largest cases run at prime block sizes, whose edges fall
+    # between near-ties, the others at tiny blocks
+    PRIME_BLOCKS = (61, 257, 1021, 4099)
+
+    @pytest.mark.parametrize(
+        "name, block",
+        [(name, block) for name in ("torus2-benchmark", "torus2-free") for block in (1, 2, 3, 5)]
+        + [
+            (name, block)
+            for block in PRIME_BLOCKS
+            for name in ("torus2-benchmark-multiblock", "torus3-wide-runs")
+        ],
+    )
     def test_bit_identical_across_block_edges(self, name, block, monkeypatch):
-        # on tiny blocks, the near-tie runs of torus3-wide-runs straddle
-        # block edges, and every block carries its last root across one
+        # every block carries its last root across one edge; at a prime
+        # block some pair of neighbours within (0, 1e-12] straddles an edge
         x, mu, expected = self.per_value(name)
+        if block in self.PRIME_BLOCKS:
+            edge_gaps = np.diff(mu_spectrum(x, 1.0, mu).values)[block - 1 :: block]
+            assert np.any((edge_gaps > 0.0) & (edge_gaps <= 1e-12))
         monkeypatch.setattr(weyl, "_SUM_BLOCK", block)
         assert rj_identity(x, 1.0, mu) == expected
 
@@ -515,6 +530,19 @@ def sum_outcome(f, values):
         return type(exc)
 
 
+def exact_sum(values):
+    """_exact_sum of values given as one array."""
+    return weyl._exact_sum((np.asarray(values, dtype=float),))
+
+
+def rational_sum(values):
+    """The sum of values in exact rationals, correctly rounded (test oracle);
+    ValueError when a value is not finite, OverflowError past the float range."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("not finite")
+    return float(sum(map(Fraction, values), Fraction(0)))
+
+
 def same_float(a, b):
     """Bit-for-bit equality of two floats (or outcomes), nan and -0.0 included."""
     if isinstance(a, float) and isinstance(b, float):
@@ -552,13 +580,12 @@ class TestExactSum:
         if cancel:
             # every value cancelled by its negation, as in [1e16, 1, -1e16]
             x = np.concatenate([[1e16], x, -x[::-1], [1.0, -1e16]])
-        assert same_float(weyl._exact_sum(x), math.fsum(x))
+        assert same_float(exact_sum(x), math.fsum(x))
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
-    def test_small_lists_match_fsum_outcome(self, values):
-        x = np.array(values, dtype=float)
-        assert same_float(sum_outcome(weyl._exact_sum, x), sum_outcome(math.fsum, x))
+    def test_small_lists_match_the_rational_sum(self, values):
+        assert same_float(sum_outcome(exact_sum, values), sum_outcome(rational_sum, values))
 
     @pytest.mark.parametrize(
         "values, expected",
@@ -566,26 +593,25 @@ class TestExactSum:
             ([], 0.0),
             ([1e16, 1.0, -1e16], 1.0),
             ([5e-324, 5e-324], 1e-323),
-            ([math.inf, 1.0], math.inf),
-            ([-math.inf, 1e300], -math.inf),
-            ([math.nan, 1.0], math.nan),
+            ([math.inf, 1.0], ValueError),
+            ([-math.inf, 1e300], ValueError),
+            ([math.nan, 1.0], ValueError),
             ([math.inf, -math.inf], ValueError),
             ([1e308, 1e308], OverflowError),
-            ([1e308, 1e308, -1e308], OverflowError),  # fsum's running sum overflows
+            ([1e308, 1e308, -1e308], 1e308),  # where fsum's running sum overflows
         ],
     )
     def test_special_values_as_fsum(self, values, expected):
-        x = np.array(values, dtype=float)
-        assert same_float(sum_outcome(math.fsum, x), expected)
-        assert same_float(sum_outcome(weyl._exact_sum, x), expected)
+        # the outcomes of math.fsum, but for the ValueError of a value that
+        # is not finite and the exact sum where fsum's running sum overflows
+        assert same_float(sum_outcome(rational_sum, values), expected)
+        assert same_float(sum_outcome(exact_sum, values), expected)
 
     def test_non_finite_in_a_late_block(self):
         x = np.ones(3 * self.BLOCK)
         x[-1] = math.inf
-        assert weyl._exact_sum(x) == math.inf
-        x[-2] = -math.inf
-        with pytest.raises(ValueError):
-            weyl._exact_sum(x)
+        with pytest.raises(ValueError, match="finite"):
+            exact_sum(x)
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -595,46 +621,34 @@ class TestExactSum:
     )
     def test_blocks_of_an_iterable_sum_as_their_concatenation(self, sizes, seed, span):
         rng = np.random.default_rng(seed)
-        blocks = [
+        arrays = [
             10.0 ** rng.uniform(-300, -300 + span, size) * rng.choice([-1.0, 1.0], size)
             for size in sizes
         ]
-        whole = np.concatenate([np.empty(0)] + blocks)
+        whole = np.concatenate([np.empty(0)] + arrays)
         with pytest.MonkeyPatch.context() as patch:
-            # blocks of up to _SUM_BLOCK values, and bins flushed between them
+            # arrays of up to _SUM_BLOCK values, and whole as one array of
+            # up to eight blocks
             patch.setattr(weyl, "_SUM_BLOCK", 64)
-            patch.setattr(weyl, "_SUM_BIN_LIMIT", 128)
-            assert same_float(weyl._exact_sum(iter(blocks)), math.fsum(whole))
-            assert same_float(weyl._exact_sum(iter(blocks)), weyl._exact_sum(whole))
+            assert same_float(weyl._exact_sum(iter(arrays)), math.fsum(whole))
+            assert same_float(weyl._exact_sum(iter(arrays)), exact_sum(whole))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_block_of_an_iterable_raises(self, bad):
         with pytest.raises(ValueError, match="finite"):
             weyl._exact_sum(iter([np.ones(3), np.array([1.0, bad])]))
 
-    def test_bins_flushed_before_the_limit(self, monkeypatch):
-        # the real limit (2**26 elements) is too large to build here; a
-        # small one must move the bins to the Python int once per limit
-        flushes = []
-        real = weyl._flush_bins
-
-        def counted(total, hi, lo):
-            flushes.append(int(np.count_nonzero(hi) + np.count_nonzero(lo)))
-            return real(total, hi, lo)
-
-        monkeypatch.setattr(weyl, "_SUM_BLOCK", 64)
-        monkeypatch.setattr(weyl, "_SUM_BIN_LIMIT", 128)
-        monkeypatch.setattr(weyl, "_flush_bins", counted)
-        x = np.random.default_rng(7).normal(scale=1e6, size=1000)
-        assert same_float(weyl._exact_sum(x), math.fsum(x))
-        assert len(flushes) == math.ceil(1000 / 128)
-        assert all(flushes)
+    def test_every_caller_sums_within_the_exact_domain(self):
+        # 2**26 values keep every bin exact; rj_identity sums at most
+        # MAX_ELEMENTS values plus the last root, theta_sum at most
+        # MAX_ELEMENTS
+        assert cross_section.MAX_ELEMENTS + 1 <= 2**26
 
     def test_peak_memory_grows_with_the_block(self):
         x = np.sqrt(np.random.default_rng(3).uniform(0.0, 2.5e5, 1_000_000))
         tracemalloc.start()
         try:
-            total = weyl._exact_sum(x)
+            total = exact_sum(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
