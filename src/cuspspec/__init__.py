@@ -17,19 +17,15 @@ from .model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    spectral_floor,
     total_volume,
     validate_model,
 )
 from .cross_section import (
     CrossSpectrum,
     EnumerationBudgetError,
-    cross_count,
-    hormander_residual,
     mu0,
     mu_spectrum,
     perturb_c2,
-    tau_quadratic_range,
     unit_ball_volume,
 )
 from .fiber import (
@@ -55,7 +51,6 @@ from .weyl import (
     remainder_fit,
     remainder_model,
     rj_identity,
-    rj_sum,
     theta_sum,
     total_count_bracket,
     weyl_leading,

@@ -95,11 +95,6 @@ def mu_spectrum(x: TorusCrossSection, tau: float, cutoff: float) -> CrossSpectru
     return CrossSpectrum(tau=tau, values=values, cutoff=cutoff)
 
 
-def cross_count(x: TorusCrossSection, tau: float, mu: float) -> int:
-    """Number of eigenvalues strictly below mu (with multiplicity)."""
-    return len(mu_spectrum(x, tau, mu))
-
-
 def mu0(x: TorusCrossSection, tau: float) -> float:
     """Lowest eigenvalue, minimized per axis over the two nearest integers."""
     total = 0.0
@@ -113,29 +108,6 @@ def mu0(x: TorusCrossSection, tau: float) -> float:
     return total
 
 
-def hormander_residual(
-    x: TorusCrossSection, tau: float, mu_max: float, grid: int
-) -> float:
-    """Worst normalized Weyl residual of the cross-section counting function.
-
-    sup over a geometric grid in [1, mu_max] of
-    |N(mu) - omega_{d}/(2 pi)^d |X| mu^(d/2)| / max(1, mu^((d-1)/2)),
-    d = dim X.  Finite by the sharp Weyl asymptotics on closed manifolds.
-    """
-    if mu_max <= 1.0:
-        raise ValueError("mu_max must exceed 1")
-    d = x.dim
-    spectrum = mu_spectrum(x, tau, mu_max).values
-    constant = unit_ball_volume(d) / TWO_PI**d * x.volume()
-    worst = 0.0
-    for mu in np.geomspace(1.0, mu_max, grid):
-        # side='left' returns the number of values strictly below mu
-        count = int(np.searchsorted(spectrum, mu, side="left"))
-        residual = abs(count - constant * mu ** (d / 2.0))
-        worst = max(worst, residual / max(1.0, mu ** ((d - 1) / 2.0)))
-    return worst
-
-
 def perturb_c2(x: TorusCrossSection) -> float:
     """Quadratic coefficient of mu_0(tau) = c2 tau^2 + O(tau^3): sum_k omega_k^2.
 
@@ -143,19 +115,6 @@ def perturb_c2(x: TorusCrossSection) -> float:
     also lim mu_0(tau)/tau^2.
     """
     return math.fsum(w * w for w in x.magnetic)
-
-
-def tau_quadratic_range(x: TorusCrossSection) -> float:
-    """A tau_0 below which mu_0(tau) = tau^2 * perturb_c2 exactly.
-
-    pi / (2 L_max |omega|_max) keeps every shifted frequency inside the first
-    Brillouin half-cell, i.e. below the first level crossing.  Infinite when
-    the form vanishes.
-    """
-    w_max = max((abs(w) for w in x.magnetic), default=0.0)
-    if w_max == 0.0:
-        return math.inf
-    return math.pi / (2.0 * max(x.lengths) * w_max)
 
 
 def unit_ball_volume(d: int) -> float:

@@ -215,16 +215,6 @@ def total_volume(model: ManifoldModel) -> float:
     return model.core.volume + sum(cusp_volume(c, model.n) for c in model.cusps)
 
 
-def spectral_floor(model: ManifoldModel) -> float:
-    """Bottom of the essential spectrum of the free Laplacian.
-
-    (n-1)^2/4 when every cusp has delta = 1, else 0.
-    """
-    if model.delta < 1.0:
-        return 0.0
-    return (model.n - 1) ** 2 / 4.0
-
-
 # ---------------------------------------------------------------------------
 # Model file (JSON) I/O.  Field names are fixed; unknown fields are rejected.
 

@@ -198,7 +198,8 @@ def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
 
     Each distinct mode is integrated once and its term repeated by its
     multiplicity; a delta = 1 cusp takes every mode in one _phase_delta1 call.
-    The terms, finite and at most MAX_ELEMENTS, are one array to _exact_sum.
+    The finite terms are one array to _exact_sum, which rounds their sum
+    once, by error-free extraction.
     """
     cusp = model.cusps[j]
     mus, mults = cusp_modes(model, j, lam)
@@ -221,9 +222,9 @@ def rj_identity(x: TorusCrossSection, tau: float, mu: float) -> tuple[float, flo
     function that each sorted value raises by one, so the integral is the
     finite sum by parts of _step_terms over the same values; an exact tie
     adds a zero term.  The residual is pure rounding noise.  Every term is
-    a finite, correctly rounded sqrt, and each side one _exact_sum of at
-    most MAX_ELEMENTS + 1 < 2**26 terms, so the result does not depend on
-    the order of the terms.
+    a finite, correctly rounded sqrt, and each side one _exact_sum, an
+    error-free extraction rounded once, so the result does not depend on
+    the order or the number of the terms.
 
     The sorted spectrum is the only array of its length that is held; both
     sums take their terms one _SUM_BLOCK of values at a time.
@@ -257,57 +258,51 @@ def _step_terms(values: np.ndarray, mu: float) -> Iterator[np.ndarray]:
     yield values.size * root
 
 
-# _exact_sum bins its input in blocks of this many values, so its scratch
-# arrays grow with the block, not with the input.
+# _exact_sum extracts its input in blocks of this many values, so its
+# scratch arrays grow with the block, not with the input.
 _SUM_BLOCK = 1 << 15
-# Adding and then subtracting 1.5 * 2**78 rounds an integer of magnitude
-# below 2**53 to the nearest multiple of 2**26, exactly.
-_ROUND_26 = 1.5 * 2.0**78
-# One bin per binary exponent of a float64, -1073 (the smallest subnormal,
-# 0.5 * 2**-1073) to 1024, shifted by 1073 to start at 0.
-_SUM_BINS = 2098
 
 
 def _exact_sum(arrays: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of the finite float64 values in the arrays that
-    an iterable yields, exact for at most 2**26 values in all.
+    an iterable yields, by error-free extraction (Rump, Ogita and Oishi,
+    SIAM J. Sci. Comput. 31(1), 2008), for any number of values.
 
-    Each value is m * 2**e with q = m * 2**53 an integer below 2**53 in
-    magnitude.  q splits exactly into 2**26 times an integer of magnitude at
-    most 2**27 and a remainder of magnitude at most 2**25, and np.bincount
-    adds each part, _SUM_BLOCK values at a time, into one float64 bin per
-    exponent e.  2**26 values keep every bin an exact integer of magnitude
-    at most 2**53 (Zhu and Hayes, ACM TOMS 37, 2010), so the bins are
-    flushed once, at the end, into a Python int in units of 2**-1126, and
-    one correctly rounded int/int division ends the sum.  A value that is
-    not finite raises ValueError, a sum past the float range OverflowError.
+    For a block p of _SUM_BLOCK values below top in magnitude, take sigma =
+    2**k, the least power of two above 2 * top * p.size: q = (p + sigma) -
+    sigma rounds p to multiples of 2**(k - 53) with |sum q| < 2**(k - 1), so
+    q.sum() is exact in any order and is added to one Python int in units of
+    2**-1126.  p - q is exact, at most 2**(k - 53) in magnitude, and becomes
+    the next p, in q's buffer, so the input is never written; each level
+    shrinks top by at least 2**35 until p is 0.  One correctly rounded
+    int/int division ends the sum.  Where top reaches 2**1000 and sigma
+    could overflow, the block's values of magnitude at least 1 are scaled by
+    2**-64, exactly, and weighted by 2**64.  A value that is not finite
+    raises ValueError, a sum past the float range OverflowError.
     """
-    hi, lo = np.zeros(_SUM_BINS), np.zeros(_SUM_BINS)
+    total = 0
     for array in arrays:
         for s in range(0, array.size, _SUM_BLOCK):
             block = array[s : s + _SUM_BLOCK]
-            if not np.isfinite(block).all():
+            top = max(block.max(), -block.min())
+            if not math.isfinite(top):
                 raise ValueError("exact sum needs finite values")
-            m, e = np.frexp(block)
-            m *= 2.0**53  # q
-            high = m + _ROUND_26
-            high -= _ROUND_26  # q rounded to a multiple of 2**26
-            m -= high  # the remainder, of magnitude at most 2**25
-            high *= 2.0**-26
-            e += 1073
-            hi += np.bincount(e, weights=high, minlength=_SUM_BINS)
-            lo += np.bincount(e, weights=m, minlength=_SUM_BINS)
-    total = 0
-    for k in np.flatnonzero(hi).tolist():
-        total += int(hi[k]) << (k + 26)
-    for k in np.flatnonzero(lo).tolist():
-        total += int(lo[k]) << k
+            parts = [(block, 1126)]
+            if top >= 2.0**1000:
+                big = np.abs(block) >= 1.0
+                parts = [(block[big] * 2.0**-64, 1190), (block[~big], 1126)]
+                top *= 2.0**-64
+            for p, shift in parts:
+                width, level = p.size.bit_length() + 1, top
+                while level > 0.0:
+                    sigma = math.ldexp(1.0, math.frexp(level)[1] + width)
+                    q = p + sigma
+                    q -= sigma
+                    num, den = float(q.sum()).as_integer_ratio()
+                    total += (num << shift) // den  # den divides 2**1074
+                    p = np.subtract(p, q, out=q)
+                    level = max(p.max(initial=0.0), -p.min(initial=0.0))
     return total / (1 << 1126)
-
-
-def rj_sum(x: TorusCrossSection, tau: float, mu: float) -> float:
-    """R(mu) = sum over the cross-section spectrum of sqrt([mu - mu_ell]_+)."""
-    return rj_identity(x, tau, mu)[0]
 
 
 def identity_residual(x: TorusCrossSection, tau: float, mu: float) -> float:

@@ -10,12 +10,10 @@ from cuspspec import cross_section
 from cuspspec import (
     EnumerationBudgetError,
     TorusCrossSection,
-    cross_count,
-    hormander_residual,
     mu0,
     mu_spectrum,
     perturb_c2,
-    tau_quadratic_range,
+    unit_ball_volume,
 )
 from conftest import TWO_PI
 
@@ -134,7 +132,6 @@ class TestEnumeration:
         assert values.tolist() == expected
         assert values.dtype == np.float64
         assert not values.flags.writeable
-        assert cross_count(x, tau, cutoff) == len(expected)
 
     def test_zero_field_ties_are_kept(self):
         values = mu_spectrum(self.TORI["torus2-free"], 0.37, 3.0).values
@@ -154,8 +151,6 @@ class TestEnumeration:
         monkeypatch.setattr(cross_section, "MAX_ELEMENTS", box - 1)
         with pytest.raises(EnumerationBudgetError, match=f"budget is {box - 1}$"):
             mu_spectrum(x, 0.37, cutoff)
-        with pytest.raises(EnumerationBudgetError):
-            cross_count(x, 0.37, cutoff)
         monkeypatch.setattr(cross_section, "MAX_ELEMENTS", box)
         assert mu_spectrum(x, 0.37, cutoff).values.tolist() == (
             product_spectrum(x, 0.37, cutoff)
@@ -164,16 +159,12 @@ class TestEnumeration:
 
 class TestCrossCount:
     def test_examples(self):
-        assert cross_count(CIRCLE_FREE, 0.0, 10.0) == 7
-        assert cross_count(CIRCLE_FREE, 0.0, 0.0) == 0
-        assert cross_count(CIRCLE_FREE, 0.0, 1.0) == 1  # m=+-1 excluded by strictness
-
-    def test_matches_spectrum_length(self):
-        for mu in (0.3, 1.0, 7.7, 26.0):
-            assert cross_count(CIRCLE_HALF, 1.0, mu) == len(mu_spectrum(CIRCLE_HALF, 1.0, mu))
+        assert len(mu_spectrum(CIRCLE_FREE, 0.0, 10.0)) == 7
+        assert len(mu_spectrum(CIRCLE_FREE, 0.0, 0.0)) == 0
+        assert len(mu_spectrum(CIRCLE_FREE, 0.0, 1.0)) == 1  # m=+-1 excluded by strictness
 
     def test_monotone_in_mu(self):
-        counts = [cross_count(CIRCLE_HALF, 1.0, mu) for mu in np.linspace(0.0, 30.0, 80)]
+        counts = [len(mu_spectrum(CIRCLE_HALF, 1.0, mu)) for mu in np.linspace(0.0, 30.0, 80)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
@@ -208,6 +199,23 @@ class TestGaugeSymmetries:
         assert a.tolist() == mu_spectrum(neg, 1.0, 30.0).values.tolist()
 
 
+def hormander_residual(x, tau, mu_max, grid):
+    """Worst normalized Weyl residual of the cross-section counting function
+    (test oracle): sup over a geometric grid in [1, mu_max] of
+    |N(mu) - omega_d / (2 pi)^d |X| mu^(d/2)| / max(1, mu^((d-1)/2)),
+    d = dim X, finite by the sharp Weyl asymptotics on closed manifolds."""
+    d = x.dim
+    spectrum = mu_spectrum(x, tau, mu_max).values
+    constant = unit_ball_volume(d) / TWO_PI**d * x.volume()
+    worst = 0.0
+    for mu in np.geomspace(1.0, mu_max, grid):
+        # side='left' returns the number of values strictly below mu
+        count = int(np.searchsorted(spectrum, mu, side="left"))
+        residual = abs(count - constant * mu ** (d / 2.0))
+        worst = max(worst, residual / max(1.0, mu ** ((d - 1) / 2.0)))
+    return worst
+
+
 class TestHormander:
     def test_circle_residual_small(self):
         assert hormander_residual(CIRCLE_HALF, 1.0, 1.0e4, 64) <= 2.0
@@ -236,8 +244,7 @@ class TestPerturbation:
         assert first / tau**2 == pytest.approx(5.0, abs=1e-6)
 
     def test_quadratic_law_below_crossing(self):
-        tau0 = tau_quadratic_range(CIRCLE_HALF)
-        assert tau0 == pytest.approx(0.5)
+        tau0 = 0.5  # the first level crossing, pi / (2 L_max |omega|_max)
         for tau in np.geomspace(1e-4, tau0, 9):
             assert mu0(CIRCLE_HALF, float(tau)) / tau**2 == pytest.approx(0.25, abs=1e-12)
 

@@ -15,7 +15,6 @@ from cuspspec import (
     load_model,
     model_from_dict,
     model_to_dict,
-    spectral_floor,
     total_volume,
     validate_model,
 )
@@ -136,25 +135,6 @@ class TestVolumes:
             value = cusp_volume(cusp, 2)
             assert value < previous
             previous = value
-
-
-class TestSpectralFloor:
-    def test_branch_values(self):
-        assert spectral_floor(circle_model(delta=1.0)) == 0.25
-        assert spectral_floor(circle_model(delta=0.8)) == 0.0
-        model5 = ManifoldModel(
-            n=5,
-            core=CompactCoreSurrogate(),
-            cusps=(CuspEnd(TorusCrossSection((1.0,) * 4, (0.0,) * 4), 1.0, 1.0),),
-        )
-        assert spectral_floor(model5) == 4.0
-
-    def test_depends_only_on_min_delta(self):
-        c1 = CuspEnd(TorusCrossSection((TWO_PI,), (0.0,)), a=1.0, delta=1.0)
-        c2 = CuspEnd(TorusCrossSection((3.0,), (0.0,)), a=2.0, delta=0.9)
-        m12 = ManifoldModel(2, CompactCoreSurrogate(), (c1, c2))
-        m21 = ManifoldModel(2, CompactCoreSurrogate(), (c2, c1))
-        assert spectral_floor(m12) == spectral_floor(m21) == 0.0
 
 
 class TestModelFile:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
-from cuspspec import cross_section, fiber, weyl
+from cuspspec import fiber, weyl
 from cuspspec import (
     BoundaryCondition,
     CompactCoreSurrogate,
@@ -34,7 +34,6 @@ from cuspspec import (
     remainder_fit,
     remainder_model,
     rj_identity,
-    rj_sum,
     theta_sum,
     total_count_bracket,
     weyl_leading,
@@ -404,11 +403,11 @@ class TestThetaSum:
 class TestRjIdentity:
     def test_zero_at_zero(self):
         x = TorusCrossSection((TWO_PI,), (0.5,))
-        assert rj_sum(x, 1.0, 0.0) == 0.0
+        assert rj_identity(x, 1.0, 0.0)[0] == 0.0
 
     def test_free_circle_at_one(self):
         x = TorusCrossSection((TWO_PI,), (0.0,))
-        assert rj_sum(x, 0.0, 1.0) == 1.0  # only m = 0; [1-1]_+ = 0
+        assert rj_identity(x, 0.0, 1.0)[0] == 1.0  # only m = 0; [1-1]_+ = 0
 
     def test_identity_residual_tiny(self):
         x = TorusCrossSection((TWO_PI,), (0.5,))
@@ -437,7 +436,6 @@ class TestRjIdentity:
     def test_bit_identical_to_sequential_grouping(self, name):
         # the per-value oracle: every value is its own step of N
         x, mu, (rj, residual) = self.per_value(name)
-        assert rj_sum(x, 1.0, mu) == rj
         assert identity_residual(x, 1.0, mu) == residual
         assert rj_identity(x, 1.0, mu) == (rj, residual)
 
@@ -507,7 +505,7 @@ class TestRjIdentity:
     def test_non_finite_mu_rejected(self, mu):
         x = TorusCrossSection((TWO_PI,), (0.5,))
         with pytest.raises(ValueError, match="must be finite"):
-            rj_sum(x, 1.0, mu)
+            rj_identity(x, 1.0, mu)
         with pytest.raises(ValueError, match="must be finite"):
             identity_residual(x, 1.0, mu)
 
@@ -638,11 +636,45 @@ class TestExactSum:
         with pytest.raises(ValueError, match="finite"):
             weyl._exact_sum(iter([np.ones(3), np.array([1.0, bad])]))
 
-    def test_every_caller_sums_within_the_exact_domain(self):
-        # 2**26 values keep every bin exact; rj_identity sums at most
-        # MAX_ELEMENTS values plus the last root, theta_sum at most
-        # MAX_ELEMENTS
-        assert cross_section.MAX_ELEMENTS + 1 <= 2**26
+    @hypothesis.settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        pairs=st.integers(BLOCK // 2, 3 * BLOCK // 2 - 2),
+        seed=st.integers(0, 2**32 - 1),
+        kept=st.integers(0, 4),
+    )
+    def test_large_magnitudes_match_the_rational_sum(self, pairs, seed, kept):
+        # 1 to 3 blocks whose top reaches 2**1000, so their values of
+        # magnitude at least 1 are extracted scaled by 2**-64: magnitudes
+        # from 2**1000 to the largest float among subnormals, all but kept
+        # of them cancelled by their exact negations somewhere in the array
+        rng = np.random.default_rng(seed)
+        size = pairs + kept
+        x = np.minimum(2.0 ** rng.uniform(1000.0, 1024.0, size), np.finfo(float).max)
+        x[1::3] = 5e-324 * rng.integers(-(2**20), 2**20, x[1::3].size)
+        x[::7] = np.finfo(float).max
+        x = rng.permutation(x * rng.choice([-1.0, 1.0], size))
+        values = rng.permutation(np.concatenate([x, -x[kept:]])).tolist()
+        assert same_float(sum_outcome(exact_sum, values), sum_outcome(rational_sum, values))
+
+    @pytest.mark.parametrize("top", [math.nextafter(2.0**1000, 0.0), 2.0**1000])
+    def test_block_top_at_the_scaling_threshold(self, top):
+        # just below 2**1000 a block is extracted as it is, at 2**1000 with
+        # its values of magnitude at least 1 scaled
+        rng = np.random.default_rng(13)
+        x = 2.0 ** rng.uniform(-1074.0, 999.0, self.BLOCK) * rng.choice([-1.0, 1.0], self.BLOCK)
+        x[rng.integers(self.BLOCK)] = top
+        assert same_float(exact_sum(x), rational_sum(x.tolist()))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1010])
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_input_is_left_untouched(self, writeable, scale):
+        # read-only as mu_spectrum returns it, or writable; both extraction
+        # paths (scale 2**1010 puts every top past 2**1000)
+        x = np.random.default_rng(17).uniform(-1.0, 1.0, 2 * self.BLOCK + 7) * scale
+        x.flags.writeable = writeable
+        before = x.copy()
+        assert same_float(exact_sum(x), math.fsum(before))
+        assert x.tobytes() == before.tobytes()
 
     def test_peak_memory_grows_with_the_block(self):
         x = np.sqrt(np.random.default_rng(3).uniform(0.0, 2.5e5, 1_000_000))
@@ -704,7 +736,8 @@ class TestGaugeInvariance:
         a, b = mu_spectrum(x, 1.0, mu).values, mu_spectrum(y, 1.0, mu).values
         assert a.size == b.size
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, a))
-        assert rj_sum(y, 1.0, mu) == pytest.approx(rj_sum(x, 1.0, mu), rel=1e-12, abs=0.0)
+        r_x, r_y = rj_identity(x, 1.0, mu)[0], rj_identity(y, 1.0, mu)[0]
+        assert r_y == pytest.approx(r_x, rel=1e-12, abs=0.0)
 
     @hypothesis.settings(max_examples=15, deadline=None, derandomize=True)
     @given(
