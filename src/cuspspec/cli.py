@@ -176,12 +176,6 @@ def _fiber_for(model, args) -> FiberPotential:
     return FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, float(values[args.ell]))
 
 
-def _boundary(args) -> BoundaryCondition:
-    if args.boundary == "robin":
-        return BoundaryCondition.robin()
-    return BoundaryCondition.dirichlet()
-
-
 # Each verb handler takes (model, args, meta) and returns the table as
 # (columns, rows, csv footer lines); it may add keys to meta.
 
@@ -216,12 +210,12 @@ def _sweep(model, args, meta):
 
 def _fiber(model, args, meta):
     lam = _finite("--lambda", args.lam)
-    values = fiber_eigenvalues(_fiber_for(model, args), lam, _boundary(args))
+    values = fiber_eigenvalues(_fiber_for(model, args), lam, BoundaryCondition(args.boundary))
     return ("k", "value"), list(enumerate(values)), ()
 
 
 def _phase(model, args, meta):
-    bc = _boundary(args)
+    bc = BoundaryCondition(args.boundary)
     lams = _lambda_grid(args)
     f = _fiber_for(model, args)
     rows = []

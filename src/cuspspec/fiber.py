@@ -64,7 +64,6 @@ delta = 1 count runs on numpy alone and loads no scipy module.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -248,58 +247,47 @@ def potential_min(f: FiberPotential) -> float:
     return _potential(f, _interior_min(f))
 
 
-def _edge_offset(f: FiberPotential, lam: float) -> Optional[float]:
-    """Least offset x with V >= lam on [alpha + x, oo), the right edge of
-    the allowed region.
+def _allowed_offsets(f: FiberPotential, lam: float) -> Optional[tuple[float, float]]:
+    """Offsets (x_lo, x_hi) of the allowed region {t >= alpha : V(t) < lam},
+    found from one pass over the minimum of V, or None when V >= lam
+    everywhere.  x_hi, the least offset with V >= lam on [alpha + x_hi, oo),
+    places every backward shoot; both edges bound the phase integral.
 
-    None when V >= lam everywhere (no classically allowed region);
-    math.inf when mu = 0 and lam sits above the essential infimum, so the
-    allowed region never closes.
+    A mu = 0 channel never closes: (0, inf) above the essential infimum,
+    with no left edge sought, since its phase integral is not taken, and
+    (0, 0) at delta = 1 with lam equal to that infimum.  For mu > 0 the
+    region is one interval about the minimum of V, collapsed to (x_min,
+    x_min) at lam = min V.  At delta = 1 it is the closed form with x_lo =
+    0; below, brentq finds x_hi and, only where V(alpha) >= lam, x_lo.
     """
     if f.mu == 0.0:
         if lam > f.ess_inf:
-            return math.inf
-        return 0.0 if (f.delta == 1.0 and lam == f.ess_inf) else None
+            return (0.0, math.inf)
+        return (0.0, 0.0) if (f.delta == 1.0 and lam == f.ess_inf) else None
     x_min = _interior_min(f)
     vmin = _potential(f, x_min)
     if lam < vmin:
         return None
     if lam == vmin:
-        return x_min
+        return (x_min, x_min)
     if f.delta == 1.0:
-        return max(0.0, 0.5 * math.log((lam - f.const_coeff) / f.growth))
+        return (0.0, max(0.0, 0.5 * math.log((lam - f.const_coeff) / f.growth)))
+    from scipy.optimize import brentq
+
+    def root(lo: float, hi: float) -> float:
+        return brentq(lambda x: _potential(f, x) - lam, lo, hi, xtol=1e-13, rtol=1e-15)
+
     # where the growth term alone reaches lam
     x_hi = f.alpha * math.expm1(math.log(lam / f.growth) / f.power)
     if x_hi <= x_min:
-        return x_min
-    # V(x_hi) = lam + c/t^2, and at lam >~ 1e11 the c/t^2 term falls below
-    # the rounding of lam: widen until the bracket closes
-    while _potential(f, x_hi) <= lam:
-        x_hi *= 2.0
-    from scipy.optimize import brentq
-
-    return brentq(lambda x: _potential(f, x) - lam, x_min, x_hi, xtol=1e-13, rtol=1e-15)
-
-
-def _allowed_offsets(f: FiberPotential, lam: float) -> Optional[tuple[float, float]]:
-    """Offsets of the interval {t >= alpha : V(t) < lam}, or None when it
-    is empty.
-
-    Requires a confining fiber (mu > 0); the interval is then a single
-    component around the potential minimum.
-    """
-    if f.mu <= 0.0:
-        raise ValueError("_allowed_offsets needs mu > 0")
-    x_min = _interior_min(f)
-    if lam <= _potential(f, x_min):
-        return None
-    x_hi = _edge_offset(f, lam)
-    if _potential(f, 0.0) < lam:
-        return (0.0, x_hi)
-    from scipy.optimize import brentq
-
-    x_lo = brentq(lambda x: _potential(f, x) - lam, 0.0, x_min, xtol=1e-13, rtol=1e-15)
-    return (x_lo, x_hi)
+        x_hi = x_min
+    else:
+        # V(x_hi) = lam + c/t^2, and at lam >~ 1e11 the c/t^2 term falls
+        # below the rounding of lam: widen until the bracket closes
+        while _potential(f, x_hi) <= lam:
+            x_hi *= 2.0
+        x_hi = root(x_min, x_hi)
+    return (root(0.0, x_min) if _potential(f, 0.0) >= lam else 0.0, x_hi)
 
 
 def _scale(en: float) -> float:
@@ -343,10 +331,11 @@ def _tail_extent(f: FiberPotential, start: float, lam: float, budget: float) -> 
 
 
 def _shoot_span(f: FiberPotential, lam: float, top: float = 0.0) -> float:
-    """Offset where the shoot at lam starts: past both the turning point
-    and the highest stop top by the decay budget."""
-    x_turn = _edge_offset(f, lam)
-    start = top if x_turn is None else max(x_turn, top)
+    """Offset where the shoot at lam starts: past both the right edge of
+    the allowed region (see _allowed_offsets) and the highest stop top by
+    the decay budget."""
+    region = _allowed_offsets(f, lam)
+    start = top if region is None else max(region[1], top)
     budget = T_MARGIN + 0.5 * math.log(1.0 / (ANGLE_TOL * 1e-3))
     return start + _tail_extent(f, start, lam, budget)
 
@@ -395,9 +384,7 @@ def _mesh(f: FiberPotential, lam: float, span: float) -> tuple[np.ndarray, int]:
     if not rest > 0.0:
         return edges, 0
     depth = _potential(f, float(edges[-1])) - lam
-    if depth > abs(lam):
-        per_length = MAGNUS_K * (1.0 + depth) ** 0.27
-    return edges, math.ceil(per_length * rest)
+    return edges, math.ceil(MAGNUS_K * (1.0 + max(abs(lam), depth)) ** 0.27 * rest)
 
 
 def _mesh_steps(f: FiberPotential, lam: float, span: float) -> int:
@@ -748,8 +735,9 @@ def fiber_eigenvalues(
     MESH_BUDGET.  That plan is no upper bound, so each new level also
     charges the mesh steps of every shoot run so far plus its own, and
     MeshBudgetError stops the listing once the shoots actually run would
-    exceed MESH_BUDGET.  Each root below the total is bracketed by the F
-    values already computed; each F value is kept for the later roots.  brentq
+    exceed MESH_BUDGET.  One dict keeps F per level, the first entry from
+    the streamed shoot at lam_max, so each level is shot and scaled once;
+    each root below the total is bracketed by the levels it holds.  brentq
     at xtol = rtol = REL_TOL closes each bracket, within REL_TOL (1 +
     |lam|) of the root.  The roots are found on F read in the scaled angle
     phi of SLEIGN2 and SLEDGE at alpha, tan phi = S tan theta with S =
@@ -777,22 +765,26 @@ def fiber_eigenvalues(
     _check_budget(steps, f"a backward shoot at lambda = {lam_max}")
     # the shoot at lam_max streams its mesh; it is kept only once the
     # total is known to fit the budget
-    theta_dec = {lam_max: _back_angles(_back_blocks(f, level, span, [0.0]), lam_max, v_top)[0]}
-    total = fiber_count(f, lam_max, bc, theta_decay=theta_dec[lam_max])
+    [theta_max] = _back_angles(_back_blocks(f, level, span, [0.0]), lam_max, v_top)
+    total = fiber_count(f, lam_max, bc, theta_decay=theta_max)
     if total == 0:
         return []
     work = f"backward shoots of a listing of {total} eigenvalues"
     _check_budget(steps * (6 * total + 3), work)
     blocks = list(_back_blocks(f, level, span, [0.0]))
 
-    @functools.cache
-    def read_off(lam: float) -> float:
-        """F(lam) in the scaled angle at alpha, computed once per level."""
-        if lam not in theta_dec:
-            _check_budget(steps * (len(theta_dec) + 1), work)
-            theta_dec[lam] = _back_angles(blocks, lam, v_top)[0]
+    def scaled(lam: float, theta_dec: float) -> float:
         scale = _scale(lam - v_alpha)
-        return _rescale(theta0, scale, 1.0) - _rescale(theta_dec[lam], scale, 1.0)
+        return _rescale(theta0, scale, 1.0) - _rescale(theta_dec, scale, 1.0)
+
+    # F in the scaled angle at alpha, per level, each level shot once
+    read_offs = {lam_max: scaled(lam_max, theta_max)}
+
+    def read_off(lam: float) -> float:
+        if lam not in read_offs:
+            _check_budget(steps * (len(read_offs) + 1), work)
+            read_offs[lam] = scaled(lam, _back_angles(blocks, lam, v_top)[0])
+        return read_offs[lam]
 
     lo = v_min
     beta = _resolve_beta(f, bc)
@@ -803,8 +795,8 @@ def fiber_eigenvalues(
     values: list[float] = []
     for k in range(total):
         target = k * math.pi
-        lo = max(lam for lam in theta_dec if read_off(lam) <= target)
-        hi = min(lam for lam in theta_dec if read_off(lam) > target)
+        lo = max(lam for lam, value in read_offs.items() if value <= target)
+        hi = min(lam for lam, value in read_offs.items() if value > target)
         values.append(
             brentq(lambda lam: read_off(lam) - target, lo, hi, xtol=REL_TOL, rtol=REL_TOL)
         )
@@ -826,10 +818,11 @@ def fd_oracle(
     """
     if grid < 1000:
         raise ValueError("fd_oracle needs grid >= 1000")
-    x_turn = _edge_offset(f, lam_max)
+    region = _allowed_offsets(f, lam_max)
+    x_turn = 0.0 if region is None else region[1]
     if x_turn == math.inf:
         raise ContinuousSpectrumError("fd_oracle cannot resolve a continuum channel")
-    h = ((0.0 if x_turn is None else x_turn) + 8.0) / grid
+    h = (x_turn + 8.0) / grid
     beta = _resolve_beta(f, bc)
     v = _potential(f, h * np.arange(grid + 1))
     if bc.kind == "dirichlet":

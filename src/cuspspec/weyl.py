@@ -204,8 +204,7 @@ def theta_sum(model: ManifoldModel, j: int, lam: float) -> float:
     cusp = model.cusps[j]
     mus, mults = cusp_modes(model, j, lam)
     if cusp.delta == 1.0:
-        alpha = FiberPotential.from_cusp(model.n, 1.0, cusp.a, 0.0).alpha
-        terms = _phase_delta1(model.n, alpha, np.array(mus), lam)
+        terms = _phase_delta1(model.n, 2.0 * math.log(cusp.a), np.array(mus), lam)
     else:
         terms = [
             phase_integral(FiberPotential.from_cusp(model.n, cusp.delta, cusp.a, mu), lam)
@@ -438,23 +437,17 @@ def fit_remainder_samples(
     x = np.log(lams[mask])
     y = np.log(np.abs(residuals[mask]))
     design = np.column_stack([np.ones_like(x), x])
-    coef_a, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    rss_a = float(np.sum((y - design @ coef_a) ** 2))
-    loglog = np.log(np.log(lams[mask]))
-    coef_b, _, _, _ = np.linalg.lstsq(design, y - loglog, rcond=None)
-    rss_b = float(np.sum((y - loglog - design @ coef_b) ** 2))
-    if rss_b < rss_a:
-        return FitReport(
-            slope=float(coef_b[1]),
-            log_correction=True,
-            constant=float(math.exp(coef_b[0])),
-            rss=rss_b,
-        )
+    fits = []
+    for shift in (0.0, np.log(np.log(lams[mask]))):
+        coef, _, _, _ = np.linalg.lstsq(design, y - shift, rcond=None)
+        fits.append((float(np.sum((y - shift - design @ coef) ** 2)), coef))
+    log_correction = fits[1][0] < fits[0][0]
+    rss, coef = fits[1] if log_correction else fits[0]
     return FitReport(
-        slope=float(coef_a[1]),
-        log_correction=False,
-        constant=float(math.exp(coef_a[0])),
-        rss=rss_a,
+        slope=float(coef[1]),
+        log_correction=log_correction,
+        constant=float(math.exp(coef[0])),
+        rss=rss,
     )
 
 

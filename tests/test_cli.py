@@ -291,6 +291,15 @@ class TestLevelZeroAndBelow:
         assert_value_error(capsys, [argv[0], model_path, *argv[1:]],
                            f"{flag} must be >= 0, got -1.0")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["phase", "--ell", "1"],
+         "need --lambda or all of --lambda-min/--lambda-max/--points"),
+        (["sweep", "--lambda-min", "0", "--lambda-max", "4", "--points", "3"],
+         "geometric grid needs --lambda-min > 0"),
+    ], ids=["no-level", "geometric-from-zero"])
+    def test_grid_without_levels_rejected(self, capsys, model_path, argv, message):
+        assert_value_error(capsys, [argv[0], model_path, *argv[1:]], message)
+
 
 class TestModelErrors:
     @pytest.mark.parametrize("field,value,named", [
@@ -492,6 +501,16 @@ class TestOtherVerbs:
         cells = lines[1].split(",")
         assert float(cells[2]) == pytest.approx(0.1)
         assert int(cells[5]) <= int(cells[6])
+
+    def test_embedded_with_a_core_leaves_n_ess_empty(self, capsys, tmp_path):
+        # the exact left-hand side needs a separable model, core volume 0
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(model_to_dict(circle_model(core_volume=1.0))))
+        code, out, _ = run_cli(capsys, "embedded", str(path), "--lambda", "100")
+        assert code == 0
+        cells = out.strip().splitlines()[1].split(",")
+        assert cells[5] == ""
+        assert int(cells[6]) >= 1
 
     def test_embedded_zero_field_is_computation_error(self, capsys, tmp_path):
         path = tmp_path / "zero.json"

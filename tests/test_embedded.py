@@ -40,6 +40,9 @@ class TestRho:
             rho_exponent(2, 0.4)
         with pytest.raises(ValueError):
             rho_exponent(2, 1.2)
+        for delta in (0.5, 1.2):  # 1/n itself is outside as well
+            with pytest.raises(ValueError, match="outside"):
+                r0_model(2, delta, 100.0)
 
     def test_r0_switches_with_rho(self):
         # both the scaling exponent and the remainder branch flip at delta = 2/n

@@ -10,6 +10,7 @@ import scipy.optimize
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 import hypothesis
+import mpmath
 from hypothesis import given, strategies as st
 
 from cuspspec import fiber
@@ -53,6 +54,8 @@ class TestPotential:
             FiberPotential(n=2, delta=0.75, mu=1.0, alpha=0.0)
         with pytest.raises(ValueError):
             FiberPotential(n=2, delta=1.0, mu=-1.0, alpha=0.0)
+        with pytest.raises(ValueError, match="n >= 2"):
+            FiberPotential(n=1, delta=1.0, mu=1.0, alpha=0.0)
 
     def test_confinement(self):
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 2.0)
@@ -63,10 +66,10 @@ class TestTurningPoint:
     # the turning point as an offset x = t - alpha from the boundary
     def test_log_root(self):
         # alpha = 0 on F_REF, so the offset is t itself
-        assert fiber._edge_offset(F_REF, 100.25) == pytest.approx(math.log(10.0), rel=1e-14)
+        assert fiber._allowed_offsets(F_REF, 100.25)[1] == pytest.approx(math.log(10.0), rel=1e-14)
 
     def test_none_below_minimum(self):
-        assert fiber._edge_offset(F_REF, 1.0) is None
+        assert fiber._allowed_offsets(F_REF, 1.0) is None
 
     def test_boundary_case(self):
         # choose mu, and the growth term g = mu e^(2 alpha) without its
@@ -77,18 +80,19 @@ class TestTurningPoint:
         mu = (lam - 0.25) * math.exp(-2.0 * alpha)
         f = FiberPotential(n=2, delta=1.0, mu=mu, alpha=alpha, growth=lam - 0.25)
         assert fiber._potential(f, 0.0) == lam
-        assert fiber._edge_offset(f, lam) == 0.0
+        assert fiber._allowed_offsets(f, lam)[1] == 0.0
 
     def test_constant_channel_signals_infinity(self):
         flat = FiberPotential.from_cusp(2, 1.0, 1.0, 0.0)
-        assert fiber._edge_offset(flat, 1.0) == math.inf
-        assert fiber._edge_offset(flat, 0.2) is None
+        assert fiber._allowed_offsets(flat, 1.0)[1] == math.inf
+        assert fiber._allowed_offsets(flat, 0.2) is None
+        assert fiber._allowed_offsets(flat, flat.ess_inf) == (0.0, 0.0)
 
     @pytest.mark.parametrize("lam", [1e11, 1e12])
     def test_large_level_delta_lt1(self, lam):
         # c/t^2 falls below the rounding of lam at the first bracket end
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 0.25)
-        x = fiber._edge_offset(f, lam)
+        x = fiber._allowed_offsets(f, lam)[1]
         assert fiber._potential(f, x) == pytest.approx(lam, rel=1e-14)
         assert fiber._allowed_offsets(f, lam) == (0.0, x)
         # without the 1/t^2 term, w = sqrt(lam) (T B - alpha) with
@@ -112,9 +116,9 @@ class TestTurningPoint:
             brackets.append(hi)
             return real(func, lo, hi, **kwargs)
 
-        # _edge_offset imports brentq on first use, from scipy.optimize
+        # _allowed_offsets imports brentq on first use, from scipy.optimize
         monkeypatch.setattr(scipy.optimize, "brentq", recording)
-        x = fiber._edge_offset(f, lam)
+        x = fiber._allowed_offsets(f, lam)[1]
         assert brackets and brackets[0] >= 2.0 * first
         assert abs(fiber._potential(f, x) - lam) <= 1e-13 * lam
 
@@ -122,7 +126,7 @@ class TestTurningPoint:
         f = FiberPotential.from_cusp(2, 0.75, 0.2, 4.0)
         # alpha = 1/(1-delta) * a^(2(1-delta)): small a pushes the 1/t^2 wall up
         assert fiber._potential(f, 0.0) > potential_min(f)
-        x = fiber._edge_offset(f, potential_min(f) + 2.0)
+        x = fiber._allowed_offsets(f, potential_min(f) + 2.0)[1]
         assert x is not None and x > 0.0
 
 
@@ -168,7 +172,7 @@ class TestCounting:
 
     @pytest.mark.parametrize("lam", [9.2, 30.0, 77.0, 300.0])
     def test_shoot_end_lands_on_the_decay_budget(self, lam):
-        x_turn = fiber._edge_offset(F_REF, lam)
+        x_turn = fiber._allowed_offsets(F_REF, lam)[1]
         decay = quad(lambda x: math.sqrt(max(fiber._potential(F_REF, x) - lam, 0.0)),
                      x_turn, fiber._shoot_span(F_REF, lam), limit=200)[0]
         budget = fiber.T_MARGIN + 0.5 * math.log(1.0 / (fiber.ANGLE_TOL * 1e-3))
@@ -198,6 +202,10 @@ class TestCounting:
     def test_beta_without_a_finite_square_is_named(self, beta):
         with pytest.raises(ValueError, match="Robin beta"):
             fiber_count(F_REF, 30.0, BoundaryCondition.robin(beta))
+
+    def test_unknown_boundary_kind_is_named(self):
+        with pytest.raises(ValueError, match="unknown boundary kind 'neumann'"):
+            BoundaryCondition("neumann")
 
     def test_robin_dirichlet_limit(self):
         # under u'(alpha) + beta u(alpha) = 0, beta -> -infinity is the
@@ -570,7 +578,7 @@ class TestMatchedShooting:
         # a shoot that ends at each stop alone
         lam = 200.0
         span = fiber._shoot_span(f, lam)
-        stops = np.linspace(fiber._edge_offset(f, lam), 0.0, 9).tolist()
+        stops = np.linspace(fiber._allowed_offsets(f, lam)[1], 0.0, 9).tolist()
         together = fiber._shoot_back(f, lam, span, stops)
         alone = [fiber._shoot_back(f, lam, span, [stop])[0] for stop in stops]
         assert abs(together[-1] - together[0]) > 4.0 * math.pi
@@ -582,7 +590,7 @@ class TestMatchedShooting:
         # shoot to its stop alone
         lam = 400.0
         span = fiber._shoot_span(F_REF, lam)
-        points = np.linspace(fiber._edge_offset(F_REF, lam), 0.0, 12)[:-1].tolist()
+        points = np.linspace(fiber._allowed_offsets(F_REF, lam)[1], 0.0, 12)[:-1].tolist()
         stops = [x for p in points for x in (p, p - 1e-9)] + [0.0]
         together = fiber._shoot_back(F_REF, lam, span, stops)
         alone = [fiber._shoot_back(F_REF, lam, span, [stop])[0] for stop in stops]
@@ -609,6 +617,43 @@ def reference_read_off(f, lam, bc):
     """(theta0 - theta_dec(alpha)) / pi with the DOP853 angle: the count is
     its ceiling, a tie wherever it lies within 1e-6 of an integer."""
     return (fiber._boundary_angle(f, bc) - dop853_theta_decay(f, lam)) / math.pi
+
+
+def series_zeros(n, delta, a, mu, lam, bc, end, dps=30):
+    """Zeros on (alpha, alpha + end] of the solution of u'' = (V - lam) u
+    that meets bc at alpha (the default beta under Robin), carried forward
+    by its Taylor series at dps digits: an oracle that shares no rounding
+    with the double-precision code.  About each step's left end t, V(t +
+    h) = mu ((1 - delta) (t + h))^p + c / (t + h)^2 - lam is sum_k W_k h^k,
+    and u's coefficients follow from (k + 2)(k + 1) u_(k+2) = sum_j W_j
+    u_(k-j).  Steps are at most t/3, inside the series' radius t, and half
+    of 1/sqrt(lam + 1), so no step holds two zeros."""
+    with mpmath.workdps(dps + 10):
+        d, lam = mpmath.mpf(delta), mpmath.mpf(lam)
+        p = 2 * d / (1 - d)
+        c = (n - 1) * d * ((n - 3) * d + 2) / (4 * (1 - d) ** 2)
+        t = mpmath.mpf(a) ** (2 * (1 - d)) / (1 - d)
+        stop = t + end
+        u, du = (0, 1) if bc.kind == "dirichlet" else (1, -(n - 1) * d / (2 * (1 - d) * t))
+        eps = mpmath.mpf(10) ** -dps
+        zeros = 0
+        while t < stop:
+            h = min(t / 3, 0.5 / mpmath.sqrt(abs(lam) + 1), stop - t)
+            growth, wall, binom = mu * ((1 - d) * t) ** p, c / (t * t), mpmath.mpf(1)
+            w, us, size = [], [u, du], abs(u) + abs(du) * h
+            for k in range(400):
+                term = (growth * binom + wall * (k + 1) * (-1) ** k) / t**k
+                w.append(term - lam if k == 0 else term)
+                binom *= (p - k) / (k + 1)
+                us.append(mpmath.fsum(w[j] * us[k - j] for j in range(k + 1)) / ((k + 2) * (k + 1)))
+                if k > 8 and max(abs(us[-1]) * h, abs(us[-2])) * h ** (k + 1) < eps * size:
+                    break
+            new_u = mpmath.fsum(ck * h**k for k, ck in enumerate(us))
+            new_du = mpmath.fsum(k * ck * h ** (k - 1) for k, ck in enumerate(us) if k)
+            zeros += u != 0 and (new_u > 0) != (u > 0)
+            scale = max(abs(new_u), abs(new_du))
+            u, du, t = new_u / scale, new_du / scale, t + h
+        return zeros
 
 
 def is_tie(x):
@@ -996,8 +1041,11 @@ class TestForwardCount:
         # which the level rule's steps do not resolve; the graded steps from
         # alpha follow its scale t / max(power, 2).  Without them the depth
         # rule still counts right, on ~30 times the steps, but the angle at
-        # alpha errs by ~4e-7.  The default Robin condition sits within 2e-8
-        # of a tie at a <= 1e-3, so only Dirichlet-Robin interlacing is checked
+        # alpha errs by ~4e-7.  Under the default Robin condition F/pi lies
+        # within 2e-8 of an integer at a <= 1e-3, yet the Robin count is
+        # Dirichlet + 1 on all three fibers, as a 30-digit series shoot
+        # counts on each (test_small_alpha_robin_against_a_series_shoot
+        # runs it on the first)
         f = FiberPotential.from_cusp(n, delta, a, 1.0)
         assert fiber._potential(f, 0.0) > 500.0
         assert len(fiber._mesh(f, 5.0, 1.0)[0]) > 20  # graded steps
@@ -1005,7 +1053,20 @@ class TestForwardCount:
         assert abs(theta - dop853_theta_decay(f, 5.0)) <= fiber.ANGLE_TOL
         for lam, nd in zip((5.0, 50.0), self.WALL_COUNTS[n, delta, a]):
             assert fiber_count(f, lam) == nd
-            assert nd <= fiber_count(f, lam, bc) <= nd + 1
+            assert fiber_count(f, lam, bc) == nd + (bc.kind == "robin")
+
+    def test_small_alpha_robin_against_a_series_shoot(self):
+        # the default beta = 1592 matches the t^(-2/3) branch of the c/t^2
+        # wall, so every angle at alpha sits near pi - 1/beta and the read-off
+        # is a near-tie; a forward shoot from alpha at 30 digits counts the
+        # zeros of the Robin solution instead, and those of the Dirichlet one
+        # at lambda = 5 as a control of the oracle
+        f = FiberPotential.from_cusp(3, 0.4, 1e-3, 1.0)
+        for lam, nd in zip((5.0, 50.0), self.WALL_COUNTS[3, 0.4, 1e-3]):
+            end = fiber._shoot_span(f, lam)
+            assert series_zeros(3, 0.4, 1e-3, 1.0, lam, ROBIN, end) == nd + 1
+            assert fiber_count(f, lam, ROBIN) == nd + 1
+        assert series_zeros(3, 0.4, 1e-3, 1.0, 5.0, DIRICHLET, fiber._shoot_span(f, 5.0)) == 2
 
     def test_blocks_carry_the_solution(self, monkeypatch):
         # a mesh cut into blocks of 61 steps counts as one block does
@@ -1135,6 +1196,13 @@ class TestFdOracle:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="grid"):
             fd_oracle(F_REF, 50.0, grid=100)
+
+    @pytest.mark.parametrize("delta,lam", [(1.0, 0.3), (0.75, 1e-3)])
+    def test_continuum_channel_raises(self, delta, lam):
+        # mu = 0 above the essential infimum, 1/4 at delta = 1 and 0 below
+        flat = FiberPotential.from_cusp(2, delta, 1.0, 0.0)
+        with pytest.raises(ContinuousSpectrumError, match="continuum"):
+            fd_oracle(flat, lam)
 
     def test_empty_below_minimum(self):
         assert fd_oracle(F_REF, 1.0) == []

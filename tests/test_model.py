@@ -143,6 +143,11 @@ class TestModelFile:
         path.write_text(json.dumps(model_to_dict(ref_model)))
         assert load_model(path) == ref_model
 
+    @pytest.mark.parametrize("data", [[], "model", None], ids=["list", "str", "null"])
+    def test_non_object_rejected(self, data):
+        with pytest.raises(ValueError, match="must contain a JSON object"):
+            model_from_dict(data)
+
     def test_unknown_top_field_rejected(self):
         data = model_to_dict(circle_model())
         data["extra"] = 1

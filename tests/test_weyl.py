@@ -17,6 +17,7 @@ from cuspspec import (
     BoundaryCondition,
     CompactCoreSurrogate,
     ContinuousSpectrumError,
+    CountResult,
     CrossSpectrum,
     CuspEnd,
     EnumerationBudgetError,
@@ -180,10 +181,22 @@ class TestPhaseIntegral:
     def test_brute_force_delta_075(self):
         f = FiberPotential.from_cusp(2, 0.75, 1.0, 1.0)
         lam = 25.0
-        xs = np.linspace(0.0, fiber._edge_offset(f, lam), 1 << 20)
+        xs = np.linspace(0.0, fiber._allowed_offsets(f, lam)[1], 1 << 20)
         integrand = np.sqrt(np.clip(lam - fiber._potential(f, xs), 0, None))
         brute = float(np.trapezoid(integrand, xs))
         assert phase_integral(f, lam) == pytest.approx(brute, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        "args", [(2, 0.75, 1.0, 1.0), (3, 0.4, 1e-3, 1.0), (2, 1.0, 1.0, 1.0)],
+        ids=["min-at-alpha", "interior-min", "delta1"],
+    )
+    def test_zero_at_the_potential_minimum(self, args):
+        # the allowed region closes on the minimum, inside the fiber or at alpha
+        f = FiberPotential.from_cusp(*args)
+        x_min = fiber._interior_min(f)
+        v_min = fiber._potential(f, x_min)
+        assert fiber._allowed_offsets(f, v_min) == (x_min, x_min)
+        assert phase_integral(f, v_min) == 0.0
 
     def test_free_channel_raises_above_floor(self):
         flat = FiberPotential.from_cusp(2, 1.0, 1.0, 0.0)
@@ -777,6 +790,13 @@ class TestCuspCount:
         assert res.leading == pytest.approx(50.0, rel=1e-13)
         assert res.residual == res.count - res.leading
 
+    def test_split_bracket_has_no_single_count(self):
+        res = CountResult(lam=100.0, count_low=40, count_high=52, leading=50.0)
+        assert (res.residual_low, res.residual_high) == (-10.0, 2.0)
+        for read in (lambda r: r.count, lambda r: r.residual):
+            with pytest.raises(ValueError, match="no single count"):
+                read(res)
+
     def test_nondecreasing_with_unit_jumps(self):
         # generic flux avoids the +-m degeneracy, so eigenvalues are simple
         model = circle_model(omega=0.37)
@@ -1037,6 +1057,9 @@ class TestRemainder:
             fit_remainder_samples([10.0, 20.0], [1.0, 2.0])
         lams = np.linspace(100.0, 200.0, 12)
         with pytest.raises(ValueError, match="decade"):
+            fit_remainder_samples(lams, np.sqrt(lams))
+        lams = np.geomspace(1.0, 100.0, 8)
+        with pytest.raises(ValueError, match="lam > 1"):
             fit_remainder_samples(lams, np.sqrt(lams))
 
     def test_remainder_fit_ignores_core_band(self):
